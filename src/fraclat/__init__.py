@@ -6,7 +6,6 @@ with Carleman and boundary-bulk probes, and a regularized linear inverse
 problem with stability-curve fitting.
 """
 
-from ._accel import JIT_ENABLED
 from .kernel import (
     FracParams,
     KernelTable,

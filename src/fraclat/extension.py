@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import njit
 from .lattice import (
     LatticeFunction,
     TorusFunction,
@@ -37,7 +36,6 @@ class GridTooCoarseError(RuntimeError):
 # --- per-mode profile ----------------------------------------------------------
 
 
-@njit
 def _theta(s, x):
     # 2^{1-s} x^s K_s(x) / Gamma(s); theta(0) = 1, decreasing to 0.
     if x < 0.0:

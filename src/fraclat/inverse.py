@@ -146,8 +146,15 @@ class LambdaRangeError(RuntimeError):
     """The discrepancy target is not bracketed by the lambda search range."""
 
 
-def discrepancy_lambda(A, g, P, target, lam_lo=1e-16, lam_hi=1e8, iters=120):
-    """Bisection on log(lambda) for ||A f_lambda - g|| = target (monotone)."""
+def discrepancy_lambda(A, g, P, target, lam_lo=None, lam_hi=1e8, iters=120):
+    """Bisection on log(lambda) for ||A f_lambda - g|| = target (monotone).
+
+    The default floor lam_lo = 1e-16 ||A||_2^2 scales with the problem, as
+    in :func:`noiseless_recovery_error`; noise nearly orthogonal to the
+    range of A can put the root below a fixed floor.
+    """
+    if lam_lo is None:
+        lam_lo = 1e-16 * np.linalg.norm(A, 2) ** 2
 
     def resid(lam):
         f = recover_tikhonov(A, g, lam, P)

@@ -18,7 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._accel import njit
 from .specfun import (
     WG7,
     WGK15,
@@ -43,6 +42,12 @@ class ToleranceError(RuntimeError):
         self.requested = requested
 
 
+def _require_finite(what, *arrays):
+    """Raise ToleranceError on a nan or inf, which no ``err > tol`` test catches."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ToleranceError(f"{what} is not finite")
+
+
 @dataclass(frozen=True)
 class FracParams:
     """The triple (s, h, d): fractional order, mesh size, dimension."""
@@ -63,19 +68,16 @@ class FracParams:
 # --- closed forms in one dimension -------------------------------------------
 
 
-@njit
 def _log_pref(s, h):
     # log of h^{-2s} / |Gamma(-s)|
     return -2.0 * s * math.log(h) - log_abs_gamma_neg(s)
 
 
-@njit
 def _log_c1(s, h):
     # log of 4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)| h^{2s})
     return s * _LOG4 + log_gamma(0.5 + s) - 0.5 * _LOG_PI + _log_pref(s, h)
 
 
-@njit
 def _kernel_1d_raw(s, h, m):
     if m == 0:
         return 0.0
@@ -83,7 +85,6 @@ def _kernel_1d_raw(s, h, m):
     return math.exp(_log_c1(s, h)) * gamma_ratio(a - s, a + 1.0 + s)
 
 
-@njit
 def _tail_1d_raw(s, h, big_m):
     # sum_{m >= M} K(m) by the telescoping identity
     # Gamma(m-s)/Gamma(m+1+s) = (1/2s)[Gamma(m-s)/Gamma(m+s) - shifted].
@@ -130,7 +131,6 @@ def kernel_nd_bound(params, m):
 #   3  total kernel mass, large-t panel: f = (1 - g_0(2t)^d) v^{s-1}
 
 
-@njit
 def _one_minus_g0(x):
     """1 - e^{-x} I_0(x), cancellation-free for small x.
 
@@ -161,7 +161,6 @@ def _one_minus_g0(x):
     return math.exp(-x) * total
 
 
-@njit
 def _one_minus_g0_pow(x, d):
     """1 - (e^{-x} I_0(x))^d via the stable complement."""
     q = _one_minus_g0(x)
@@ -172,32 +171,23 @@ def _one_minus_g0_pow(x, d):
     return q * (3.0 - q * (3.0 - q))
 
 
-@njit
 def _integrand(code, s, iparams, x):
-    if code == 0 or code == 1:
-        if code == 0:
-            t = math.exp(x)
-            w = math.exp(-s * x)
-        else:
-            t = 1.0 / x
-            w = x ** (s - 1.0)
-        prod = 1.0
-        for i in range(iparams.size):
-            prod *= bessel_i_scaled(iparams[i], 2.0 * t)
-            if prod == 0.0:
-                return 0.0
-        return prod * w
+    if code == 0 or code == 2:
+        t = math.exp(x)
     else:
-        if code == 2:
-            t = math.exp(x)
-            w = math.exp(-s * x)
-        else:
-            t = 1.0 / x
-            w = x ** (s - 1.0)
-        return _one_minus_g0_pow(2.0 * t, iparams[0]) * w
+        t = 1.0 / x
+    if code <= 1:
+        factors = [bessel_i_scaled(m, 2.0 * t) for m in iparams]
+    else:
+        factors = [_one_minus_g0_pow(2.0 * t, iparams[0])]
+    if min(factors) == 0.0:
+        return 0.0
+    if code == 0 or code == 2:
+        # e^{-s u} alone overflows for u < -709/s, where the product is tiny
+        return math.exp(sum(math.log(f) for f in factors) - s * x)
+    return math.prod(factors) * x ** (s - 1.0)
 
 
-@njit
 def _gk15(code, s, iparams, a, b):
     c = 0.5 * (a + b)
     hw = 0.5 * (b - a)
@@ -211,7 +201,6 @@ def _gk15(code, s, iparams, a, b):
     return vk * hw, abs((vk - vg) * hw)
 
 
-@njit
 def _adaptive(code, s, iparams, edges, abs_tol, rel_tol, max_splits):
     """Worst-interval-first refinement starting from the given edge list."""
     n0 = edges.size - 1
@@ -236,8 +225,8 @@ def _adaptive(code, s, iparams, edges, abs_tol, rel_tol, max_splits):
             terr += er[i]
             if er[i] > er[worst]:
                 worst = i
-        if terr <= max(abs_tol, rel_tol * abs(total)) * 0.5:
-            return total, terr
+        if terr <= max(abs_tol, rel_tol * abs(total)) * 0.5 or not math.isfinite(terr):
+            return total, terr  # certified, or never will be: nan fails every test
         a = lo[worst]
         b = hi[worst]
         c = 0.5 * (a + b)
@@ -288,8 +277,8 @@ def _edges_cache(u_lo_key, depth):
 
 def _kernel_nd_impl(s, h, m_abs, tol, budget=1200):
     """Returns (value, err_estimate) for the kernel integral at offset m."""
-    iparams = np.asarray(m_abs, dtype=np.int64)
-    n1 = float(iparams.sum())
+    iparams = tuple(int(k) for k in m_abs)
+    n1 = float(sum(iparams))
     lg_fact = float(sum(log_gamma(k + 1.0) for k in iparams))
     u_lo = -(60.0 + lg_fact) / (n1 - s)
     edges_a, edges_b = _edges_cache(round(u_lo, 3), 22)
@@ -303,7 +292,7 @@ def _kernel_nd_impl(s, h, m_abs, tol, budget=1200):
     pref = math.exp(_log_pref(s, h))
     val = pref * (va + vb)
     err = pref * (ea + eb)
-    if err > tol * abs(val) + 1e-300:
+    if not (math.isfinite(val) and err <= tol * abs(val) + 1e-300):
         raise ToleranceError(
             f"kernel quadrature stalled at relative error {err / max(abs(val), 1e-300):.3e}"
             f" (requested {tol:.3e})",
@@ -331,7 +320,7 @@ def kernel_nd(params, m, tol=1e-10, budget=1200):
 def _kernel_mass_cached(s, h, d, tol):
     if d == 1:
         return 2.0 * _tail_1d_raw(s, h, 1.0)
-    iparams = np.array([d], dtype=np.int64)
+    iparams = (d,)
     u_lo = -60.0 / (1.0 - s)
     edges_a, edges_b = _edges_cache(round(u_lo, 3), 22)
     va, ea = _adaptive(2, s, iparams, edges_a, 0.0, 1e-3, 40)
@@ -342,7 +331,7 @@ def _kernel_mass_cached(s, h, d, tol):
     pref = math.exp(_log_pref(s, h))
     val = pref * (va + vb)
     err = pref * (ea + eb)
-    if err > tol * val:
+    if not (math.isfinite(val) and err <= tol * val):
         raise ToleranceError("kernel mass quadrature stalled", achieved=err)
     return val
 
@@ -365,25 +354,16 @@ def heat_kernel(m, t):
     return val
 
 
-@njit
-def _wrap_sum(n, j, x, scratch):
-    """sum_l e^{-x} I_{|j + l n|}(x) for one torus coordinate j in [0, n-1]."""
-    m_cut = int(math.sqrt(90.0 * x)) + n + j + 2
-    if m_cut >= scratch.size:
-        m_cut = scratch.size - 1
-    bessel_i_scaled_row(m_cut, x, scratch)
-    acc = scratch[j]
-    l = 1
-    while True:
-        o1 = l * n + j
-        o2 = l * n - j
-        t1 = scratch[o1] if o1 <= m_cut else 0.0
-        t2 = scratch[o2] if o2 <= m_cut and o2 >= 0 else 0.0
-        acc += t1 + t2
-        if t1 + t2 < 1e-19 or o1 > m_cut:
-            break
-        l += 1
-    return acc
+def _wrap_sums(n, x):
+    """Row e^{-x} I_k(x), k = 0..m, and its wrap sums
+    sum_l e^{-x} I_{|j + l n|}(x) for every torus coordinate j in [0, n-1].
+
+    Orders past m = sqrt(90 x) + 2n are below e^{-45} and dropped."""
+    m = int(math.sqrt(90.0 * x)) + 2 * n + 2
+    row = np.empty(m + 1)
+    bessel_i_scaled_row(m, x, row)
+    k = np.arange(-m, m + 1)
+    return row, np.bincount(k % n, weights=row[np.abs(k)], minlength=n)
 
 
 def torus_heat_kernel(N, h, j, t, tol=1e-14, spectral=False):
@@ -407,18 +387,16 @@ def torus_heat_kernel(N, h, j, t, tol=1e-14, spectral=False):
                 acc += math.exp(-x * (1.0 - math.cos(ang))) * math.cos(ang * c)
             val *= acc / n
         return val
-    m_cut = int(math.sqrt(90.0 * x)) + 2 * n + 2
-    scratch = np.empty(m_cut + 1)
+    wrap = _wrap_sums(n, x)[1]
     val = 1.0
     for c in comps:
-        val *= _wrap_sum(n, min(c, n - c), x, scratch)
+        val *= wrap[c]
     return val
 
 
 # --- torus kernel: Gamma-ratio series with certified remainders (d = 1) ------
 
 
-@njit
 def _arith_tail_remainder(s, h, n, a0):
     # Certified band for sum_{k >= 0} K(a0 + k n) using block convexity:
     # estimate (1/n) T(a0-(n-1)/2) - E/2 with |error| <= E/2,
@@ -434,7 +412,6 @@ def _arith_tail_remainder(s, h, n, a0):
     return est, 0.5 * e_tot
 
 
-@njit
 def _arith_tail_sum(s, h, n, a_start, tol_side):
     """sum_{k >= 0} K(a_start + k n) with certified absolute error <= tol_side."""
     k_req = 4
@@ -456,7 +433,6 @@ def _arith_tail_sum(s, h, n, a_start, tol_side):
     return total + est, err
 
 
-@njit
 def _torus_kernel_series_1d(s, h, n, j, tol_abs):
     """Periodized 1D kernel sum_k K(j + k n), j reduced into [0, n-1].
 
@@ -473,41 +449,14 @@ def _torus_kernel_series_1d(s, h, n, j, tol_abs):
 # --- torus kernel: heat-semigroup route (any d) -------------------------------
 
 
-@njit
-def _wrap_rows_fill(ts, n, nmax_j, W, ring0, g0row, scratch):
-    for q in range(ts.size):
-        x = 2.0 * ts[q]
-        m_cut = int(math.sqrt(90.0 * x)) + 2 * n + nmax_j + 2
-        if m_cut >= scratch.size:
-            m_cut = scratch.size - 1
-        bessel_i_scaled_row(m_cut, x, scratch)
-        g0row[q] = scratch[0]
-        for j in range(nmax_j + 1):
-            acc = scratch[j]
-            l = 1
-            while True:
-                o1 = l * n + j
-                o2 = l * n - j
-                t1 = scratch[o1] if o1 <= m_cut else 0.0
-                t2 = scratch[o2] if o2 <= m_cut else 0.0
-                acc += t1 + t2
-                if t1 + t2 < 1e-19 or o1 + n > m_cut:
-                    break
-                l += 1
-            W[q, j] = acc
-        acc0 = 0.0
-        l = 1
-        while l * n <= m_cut:
-            term = scratch[l * n]
-            acc0 += 2.0 * term
-            if term < 1e-19:
-                break
-            l += 1
-        ring0[q] = acc0
+def _log_grid(s, u_hi):
+    """Panel edges on the log-t axis: coarse deep left tail, fine center.
 
-
-def _log_grid(u_lo, u_hi):
-    """Panel edges on the log-t axis: coarse deep left tail, fine center."""
+    The left end sits where the smallest offset's integrand e^{(1-s)u} is
+    e^{-60}, but no lower than -700/s, so that e^{-s u} stays finite; t is
+    below 1e-304 there and the integrands of all kept entries are negligible.
+    """
+    u_lo = max(-60.0 / (1.0 - s), -700.0 / s)
     edges = [u_lo]
     u = u_lo
     while u < min(-8.0, u_hi):
@@ -522,31 +471,16 @@ def _log_grid(u_lo, u_hi):
     return np.array(edges)
 
 
-def _grid_nodes_weights(edges, s, nfactors):
-    """Kronrod/Gauss nodes and weights on the log-t axis.
-
-    The e^{-s u} du factor is returned as a per-node ``fold`` array to be
-    split across the ``nfactors`` integrand factors (folding it into deep
-    negative-u panel weights would overflow; folded into the decaying
-    integrand rows it underflows harmlessly)."""
-    nq = 15 * (edges.size - 1)
-    t = np.empty(nq)
-    w15 = np.empty(nq)
-    w7 = np.zeros(nq)
-    fold = np.empty(nq)
-    k = 0
-    for p in range(edges.size - 1):
-        c = 0.5 * (edges[p] + edges[p + 1])
-        hw = 0.5 * (edges[p + 1] - edges[p])
-        for i in range(15):
-            u = c + hw * XGK15[i]
-            t[k] = math.exp(u)
-            fold[k] = math.exp(-s * u / nfactors)
-            w15[k] = WGK15[i] * hw
-            if i % 2 == 1:
-                w7[k] = WG7[(i - 1) // 2] * hw
-            k += 1
-    return t, w15, w7, fold
+def _grid_nodes_weights(edges, s):
+    """Kronrod nodes t = e^u on the panels, with Kronrod-15 and embedded
+    Gauss-7 weights for the measure t^{-1-s} dt = e^{-s u} du."""
+    c = 0.5 * (edges[:-1] + edges[1:])
+    hw = 0.5 * np.diff(edges)
+    u = c[:, None] + hw[:, None] * XGK15
+    measure = hw[:, None] * np.exp(-s * u)
+    g7 = np.zeros(15)
+    g7[1::2] = WG7
+    return np.exp(u).ravel(), (WGK15 * measure).ravel(), (g7 * measure).ravel()
 
 
 def _g0d_tail(d, s, T):
@@ -590,9 +524,8 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
     tol_u = tol_abs / pref
     # grow T until the uniform-plateau residual and the g_0^d tail error pass
     T = 256.0
-    scratch = np.empty(int(math.sqrt(180.0 * 4096.0)) + 4 * n + N + 8)
     while True:
-        wrow = np.array([_wrap_sum(n, j, 2.0 * T, scratch) for j in range(N + 1)])
+        wrow = _wrap_sums(n, 2.0 * T)[1][:N + 1]
         dev = np.abs(wrow - 1.0 / n).max()
         plateau_resid = (max(dev * d * n ** (-(d - 1)), 0.0)) * T ** (-s) / s
         _, g0_err = _g0d_tail(d, s, T)
@@ -601,18 +534,15 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
         T *= 2.0
         if T > 1e8:
             raise ToleranceError("torus kernel plateau did not converge")
-        if math.sqrt(180.0 * 2.0 * T) + 4 * n + N + 8 > scratch.size:
-            scratch = np.empty(int(math.sqrt(180.0 * 2.0 * T)) + 4 * n + N + 8)
-    u_lo = -(60.0) / (1.0 - s)
-    edges = _log_grid(u_lo, math.log(T))
-    ts, w15, w7, fold = _grid_nodes_weights(edges, s, d)
+    ts, w15, w7 = _grid_nodes_weights(_log_grid(s, math.log(T)), s)
     W = np.empty((ts.size, N + 1))
     ring0 = np.empty(ts.size)
     g0row = np.empty(ts.size)
-    _wrap_rows_fill(ts, n, N, W, ring0, g0row, scratch)
-    W *= fold[:, None]
-    ring0 *= fold
-    g0row *= fold
+    for q, t in enumerate(ts):
+        row, wrap = _wrap_sums(n, 2.0 * t)
+        W[q] = wrap[:N + 1]
+        ring0[q] = 2.0 * row[n::n].sum()
+        g0row[q] = row[0]
     plateau = n ** (-d) * T ** (-s) / s
 
     if d == 1:
@@ -663,7 +593,7 @@ def _torus_table_series(s, N, tol_abs, need_diag):
     errs = 0.0
     for j in range(1, N + 1):
         v, e = _torus_kernel_series_1d(s, h, n, j, tol_abs)
-        if e < 0:
+        if not e >= 0:
             raise ToleranceError("torus kernel series remainder failed")
         vals[j] = v
         vals[n - j] = v
@@ -680,8 +610,11 @@ def _torus_table_cached(s, N, d, tol_abs, need_diag, method):
     if method == "series":
         if d != 1:
             raise ValueError("the Gamma-ratio series route requires d = 1")
-        return _torus_table_series(s, N, tol_abs, need_diag)
-    return _torus_table_heat(s, N, d, tol_abs, need_diag)
+        table = _torus_table_series(s, N, tol_abs, need_diag)
+    else:
+        table = _torus_table_heat(s, N, d, tol_abs, need_diag)
+    _require_finite(f"{method}-route torus kernel table", table.full, table.diag, table.err)
+    return table
 
 
 def torus_kernel_table(s, N, d=1, tol=1e-12, need_diag=False, method="auto"):
@@ -738,15 +671,6 @@ class KernelTable:
         return self.values[idx]
 
 
-@njit
-def _bessel_rows_fill(ts, nmax, G):
-    scratch = np.empty(nmax + 1)
-    for q in range(ts.size):
-        bessel_i_scaled_row(nmax, 2.0 * ts[q], scratch)
-        for k in range(nmax + 1):
-            G[q, k] = scratch[k]
-
-
 def _tail_constant(params):
     s, h, d = params.s, params.h, params.d
     if d == 1:
@@ -769,8 +693,7 @@ def build_kernel_table(params, radius, tol=1e-9):
     r = int(radius)
     if d == 1:
         vals = np.array([_kernel_1d_raw(s, h, m) for m in range(-r, r + 1)])
-        errs = np.abs(vals) * 1e-14
-        return KernelTable(params, r, vals, errs, _tail_constant(params))
+        return _kernel_table(params, r, vals, np.abs(vals) * 1e-14)
     if d == 3:
         shape = (2 * r + 1,) * 3
         vals = np.zeros(shape)
@@ -786,18 +709,17 @@ def build_kernel_table(params, radius, tol=1e-9):
                             for sc in (c, -c):
                                 vals[sa + r, sb + r, sc + r] = v
                                 errs[sa + r, sb + r, sc + r] = e
-        return KernelTable(params, r, vals, errs, _tail_constant(params))
+        return _kernel_table(params, r, vals, errs)
     if d != 2:
         raise ValueError("kernel tables support d in {1, 2, 3}")
 
     if not 0.05 <= s <= 0.95:
         raise ValueError("shared-grid kernel tables support s in [0.05, 0.95]")
     T = max(4.0e4, 10.0 * (2.0 * r * r))
-    edges = _log_grid(-(60.0) / (1.0 - s), math.log(T))
-    ts, w15, w7, fold = _grid_nodes_weights(edges, s, 2)
+    ts, w15, w7 = _grid_nodes_weights(_log_grid(s, math.log(T)), s)
     G = np.empty((ts.size, r + 1))
-    _bessel_rows_fill(ts, r, G)
-    G *= fold[:, None]
+    for q, t in enumerate(ts):
+        bessel_i_scaled_row(r, 2.0 * t, G[q])
     A15 = (G * w15[:, None]).T @ G
     A7 = (G * w7[:, None]).T @ G
     # analytic tail over [T, inf): prod of two scaled-Bessel expansions
@@ -812,9 +734,12 @@ def build_kernel_table(params, radius, tol=1e-9):
     orth[0, 0] = 0.0
     orth_err[0, 0] = 0.0
     idx = np.abs(np.arange(-r, r + 1))
-    vals = orth[np.ix_(idx, idx)]
-    errs = orth_err[np.ix_(idx, idx)]
-    return KernelTable(params, r, vals, errs, _tail_constant(params))
+    return _kernel_table(params, r, orth[np.ix_(idx, idx)], orth_err[np.ix_(idx, idx)])
+
+
+def _kernel_table(params, radius, vals, errs):
+    _require_finite(f"kernel table (d={params.d}, radius {radius})", vals, errs)
+    return KernelTable(params, radius, vals, errs, _tail_constant(params))
 
 
 @lru_cache(maxsize=None)

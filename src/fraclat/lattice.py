@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import njit
 from .kernel import (
     FracParams,
     ToleranceError,
@@ -351,33 +350,15 @@ def apply_frac_lattice(u, j, tol=1e-10):
 # --- the operator on the torus --------------------------------------------------
 
 
-@njit
-def _apply_pointwise_1d(v, table):
-    n = v.size
-    out = np.empty(n)
-    for j in range(n):
-        acc = 0.0
-        for m in range(n):
-            if m == j:
-                continue
-            acc += (v[j] - v[m]) * table[(j - m) % n]
-        out[j] = acc
-    return out
+def _apply_pointwise(v, table):
+    """sum_r K(r) (v_j - v_{j-r}) over all table offsets r, in any dimension.
 
-
-@njit
-def _apply_pointwise_2d(v, table):
-    n = v.shape[0]
-    out = np.empty((n, n))
-    for j1 in range(n):
-        for j2 in range(n):
-            acc = 0.0
-            for m1 in range(n):
-                for m2 in range(n):
-                    if m1 == j1 and m2 == j2:
-                        continue
-                    acc += (v[j1, j2] - v[m1, m2]) * table[(j1 - m1) % n, (j2 - m2) % n]
-            out[j1, j2] = acc
+    A direct kernel sum: no FFT, so it stays independent of the spectral
+    route.  The zero-offset slot of the table holds 0."""
+    out = np.zeros_like(v)
+    axes = tuple(range(v.ndim))
+    for r in np.ndindex(table.shape):
+        out += table[r] * (v - np.roll(v, r, axis=axes))
     return out
 
 
@@ -388,13 +369,7 @@ def apply_frac_torus_pointwise(v, s, tol=1e-11, method="auto"):
     table_tol = min(1e-12, max(1e-15, 0.25 * tol / (nterms * (2.0 * vmax + 1.0))))
     table = torus_kernel_table(s, v.N, v.d, tol=table_tol, method=method)
     # table.full is indexed by offset mod n with the zero offset at slot 0
-    if v.d == 1:
-        out = _apply_pointwise_1d(v.values, table.full)
-    elif v.d == 2:
-        out = _apply_pointwise_2d(v.values, table.full)
-    else:
-        raise ValueError("pointwise torus application supports d <= 2")
-    return v.copy_with(out)
+    return v.copy_with(_apply_pointwise(v.values, table.full))
 
 
 def apply_frac_torus_spectral(v, s):
@@ -456,7 +431,6 @@ def _lattice_apply_callable(phi, ktol=1e-12):
     return op
 
 
-@njit
 def _transference_direct_1d(vrep, n, big_n, supp_pts, supp_vals, s, h, mass, L):
     # sum_{|l| <= L} Rv_l * (op phi)_l, kernels evaluated per offset
     nsup = supp_pts.size

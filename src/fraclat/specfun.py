@@ -1,11 +1,17 @@
-"""Self-contained special functions backing every kernel evaluation.
+"""Special functions behind every kernel evaluation: thin wrappers over
+``math`` and ``scipy.special``.
 
-Exports log-Gamma, Gamma ratios (with a cancellation-free asymptotic branch
-for large nearly-equal arguments), the exponentially scaled modified Bessel
+Exports log-Gamma, Gamma ratios, the exponentially scaled modified Bessel
 function e^{-t} I_n(t) for integer orders, and the Macdonald function K_s
-for s in (0,1).  Only the scaled form of I_n is exposed: the unscaled
-function overflows near t ~ 700 while every formula downstream pairs it
-with a decaying exponential.
+for s in (0,1), each with the domain checks the rest of the package relies
+on.  Only the scaled form of I_n is exposed: the unscaled function
+overflows near t ~ 700 while every formula downstream pairs it with a
+decaying exponential.
+
+``scipy.special.ive`` returns nan for every order beyond t ~ 1.07e9 (the
+argument limit of the underlying AMOS routines), and the kernel quadrature
+evaluates far past that.  For t >= max(400, 4 n^2) the large-argument
+expansion is used instead; its terms decrease from the start there.
 
 All functions are pure and safe for concurrent use.
 """
@@ -13,38 +19,18 @@ All functions are pure and safe for concurrent use.
 import math
 
 import numpy as np
+from scipy import special
 
-from ._accel import njit
-
-# ln(2*pi)/2 and ln(pi)
-_HALF_LOG_TWO_PI = 0.9189385332046727417803297364
 _LOG_PI = 1.1447298858494001741434273514
 
 
-@njit
 def log_gamma(x):
-    """ln Gamma(x) for x > 0.
-
-    Stirling series with Bernoulli correction terms, shifted upward by the
-    recurrence until the series is accurate to ~1e-14 relative.
-    """
+    """ln Gamma(x) for x > 0."""
     if x <= 0.0:
         raise ValueError("log_gamma requires x > 0")
-    if x == 1.0 or x == 2.0:
-        return 0.0
-    shift = 0.0
-    y = x
-    while y < 12.0:
-        shift += math.log(y)
-        y += 1.0
-    # Stirling: (y-1/2)ln y - y + ln(2*pi)/2 + sum B_{2k}/((2k-1)(2k) y^{2k-1})
-    z = 1.0 / (y * y)
-    series = (((((-691.0 / 360360.0) * z + 1.0 / 1188.0) * z - 1.0 / 1680.0) * z
-               + 1.0 / 1260.0) * z - 1.0 / 360.0) * z + 1.0 / 12.0
-    return (y - 0.5) * math.log(y) - y + _HALF_LOG_TWO_PI + series / y - shift
+    return math.lgamma(x)
 
 
-@njit
 def log_abs_gamma_neg(s):
     """ln |Gamma(-s)| for s in (0,1), via the reflection identity.
 
@@ -55,54 +41,17 @@ def log_abs_gamma_neg(s):
     return _LOG_PI - math.log(math.sin(math.pi * s)) - log_gamma(1.0 + s)
 
 
-@njit
 def gamma_ratio(a, b):
-    """Gamma(a)/Gamma(b) for a, b > 0.
+    """Gamma(a)/Gamma(b) for a, b > 0, as the Pochhammer symbol (b)_{a-b}.
 
-    Large nearly-equal arguments (a, b > 1e4, |a-b| <= 4) are routed through
-    a symmetric digamma expansion around v = (a+b)/2; the direct
-    exp(log_gamma(a) - log_gamma(b)) difference loses ~5 digits there to
-    cancellation while the expansion keeps the leading v^{a-b} behaviour
-    exact to a few ulp.
+    Unlike exp(log_gamma(a) - log_gamma(b)), this keeps full relative
+    accuracy for large nearly-equal arguments.
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("gamma_ratio requires positive arguments")
-    if a > 1e4 and b > 1e4 and abs(a - b) <= 4.0:
-        v = 0.5 * (a + b)
-        delta = 0.5 * (a - b)
-        iv = 1.0 / v
-        iv2 = iv * iv
-        # psi(v) and psi''(v) to O(v^-6)
-        psi = math.log(v) - 0.5 * iv - iv2 / 12.0 + iv2 * iv2 / 120.0
-        psi2 = -iv2 * (1.0 + iv + 0.5 * iv2)
-        return math.exp(2.0 * delta * psi + (delta ** 3 / 3.0) * psi2)
-    return math.exp(log_gamma(a) - log_gamma(b))
+    return float(special.poch(b, a - b))
 
 
-# --- exponentially scaled modified Bessel I ---------------------------------
-
-_SERIES_CUT = 20.0
-
-
-@njit
-def _bessel_i_scaled_series(n, t):
-    # e^{-t} I_n(t) summed from the first term; valid for t < ~700 where the
-    # leading term does not underflow (callers keep t < _SERIES_CUT).
-    ln_first = n * math.log(0.5 * t) - log_gamma(n + 1.0) - t
-    if ln_first < -745.0:
-        return 0.0
-    term = math.exp(ln_first)
-    total = term
-    q = 0.25 * t * t
-    for k in range(1, 600):
-        term *= q / (k * (n + k))
-        total += term
-        if term <= total * 1e-17:
-            break
-    return total
-
-
-@njit
 def _bessel_i_scaled_asymptotic(n, t):
     # Large-argument expansion, valid for t >= max(400, 4 n^2) where the
     # terms decrease from the start; truncated at the smallest term.
@@ -122,159 +71,42 @@ def _bessel_i_scaled_asymptotic(n, t):
     return total / math.sqrt(2.0 * math.pi * t)
 
 
-@njit
-def _bessel_i_scaled_miller(n, t):
-    # Downward three-term recurrence normalized by e^{-t}(I_0 + 2 sum I_k) = 1.
-    # Uniformly accurate for 20 <= t and any order; rescaled to avoid overflow.
-    m = n + int(9.0 * math.sqrt(t)) + 20
-    fp = 0.0
-    f = 1e-300
-    target = 0.0
-    norm = 0.0
-    for k in range(m, 0, -1):
-        fm = fp + (2.0 * k / t) * f
-        fp = f
-        f = fm
-        if k - 1 == n:
-            target = f
-        norm += 2.0 * fp
-        if abs(f) > 1e250:
-            f *= 1e-250
-            fp *= 1e-250
-            norm *= 1e-250
-            target *= 1e-250
-    norm += f
-    if n == 0:
-        target = f
-    return target / norm
-
-
-@njit
 def bessel_i_scaled(n, t):
     """e^{-t} I_n(t) for integer n and t >= 0; symmetric in n <-> -n.
 
-    Branches: power series below t=20, normalized downward recurrence in the
-    intermediate range, large-argument expansion for t >= max(400, 4 n^2).
     Values lie in [0, 1].
     """
     if t < 0.0:
         raise ValueError("bessel_i_scaled requires t >= 0")
-    if n < 0:
-        n = -n
-    if t == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if t < _SERIES_CUT:
-        return _bessel_i_scaled_series(n, t)
-    if t < max(400.0, 4.0 * n * n):
-        return _bessel_i_scaled_miller(n, t)
-    return _bessel_i_scaled_asymptotic(n, t)
+    n = abs(n)
+    if t >= max(400.0, 4.0 * n * n):
+        return _bessel_i_scaled_asymptotic(n, t)
+    return float(special.ive(n, t))
 
 
-@njit
 def bessel_i_scaled_row(nmax, t, out):
-    """Fill out[0..nmax] with e^{-t} I_n(t); one downward recurrence per call.
-
-    Equivalent to scalar calls but O(nmax + sqrt(t)) total for t >= 20.
-    """
+    """Fill out[0..nmax] with e^{-t} I_n(t), equal to the scalar calls."""
     if t < 0.0:
         raise ValueError("bessel_i_scaled_row requires t >= 0")
-    if t == 0.0:
-        out[0] = 1.0
-        for k in range(1, nmax + 1):
-            out[k] = 0.0
-        return
-    if t < _SERIES_CUT:
-        for k in range(nmax + 1):
-            out[k] = _bessel_i_scaled_series(k, t)
-        return
-    m = nmax + int(9.0 * math.sqrt(t)) + 20
-    fp = 0.0
-    f = 1e-300
-    norm = 0.0
-    for k in range(m, 0, -1):
-        fm = fp + (2.0 * k / t) * f
-        fp = f
-        f = fm
-        if k - 1 <= nmax:
-            out[k - 1] = f
-        norm += 2.0 * fp
-        if abs(f) > 1e250:
-            f *= 1e-250
-            fp *= 1e-250
-            norm *= 1e-250
-            for i in range(k - 1, nmax + 1):
-                out[i] *= 1e-250
-    norm += f
-    inv = 1.0 / norm
-    for k in range(nmax + 1):
-        out[k] *= inv
+    orders = np.arange(nmax + 1)
+    special.ive(orders, t, out=out[:nmax + 1])
+    for n in np.flatnonzero(t >= np.maximum(400.0, 4.0 * orders * orders)):
+        out[n] = _bessel_i_scaled_asymptotic(int(n), t)
 
 
-# --- Macdonald function K_s --------------------------------------------------
-
-_K_ASYMPTOTIC_CUT = 14.0
-
-
-@njit
-def _bessel_k_quadrature(s, x):
-    # K_s(x) = int_0^inf exp(-x cosh u) cosh(s u) du.  The integrand is
-    # analytic and decays double-exponentially; composite 15-point rules on
-    # panels scaled to the x-dependent variation length are accurate far
-    # beyond the 1e-8 the extension probe needs.
-    arg = 1.0 + 750.0 / x
-    u_max = math.log(arg + math.sqrt(arg * arg - 1.0))
-    width = min(0.5, 2.0 / math.sqrt(1.0 + x))
-    npan = int(u_max / width) + 1
-    hw = 0.5 * u_max / npan
-    total = 0.0
-    for p in range(npan):
-        c = (2 * p + 1) * hw
-        for i in range(15):
-            u = c + hw * _XGK15[i]
-            total += _WGK15[i] * math.exp(-x * math.cosh(u)) * math.cosh(s * u)
-    return total * hw
-
-
-@njit
-def _bessel_k_asymptotic(s, x):
-    # sqrt(pi/2x) e^{-x} [1 + sum a_k], truncated at the smallest term.
-    mu = 4.0 * s * s
-    term = 1.0
-    total = 1.0
-    prev = 1.0e308
-    for k in range(1, 40):
-        f = 2.0 * k - 1.0
-        term *= (mu - f * f) / (8.0 * x * k)
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-        if abs(term) <= 1e-17:
-            break
-    return math.sqrt(0.5 * math.pi / x) * math.exp(-x) * total
-
-
-@njit
 def bessel_k(s, x):
-    """Macdonald function K_s(x) for s in (0,1), x > 0.
-
-    Positive and decreasing in x.  Quadrature of the cosh integral
-    representation below x=14, large-argument expansion above (the expansion
-    at optimal truncation is ~e^{-2x}, so the switch sits where that beats
-    1e-12; at x=2 it would only reach ~1e-2).
-    """
+    """Macdonald function K_s(x) for s in (0,1), x > 0; positive and
+    decreasing in x."""
     if s <= 0.0 or s >= 1.0:
         raise ValueError("bessel_k requires 0 < s < 1")
     if x <= 0.0:
         raise ValueError("bessel_k requires x > 0")
-    if x >= _K_ASYMPTOTIC_CUT:
-        return _bessel_k_asymptotic(s, x)
-    return _bessel_k_quadrature(s, x)
+    return float(special.kv(s, x))
 
 
 # --- Gauss-Kronrod 7/15 constants (shared by kernel quadratures) -------------
 
-_XGK15 = np.array([
+XGK15 = np.array([
     -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
     -0.7415311855993944, -0.5860872354676911, -0.4058451513773972,
     -0.2077849550078985, 0.0, 0.2077849550078985, 0.4058451513773972,
@@ -282,7 +114,7 @@ _XGK15 = np.array([
     0.9491079123427585, 0.9914553711208126,
 ])
 
-_WGK15 = np.array([
+WGK15 = np.array([
     0.0229353220105292, 0.0630920926299785, 0.1047900103222502,
     0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
     0.2044329400752989, 0.2094821410847278, 0.2044329400752989,
@@ -291,12 +123,8 @@ _WGK15 = np.array([
 ])
 
 # 7-point Gauss weights, aligned with the odd-index Kronrod nodes.
-_WG7 = np.array([
+WG7 = np.array([
     0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
     0.4179591836734694, 0.3818300505051189, 0.2797053914892767,
     0.1294849661688697,
 ])
-
-XGK15 = _XGK15
-WGK15 = _WGK15
-WG7 = _WG7

@@ -143,6 +143,14 @@ class TestDiscrepancy:
         resid = float(np.linalg.norm(A @ recover_tikhonov(A, g, lam, P) - g))
         assert resid == pytest.approx(1e-3 * float(np.linalg.norm(g)), rel=1e-3)
 
+    def test_root_below_fixed_floor_found(self):
+        # trial 7 at eps = 1e-6: the noise is ~96% orthogonal to range(A) and
+        # the root (lambda ~ 8.4e-17) lies below 1e-16, but above 1e-16 ||A||^2
+        setup = InverseSetup(N=16, W=tuple(range(-3, 3)), Omega=tuple(range(6, 15)),
+                             seed=498100233)
+        curve = stability_sweep(setup, [1e-6], trials=8)
+        assert math.isfinite(curve.points[0][1])
+
     def test_non_bracketing_raises(self):
         A = forward_matrix(SETUP)
         P = h1_gram(SETUP.N, SETUP.W)

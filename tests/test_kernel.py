@@ -128,6 +128,10 @@ class TestKernelND:
             kernel_nd(FracParams(0.25, 1.0, 2), (3, 1), tol=1e-13, budget=4)
         assert exc.value.achieved is not None and exc.value.achieved > 0.0
 
+    def test_large_t_panel_stays_finite(self):
+        # the large-t panel evaluates g_m(2t) past scipy's ive argument limit
+        assert math.isfinite(kernel_nd(FracParams(0.5, 1.0, 2), (3, 4)))
+
     def test_semigroup_quadrature_oracle(self):
         # scipy quadrature of the heat-kernel integral reproduces the kernel
         s, h = 0.4, 1.0
@@ -306,3 +310,44 @@ class TestKernelTable:
         t = build_kernel_table(p, 2, tol=1e-8)
         ref = _kernel_nd_impl(0.5, 1.0, [1, 2, 0], 1e-10)[0]
         assert t.value((1, 2, 0)) == pytest.approx(ref, rel=1e-7)
+
+
+class TestNonFiniteCertificates:
+    """A nan never passes an ``err > tol`` test; every certificate must catch it."""
+
+    def test_kernel_nd_and_mass(self, monkeypatch):
+        import fraclat.kernel
+        from fraclat.kernel import ToleranceError
+
+        monkeypatch.setattr(fraclat.kernel, "bessel_i_scaled", lambda n, t: math.nan)
+        with pytest.raises(ToleranceError):
+            kernel_nd(FracParams(0.4142, 1.0, 2), (1, 2))
+        with pytest.raises(ToleranceError):
+            kernel_lattice_mass(FracParams(0.4142, 1.0, 2))
+
+    def test_shared_grid_tables(self, monkeypatch):
+        import fraclat.kernel
+        from fraclat.kernel import ToleranceError
+
+        real_row = fraclat.kernel.bessel_i_scaled_row
+
+        def row_nan_at_small_t(nmax, t, out):
+            # quadrature nodes only: the heat route's plateau search stays finite
+            real_row(nmax, t, out)
+            if t < 1.0:
+                out[:nmax + 1] = math.nan
+
+        monkeypatch.setattr(fraclat.kernel, "bessel_i_scaled_row", row_nan_at_small_t)
+        for d in (1, 2):
+            with pytest.raises(ToleranceError):
+                torus_kernel_table(0.4142, 3, d, method="heat")
+        with pytest.raises(ToleranceError):
+            build_kernel_table(FracParams(0.4142, 1.0, 2), 4)
+
+    def test_series_table(self, monkeypatch):
+        import fraclat.kernel
+        from fraclat.kernel import ToleranceError
+
+        monkeypatch.setattr(fraclat.kernel, "gamma_ratio", lambda a, b: math.nan)
+        with pytest.raises(ToleranceError):
+            torus_kernel_table(0.4142, 3, 1, method="series")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from fraclat.kernel import FracParams, kernel_1d, kernel_lattice_mass
+from fraclat.kernel import FracParams, kernel_1d, kernel_lattice_mass, torus_kernel_table
 from fraclat.lattice import (
     LatticeFunction,
     StepProfile,
@@ -161,6 +161,29 @@ class TestApplyTorus:
             a = apply_frac_torus_pointwise(v, s, tol=1e-11)
             b = apply_frac_torus_spectral(v, s)
             assert np.abs(a.values - b.values).max() < 1e-10
+
+    @pytest.mark.parametrize("d,N", [(1, 2), (1, 3), (2, 2), (2, 3)])
+    def test_pointwise_explicit_loop_oracle(self, d, N):
+        from fraclat.lattice import _apply_pointwise
+
+        n = 2 * N + 1
+        K = torus_kernel_table(0.37, N, d, method="heat").full
+        v = random_torus(N, d, 5).values
+        ref = np.zeros_like(v)
+        if d == 1:
+            for j in range(n):
+                for m in range(n):
+                    if m != j:
+                        ref[j] += (v[j] - v[m]) * K[(j - m) % n]
+        else:
+            for j1 in range(n):
+                for j2 in range(n):
+                    for m1 in range(n):
+                        for m2 in range(n):
+                            if (m1, m2) != (j1, j2):
+                                ref[j1, j2] += (v[j1, j2] - v[m1, m2]) * K[(j1 - m1) % n,
+                                                                           (j2 - m2) % n]
+        assert np.abs(_apply_pointwise(v, K) - ref).max() <= 1e-13
 
     def test_self_adjoint_and_nonnegative(self):
         N = 6

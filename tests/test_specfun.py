@@ -175,6 +175,17 @@ class TestBesselIScaled:
         with pytest.raises(ValueError):
             bessel_i_scaled(0, -1.0)
 
+    def test_beyond_scipy_argument_limit(self):
+        # scipy.special.ive is nan past t ~ 1.07e9; the expansion covers it
+        t = 2.0e9
+        out = np.empty(41)
+        bessel_i_scaled_row(40, t, out)
+        for n in (0, 1, 5, 40):
+            ref = (1.0 - (4.0 * n * n - 1.0) / (8.0 * t)) / math.sqrt(2.0 * math.pi * t)
+            assert math.isfinite(bessel_i_scaled(n, t))
+            assert bessel_i_scaled(n, t) == pytest.approx(ref, rel=1e-12)
+            assert out[n] == pytest.approx(ref, rel=1e-12)
+
 
 class TestBesselK:
     def test_half_integer_identity(self):
