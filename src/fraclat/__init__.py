@@ -18,6 +18,7 @@ from .kernel import (
     kernel_nd_bound,
     kernel_tail_bound_ell1,
     kernel_tail_sum_1d,
+    kernel_values,
     torus_heat_kernel,
     torus_kernel,
     torus_kernel_table,

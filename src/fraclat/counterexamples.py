@@ -28,6 +28,7 @@ from .lattice import (
     LatticeFunction,
     StepProfile,
     TorusFunction,
+    _kernels_at,
     apply_frac_lattice,
     apply_frac_torus_pointwise,
 )
@@ -146,17 +147,8 @@ def global_ucp_counterexample(params, X, Y=None, tol=1e-9, ktol=1e-12):
         if len(Ys) != len(Xs) + 1:
             raise ValueError("Y must have |X| + 1 points")
 
-    if d == 1:
-        kern = lambda off: _kernel_1d_raw(params.s, params.h, off[0])
-    else:
-        from .kernel import _kernel_nd_impl
-
-        kern = lambda off: _kernel_nd_impl(
-            params.s, params.h, [abs(c) for c in off], ktol)[0]
-    M = np.empty((len(Xs), len(Ys)))
-    for i, x in enumerate(Xs):
-        for j, y in enumerate(Ys):
-            M[i, j] = kern(tuple(a - b for a, b in zip(x, y)))
+    offsets = [tuple(a - b for a, b in zip(x, y)) for x in Xs for y in Ys]
+    M = _kernels_at(params, offsets, ktol).reshape(len(Xs), len(Ys))
     _, sig, vt = np.linalg.svd(M)
     coeffs = _normalize_null_vector(vt[-1])
     multiple = bool(sig.size >= 2 and sig[-2] <= 1e-12 * sig[0])

@@ -2,11 +2,15 @@
 
 The nonlocal operator on the mesh (hZ)^d is a kernel sum
 ``sum_m (u_j - u_m) K(j - m)`` with positive, even, summable weights K.
-In one dimension K has a closed Gamma-ratio form; in general dimension it is
-the integral of a product of scaled modified Bessel functions against
-``t^{-1-s} dt``.  This module evaluates both, exact 1D tail sums, the
-periodized kernel of the discrete torus, and the semidiscrete heat kernels,
-each with explicit error control.
+In one dimension K has a closed Gamma-ratio form; in every dimension it is
+the heat-semigroup integral of a product of scaled modified Bessel functions
+against ``t^{-1-s} dt``.  One evaluator computes that integral for a whole
+batch of offsets (and the total mass) on a single fixed log-t Gauss-Kronrod
+grid, with analytic small-t head and large-t tail and a certified error per
+entry; kernel_nd, the d=2 and d=3 tables, the lattice operator and the UCP
+systems all use it.  The module also holds exact 1D tail sums, the
+periodized kernel of the discrete torus (Gamma-ratio series and heat-route
+tables) and the semidiscrete heat kernels, each with explicit error control.
 
 Everything here is immutable after construction and safe to read
 concurrently.
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln
 
 from .specfun import (
     WG7,
@@ -122,218 +127,132 @@ def kernel_nd_bound(params, m):
     return math.exp(lg) * gamma_ratio(n1 - s, n1 + d + s)
 
 
-# --- adaptive Gauss-Kronrod machinery ----------------------------------------
+# --- the heat-semigroup integral on one shared grid ---------------------------
 #
-# Integrand codes:
-#   0  kernel, small-t panel:  t = e^u on (0, 1],  f = prod_i g_{m_i}(2t) e^{-s u}
-#   1  kernel, large-t panel:  t = 1/v on [1, inf), f = prod_i g_{m_i}(2t) v^{s-1}
-#   2  total kernel mass, small-t panel: f = (1 - g_0(2t)^d) e^{-s u}
-#   3  total kernel mass, large-t panel: f = (1 - g_0(2t)^d) v^{s-1}
+# K(m) = h^{-2s} / |Gamma(-s)| int_0^inf prod_i g_{m_i}(2t) t^{-1-s} dt with
+# g_n(x) = e^{-x} I_n(x) (Ciaurri, Roncal, Stinga, Torrea & Varona, Adv. Math.
+# 330, 2018).  One log-t Gauss-Kronrod grid on [t0, T] serves a whole batch
+# of offsets and the mass integrand; [0, t0] and [T, inf) are integrated
+# analytically.
+
+_LOG_T0 = -40.0
+_T0 = math.exp(_LOG_T0)
+# relative rounding floor of every certified error: e^u and e^{-s u} at
+# |u| <= 40 carry up to ~40 ulps per node, and the measured deviation of the
+# kernel from its mpmath value stays below 8 ulps
+_ROUNDING = 32.0 * np.finfo(float).eps
 
 
-def _one_minus_g0(x):
-    """1 - e^{-x} I_0(x), cancellation-free for small x.
+def _shared_grid(s, d, big_a, tol):
+    """T and the Kronrod nodes and weights of the log-t grid on [t0, T].
 
-    For x < 0.5 uses e^{-x}(e^x - I_0(x)) with the positive-term series of
-    e^x - I_0(x); the direct difference loses all digits below x ~ 1e-8 and
-    the mass integrand amplifies that roundoff exponentially."""
-    if x >= 0.5:
-        return 1.0 - bessel_i_scaled(0, x)
-    total = 0.0
-    term = 1.0  # x^k / k!
-    half_fact = 1.0
-    for k in range(1, 40):
-        term *= x / k
-        if k % 2 == 0:
-            kk = k // 2
-            half_fact *= kk
-            b = 1.0
-            f = 1.0
-            for i in range(1, k + 1):
-                f *= i
-            b = f / (4.0 ** kk * half_fact * half_fact)
-            contrib = term * (1.0 - b)
-        else:
-            contrib = term
-        total += contrib
-        if contrib < 1e-20 * total:
-            break
-    return math.exp(-x) * total
+    big_a bounds the tail coefficients of the batch (|c1| <= big_a,
+    |c2| <= big_a^2), so the two-term tail beyond T misses about
+    (big_a / T)^{d/2+s+2} of a value, which this T keeps near tol/20."""
+    T = big_a * max(100.0, (0.05 * tol) ** (-1.0 / (0.5 * d + s + 2.0)))
+    return (T, *_grid_nodes_weights(_log_grid(_LOG_T0, math.log(T)), s))
 
 
-def _one_minus_g0_pow(x, d):
-    """1 - (e^{-x} I_0(x))^d via the stable complement."""
-    q = _one_minus_g0(x)
-    if d == 1:
-        return q
-    if d == 2:
-        return q * (2.0 - q)
-    return q * (3.0 - q * (3.0 - q))
-
-
-def _integrand(code, s, iparams, x):
-    if code == 0 or code == 2:
-        t = math.exp(x)
-    else:
-        t = 1.0 / x
-    if code <= 1:
-        factors = [bessel_i_scaled(m, 2.0 * t) for m in iparams]
-    else:
-        factors = [_one_minus_g0_pow(2.0 * t, iparams[0])]
-    if min(factors) == 0.0:
-        return 0.0
-    if code == 0 or code == 2:
-        # e^{-s u} alone overflows for u < -709/s, where the product is tiny
-        return math.exp(sum(math.log(f) for f in factors) - s * x)
-    return math.prod(factors) * x ** (s - 1.0)
-
-
-def _gk15(code, s, iparams, a, b):
-    c = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    vk = 0.0
-    vg = 0.0
-    for i in range(15):
-        f = _integrand(code, s, iparams, c + hw * XGK15[i])
-        vk += WGK15[i] * f
-        if i % 2 == 1:
-            vg += WG7[(i - 1) // 2] * f
-    return vk * hw, abs((vk - vg) * hw)
-
-
-def _adaptive(code, s, iparams, edges, abs_tol, rel_tol, max_splits):
-    """Worst-interval-first refinement starting from the given edge list."""
-    n0 = edges.size - 1
-    cap = n0 + max_splits + 2
-    lo = np.empty(cap)
-    hi = np.empty(cap)
-    va = np.empty(cap)
-    er = np.empty(cap)
-    m = n0
-    for i in range(n0):
-        lo[i] = edges[i]
-        hi[i] = edges[i + 1]
-        va[i], er[i] = _gk15(code, s, iparams, lo[i], hi[i])
-    total = 0.0
-    terr = 0.0
-    for _ in range(max_splits):
-        total = 0.0
-        terr = 0.0
-        worst = 0
-        for i in range(m):
-            total += va[i]
-            terr += er[i]
-            if er[i] > er[worst]:
-                worst = i
-        if terr <= max(abs_tol, rel_tol * abs(total)) * 0.5 or not math.isfinite(terr):
-            return total, terr  # certified, or never will be: nan fails every test
-        a = lo[worst]
-        b = hi[worst]
-        c = 0.5 * (a + b)
-        if c <= a or c >= b:
-            er[worst] = 0.0  # interval at floating resolution
-            continue
-        va[worst], er[worst] = _gk15(code, s, iparams, a, c)
-        hi[worst] = c
-        lo[m] = c
-        hi[m] = b
-        va[m], er[m] = _gk15(code, s, iparams, c, b)
-        m += 1
-    total = 0.0
-    terr = 0.0
-    for i in range(m):
-        total += va[i]
-        terr += er[i]
-    return total, terr
-
-
-def _panel_edges_small_t(u_lo):
-    """Edges in u = log t from u_lo up to 0, coarse in the flat deep range."""
-    pts = [0.0]
-    u = 0.0
-    while u > max(u_lo, -8.0):
-        u = max(u - 1.0, u_lo)
-        pts.append(u)
-    while u > u_lo:
-        u = max(u - 3.0, u_lo)
-        pts.append(u)
-    return np.array(pts[::-1])
-
-
-def _panel_edges_large_t(depth=22):
-    """Dyadic edges in v = 1/t on (0, 1]; the integrand peak for offset m
-    sits near v ~ 4/|m|^2 and must be straddled by the initial grid."""
-    pts = [1.0]
-    for k in range(1, depth + 1):
-        pts.append(2.0 ** (-k))
-    pts.append(0.0)
-    return np.array(pts[::-1])
-
-
-@lru_cache(maxsize=None)
-def _edges_cache(u_lo_key, depth):
-    return _panel_edges_small_t(u_lo_key), _panel_edges_large_t(depth)
-
-
-def _kernel_nd_impl(s, h, m_abs, tol, budget=1200):
-    """Returns (value, err_estimate) for the kernel integral at offset m."""
-    iparams = tuple(int(k) for k in m_abs)
-    n1 = float(sum(iparams))
-    lg_fact = float(sum(log_gamma(k + 1.0) for k in iparams))
-    u_lo = -(60.0 + lg_fact) / (n1 - s)
-    edges_a, edges_b = _edges_cache(round(u_lo, 3), 22)
-    # coarse pass to fix the absolute scale, then refine against it
-    va, ea = _adaptive(0, s, iparams, edges_a, 0.0, 1e-3, min(40, budget))
-    vb, eb = _adaptive(1, s, iparams, edges_b, 0.0, 1e-3, min(60, budget))
-    scale = abs(va) + abs(vb)
-    target = 0.35 * tol * scale
-    va, ea = _adaptive(0, s, iparams, edges_a, target, 0.0, min(400, budget))
-    vb, eb = _adaptive(1, s, iparams, edges_b, target, 0.0, budget)
-    pref = math.exp(_log_pref(s, h))
-    val = pref * (va + vb)
-    err = pref * (ea + eb)
-    if not (math.isfinite(val) and err <= tol * abs(val) + 1e-300):
+def _certified(what, val, err, tol):
+    """val, after checking err <= tol * val entrywise; a nan or inf never passes."""
+    val, err = np.atleast_1d(val, err)
+    bad = np.flatnonzero(~(np.isfinite(val) & (err <= tol * val)))
+    if bad.size:
+        i = bad[0]
         raise ToleranceError(
-            f"kernel quadrature stalled at relative error {err / max(abs(val), 1e-300):.3e}"
-            f" (requested {tol:.3e})",
-            achieved=err, requested=tol * abs(val))
-    return val, err
+            f"{what} missed its tolerance: relative error {err[i] / val[i]:.3e}"
+            f" (requested {tol:.3e})", achieved=float(err[i]), requested=float(tol * val[i]))
+    return val
 
 
-def kernel_nd(params, m, tol=1e-10, budget=1200):
-    """Kernel at offset m in any dimension by adaptive quadrature.
+def kernel_values(params, offsets, tol=1e-10):
+    """Kernel and its certified absolute error at a batch of nonzero offsets,
+    the rows of a (B, d) array, as two arrays of length B.
 
-    Absolute error at most tol * value; raises ToleranceError (carrying the
-    achieved estimate) when the refinement budget cannot certify that.
+    One shared-grid quadrature of the heat-semigroup integral serves the
+    whole batch in any dimension.  Raises ToleranceError, carrying the
+    achieved error, unless every error is at most tol * value.
     """
-    m_abs = [abs(int(x)) for x in np.atleast_1d(m)]
-    if len(m_abs) != params.d:
-        raise ValueError(f"offset has {len(m_abs)} components, expected d={params.d}")
-    if sum(m_abs) == 0:
-        raise ValueError("kernel_nd requires a nonzero offset")
+    m = np.abs(np.asarray(offsets, dtype=np.int64))
+    if m.ndim != 2 or m.shape[1] != params.d:
+        raise ValueError(f"offsets must have shape (B, {params.d}), got {m.shape}")
+    if not m.any(axis=1).all():
+        raise ValueError("the kernel quadrature requires nonzero offsets")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    return _kernel_nd_impl(params.s, params.h, m_abs, tol, budget=budget)[0]
+    if m.size == 0:
+        return np.zeros(0), np.zeros(0)
+    s, d = params.s, params.d
+    a = 0.5 * d + s
+    n1 = m.sum(axis=1)
+    msq = (m * m).sum(axis=1).astype(float)
+    big_a = (4.0 * msq + 9.0 * d) / 16.0
+    T, ts, w15, w7 = _shared_grid(s, d, float(big_a.max()), tol)
+    nmax = int(m.max())
+    G = np.empty((ts.size, nmax + 1))
+    bessel_i_scaled_row(nmax, 2.0 * ts[:, None], G)
+    q15 = np.empty(len(m))
+    q7 = np.empty(len(m))
+    step = max(1, (1 << 18) // (ts.size * d))
+    for lo in range(0, len(m), step):
+        F = G[:, m[lo:lo + step]].prod(axis=2)
+        q15[lo:lo + step] = w15 @ F
+        q7[lo:lo + step] = w7 @ F
+    # [0, t0]: prod_i g_{m_i}(2t) = t^{|m|_1} / prod_i m_i! (1 - theta), 0 <= theta <= 2dt
+    head = np.exp((n1 - s) * _LOG_T0 - gammaln(m + 1.0).sum(axis=1)) / (n1 - s)
+    # [T, inf): prod_i g_{m_i}(2t) = (4 pi t)^{-d/2} (1 - c1/t + c2/t^2 - ...)
+    c = (4.0 * math.pi) ** (-0.5 * d)
+    c1 = (4.0 * msq - d) / 16.0
+    tail = c * (T ** -a / a - c1 * T ** (-a - 1.0) / (a + 1.0))
+    tail_err = 2.0 * c * big_a ** 2 * T ** (-a - 2.0) / (a + 2.0)
+    total = head + q15 + tail
+    err = np.abs(q15 - q7) + 2.0 * d * _T0 * head + tail_err + _ROUNDING * total
+    pref = math.exp(_log_pref(s, params.h))
+    return _certified("kernel quadrature", pref * total, pref * err, tol), pref * err
+
+
+def kernel_nd(params, m, tol=1e-10):
+    """Kernel at offset m in any dimension by the heat-semigroup quadrature.
+
+    Absolute error at most tol * value; raises ToleranceError (carrying the
+    achieved estimate) when that cannot be certified.
+    """
+    return float(kernel_values(params, [np.atleast_1d(m)], tol)[0][0])
+
+
+def _one_minus_g0(x, g0):
+    """1 - e^{-x} I_0(x) from g0 = e^{-x} I_0(x), cancellation-free for small x.
+
+    Below x = 0.5 it is -expm1(-x) - e^{-x} sum_{k>=1} (x/2)^{2k} / (k!)^2;
+    the direct difference loses all digits below x ~ 1e-8, and the mass
+    integrand amplifies that roundoff exponentially."""
+    y = 0.25 * np.minimum(x, 0.5) ** 2
+    term = np.ones_like(x)
+    series = np.zeros_like(x)
+    for k in range(1, 10):
+        term = term * y / (k * k)
+        series += term
+    return np.where(x < 0.5, -np.expm1(-x) - np.exp(-x) * series, 1.0 - g0)
 
 
 @lru_cache(maxsize=None)
 def _kernel_mass_cached(s, h, d, tol):
     if d == 1:
         return 2.0 * _tail_1d_raw(s, h, 1.0)
-    iparams = (d,)
-    u_lo = -60.0 / (1.0 - s)
-    edges_a, edges_b = _edges_cache(round(u_lo, 3), 22)
-    va, ea = _adaptive(2, s, iparams, edges_a, 0.0, 1e-3, 40)
-    vb, eb = _adaptive(3, s, iparams, edges_b, 0.0, 1e-3, 60)
-    target = 0.35 * tol * (abs(va) + abs(vb))
-    va, ea = _adaptive(2, s, iparams, edges_a, target, 0.0, 400)
-    vb, eb = _adaptive(3, s, iparams, edges_b, target, 0.0, 1200)
+    T, ts, w15, w7 = _shared_grid(s, d, 9.0 * d / 16.0, tol)
+    g0 = np.empty((ts.size, 1))
+    bessel_i_scaled_row(0, 2.0 * ts[:, None], g0)
+    f = -np.expm1(d * np.log1p(-_one_minus_g0(2.0 * ts, g0[:, 0])))  # 1 - g_0(2t)^d
+    q15 = float(w15 @ f)
+    q7 = float(w7 @ f)
+    # [0, t0]: 1 - g_0(2t)^d = 2dt (1 - theta), 0 <= theta <= 2dt;
+    # [T, inf): int t^{-1-s} dt minus the g_0^d tail
+    head = 2.0 * d * _T0 ** (1.0 - s) / (1.0 - s)
+    g0_tail, g0_tail_err = _g0d_tail(d, s, T)
+    total = head + q15 + T ** -s / s - g0_tail
+    err = abs(q15 - q7) + 2.0 * d * _T0 * head + g0_tail_err + _ROUNDING * total
     pref = math.exp(_log_pref(s, h))
-    val = pref * (va + vb)
-    err = pref * (ea + eb)
-    if not (math.isfinite(val) and err <= tol * val):
-        raise ToleranceError("kernel mass quadrature stalled", achieved=err)
-    return val
+    return float(_certified("kernel mass quadrature", pref * total, pref * err, tol)[0])
 
 
 def kernel_lattice_mass(params, tol=1e-12):
@@ -422,14 +341,16 @@ def _arith_tail_sum(s, h, n, a_start, tol_side):
         k_req *= 2
         if k_req > 1 << 40:
             return -1.0, -1.0
+    # K(a_start + k n) for k < k_req by the ratio K(m+1)/K(m) = (m-s)/(m+1+s),
+    # as running products over chunks whose lengths are multiples of n
     total = 0.0
     kk = _kernel_1d_raw(s, h, a_start)
-    m = a_start
-    for _ in range(k_req):
-        total += kk
-        for _ in range(n):
-            kk *= (m - s) / (m + 1.0 + s)
-            m += 1
+    chunk = n * max(1, (1 << 16) // n)
+    for lo in range(0, k_req * n, chunk):
+        m = a_start + lo + np.arange(min(chunk, k_req * n - lo), dtype=float)
+        run = kk * np.cumprod((m - s) / (m + 1.0 + s))  # run[i] = K(m[i] + 1)
+        total += kk + float(run[n - 1:-1:n].sum())
+        kk = float(run[-1])
     return total + est, err
 
 
@@ -449,14 +370,9 @@ def _torus_kernel_series_1d(s, h, n, j, tol_abs):
 # --- torus kernel: heat-semigroup route (any d) -------------------------------
 
 
-def _log_grid(s, u_hi):
-    """Panel edges on the log-t axis: coarse deep left tail, fine center.
-
-    The left end sits where the smallest offset's integrand e^{(1-s)u} is
-    e^{-60}, but no lower than -700/s, so that e^{-s u} stays finite; t is
-    below 1e-304 there and the integrands of all kept entries are negligible.
-    """
-    u_lo = max(-60.0 / (1.0 - s), -700.0 / s)
+def _log_grid(u_lo, u_hi):
+    """Panel edges on the log-t axis from u_lo to u_hi: coarse deep left
+    tail, fine center."""
     edges = [u_lo]
     u = u_lo
     while u < min(-8.0, u_hi):
@@ -534,7 +450,11 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
         T *= 2.0
         if T > 1e8:
             raise ToleranceError("torus kernel plateau did not converge")
-    ts, w15, w7 = _grid_nodes_weights(_log_grid(s, math.log(T)), s)
+    # The left end sits where the smallest offset's integrand e^{(1-s)u} is
+    # e^{-60}, but no lower than -700/s, so that e^{-s u} stays finite; t is
+    # below 1e-304 there and the integrands of all kept entries are negligible.
+    u_lo = max(-60.0 / (1.0 - s), -700.0 / s)
+    ts, w15, w7 = _grid_nodes_weights(_log_grid(u_lo, math.log(T)), s)
     W = np.empty((ts.size, N + 1))
     ring0 = np.empty(ts.size)
     g0row = np.empty(ts.size)
@@ -683,9 +603,8 @@ def _tail_constant(params):
 def build_kernel_table(params, radius, tol=1e-9):
     """Dense kernel cache up to the given sup-norm radius.
 
-    d=1 uses the closed form; d=2 a shared log-t quadrature grid evaluated
-    for all offsets at once (the per-offset route costs minutes at radius
-    200); d=3 falls back to per-offset adaptive quadrature.
+    d=1 uses the closed form; d=2 and 3 evaluate the offsets of the
+    nonnegative orthant in one shared-grid batch and mirror them.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -694,47 +613,14 @@ def build_kernel_table(params, radius, tol=1e-9):
     if d == 1:
         vals = np.array([_kernel_1d_raw(s, h, m) for m in range(-r, r + 1)])
         return _kernel_table(params, r, vals, np.abs(vals) * 1e-14)
-    if d == 3:
-        shape = (2 * r + 1,) * 3
-        vals = np.zeros(shape)
-        errs = np.zeros(shape)
-        for a in range(r + 1):
-            for b in range(r + 1):
-                for c in range(r + 1):
-                    if a == b == c == 0:
-                        continue
-                    v, e = _kernel_nd_impl(s, h, [a, b, c], tol)
-                    for sa in (a, -a):
-                        for sb in (b, -b):
-                            for sc in (c, -c):
-                                vals[sa + r, sb + r, sc + r] = v
-                                errs[sa + r, sb + r, sc + r] = e
-        return _kernel_table(params, r, vals, errs)
-    if d != 2:
+    if d not in (2, 3):
         raise ValueError("kernel tables support d in {1, 2, 3}")
-
-    if not 0.05 <= s <= 0.95:
-        raise ValueError("shared-grid kernel tables support s in [0.05, 0.95]")
-    T = max(4.0e4, 10.0 * (2.0 * r * r))
-    ts, w15, w7 = _grid_nodes_weights(_log_grid(s, math.log(T)), s)
-    G = np.empty((ts.size, r + 1))
-    for q, t in enumerate(ts):
-        bessel_i_scaled_row(r, 2.0 * t, G[q])
-    A15 = (G * w15[:, None]).T @ G
-    A7 = (G * w7[:, None]).T @ G
-    # analytic tail over [T, inf): prod of two scaled-Bessel expansions
-    aa = np.arange(r + 1, dtype=float) ** 2
-    c1 = (4.0 * (aa[:, None] + aa[None, :]) - 2.0) / 16.0
-    inv4pi = 1.0 / (4.0 * math.pi)
-    tail = inv4pi * (T ** (-1.0 - s) / (1.0 + s) - c1 * T ** (-2.0 - s) / (2.0 + s))
-    tail_err = inv4pi * (c1 * c1) * T ** (-3.0 - s) / (3.0 + s)
-    pref = math.exp(_log_pref(s, h))
-    orth = pref * (A15 + tail)
-    orth_err = pref * (np.abs(A15 - A7) + tail_err)
-    orth[0, 0] = 0.0
-    orth_err[0, 0] = 0.0
-    idx = np.abs(np.arange(-r, r + 1))
-    return _kernel_table(params, r, orth[np.ix_(idx, idx)], orth_err[np.ix_(idx, idx)])
+    vals = np.zeros((r + 1,) * d)
+    errs = np.zeros((r + 1,) * d)
+    vals.flat[1:], errs.flat[1:] = kernel_values(
+        params, np.indices(vals.shape).reshape(d, -1).T[1:], tol)
+    mirror = np.ix_(*(np.abs(np.arange(-r, r + 1)),) * d)
+    return _kernel_table(params, r, vals[mirror], errs[mirror])
 
 
 def _kernel_table(params, radius, vals, errs):

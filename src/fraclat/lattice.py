@@ -19,11 +19,11 @@ from .kernel import (
     FracParams,
     ToleranceError,
     _kernel_1d_raw,
-    _kernel_nd_impl,
     _tail_1d_raw,
     build_kernel_table,
     kernel_lattice_mass,
     kernel_tail_bound_ell1,
+    kernel_values,
     torus_kernel_table,
 )
 
@@ -266,11 +266,12 @@ def sobolev_norm(u, r):
 # --- the operator on the lattice ----------------------------------------------
 
 
-def _kernel_at(params, offset, tol):
+def _kernels_at(params, offsets, tol):
+    """Kernel values at a list of nonzero offset tuples: the closed form in
+    d=1, one shared-grid batch otherwise."""
     if params.d == 1:
-        return _kernel_1d_raw(params.s, params.h, int(np.atleast_1d(offset)[0]))
-    return _kernel_nd_impl(params.s, params.h,
-                           [abs(int(c)) for c in np.atleast_1d(offset)], tol)[0]
+        return np.array([_kernel_1d_raw(params.s, params.h, o[0]) for o in offsets])
+    return kernel_values(params, np.reshape(offsets, (-1, params.d)), tol)[0]
 
 
 def _sum_kernel_ge(params, M, j):
@@ -305,12 +306,10 @@ def apply_frac_lattice(u, j, tol=1e-10):
 
     if u.profile is None:
         total = uj * kernel_lattice_mass(params) if uj != 0.0 else 0.0
-        for m, um in u.support.items():
-            if m == jj:
-                continue
-            off = tuple(a - b for a, b in zip(jj, m))
-            total -= um * _kernel_at(params, off, ktol)
-        return total
+        pts = [m for m in u.support if m != jj]
+        offsets = [tuple(a - b for a, b in zip(jj, m)) for m in pts]
+        weights = np.array([u.support[m] for m in pts])
+        return total - float(weights @ _kernels_at(params, offsets, ktol))
 
     if params.d == 1:
         jx = jj[0]
@@ -413,24 +412,6 @@ def repeat(v):
     return RepeatedTorusFunction(v)
 
 
-def _lattice_apply_callable(phi, ktol=1e-12):
-    """Closure evaluating the operator of a finitely supported phi anywhere."""
-    params = phi.params
-    mass = kernel_lattice_mass(params)
-
-    def op(l):
-        ll = tuple(int(c) for c in np.atleast_1d(l))
-        acc = phi.value(ll) * mass
-        for m, pm in phi.support.items():
-            if m == ll:
-                continue
-            off = tuple(a - b for a, b in zip(ll, m))
-            acc -= pm * _kernel_at(params, off, ktol)
-        return acc
-
-    return op
-
-
 def _transference_direct_1d(vrep, n, big_n, supp_pts, supp_vals, s, h, mass, L):
     # sum_{|l| <= L} Rv_l * (op phi)_l, kernels evaluated per offset
     nsup = supp_pts.size
@@ -495,7 +476,6 @@ def transference_check(v, phi, tol=1e-10, method="wrapped", direct_radius=20000)
     if method != "direct" or d != 1:
         raise ValueError("method must be 'wrapped', or 'direct' with d = 1")
     mass = kernel_lattice_mass(params)
-    op = _lattice_apply_callable(phi)
     supp_pts = np.array([k[0] for k in phi.support], dtype=np.int64)
     supp_vals = np.array([phi.support[(int(k),)] for k in supp_pts])
     L = int(direct_radius)
@@ -503,7 +483,8 @@ def transference_check(v, phi, tol=1e-10, method="wrapped", direct_radius=20000)
                                   s, params.h, mass, L)
     # measured decay constant of (op phi), inflated x4, integral-compared tail
     probe = [2 * L // 3, 3 * L // 4, L]
-    cdec = 4.0 * max(abs(op(l)) * (1.0 + abs(l)) ** (1.0 + 2.0 * s) for l in probe)
+    cdec = 4.0 * max(abs(apply_frac_lattice(phi, l)) * (1.0 + abs(l)) ** (1.0 + 2.0 * s)
+                     for l in probe)
     vmax = float(np.abs(v.values).max())
     tail = vmax * cdec * (L ** (-2.0 * s)) / s
     return abs(lhs - rhs) + tail

@@ -1,6 +1,7 @@
 """Kernel evaluation: closed forms, quadrature, tails, torus, heat kernels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +18,24 @@ from fraclat.kernel import (
     kernel_nd_bound,
     kernel_tail_bound_ell1,
     kernel_tail_sum_1d,
+    kernel_values,
     torus_heat_kernel,
     torus_kernel,
     torus_kernel_table,
 )
-from fraclat.kernel import _kernel_nd_impl
+
+
+def _quad_oracle(s, m):
+    """Kernel at offset m (h = 1) by scipy quadrature of heat_kernel(m, e^u)
+    e^{-s u} over [-60, log 1e9] plus the leading analytic tail beyond 1e9;
+    independent of the shared grid and of its tail expansion."""
+    a = 0.5 * len(m) + s
+    big_t = 1e9
+    val, _ = scipy.integrate.quad(
+        lambda u: heat_kernel(m, math.exp(u)) * math.exp(-s * u), -60.0, math.log(big_t),
+        epsabs=0.0, epsrel=1e-13, limit=400)
+    tail = (4.0 * math.pi) ** (-0.5 * len(m)) * big_t ** (-a) / a
+    return (val + tail) / abs(scipy.special.gamma(-s))
 
 
 class TestKernel1D:
@@ -125,8 +139,22 @@ class TestKernelND:
         from fraclat.kernel import ToleranceError
 
         with pytest.raises(ToleranceError) as exc:
-            kernel_nd(FracParams(0.25, 1.0, 2), (3, 1), tol=1e-13, budget=4)
+            kernel_nd(FracParams(0.25, 1.0, 2), (3, 1), tol=1e-17)  # below the rounding floor
         assert exc.value.achieved is not None and exc.value.achieved > 0.0
+
+    @pytest.mark.parametrize("s", [0.01, 0.25, 0.5, 0.75, 0.99, 0.995])
+    def test_certificate_near_order_limits(self, s):
+        # near s = 1 most of the integral lies at tiny t, near s = 0 in the
+        # far tail: both ends must be integrated, not dropped
+        p = FracParams(s, 1.0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in range(1, 41):
+                (v,), (e,) = kernel_values(p, [[m]], tol=1e-10)
+                ref = kernel_1d(p, m)
+                assert kernel_nd(p, [m], tol=1e-10) == v
+                assert v == pytest.approx(ref, rel=1e-10)
+                assert abs(v - ref) <= e
 
     def test_large_t_panel_stays_finite(self):
         # the large-t panel evaluates g_m(2t) past scipy's ive argument limit
@@ -155,6 +183,17 @@ class TestKernelMass:
         table = build_kernel_table(p, 60, tol=1e-10)
         partial = float(table.values.sum())
         assert partial < mass < partial + kernel_tail_bound_ell1(p, 60)
+
+    @pytest.mark.parametrize("d, radius", [(2, 60), (3, 12)])
+    @pytest.mark.parametrize("s", [0.01, 0.99])
+    def test_extreme_orders_bracketed(self, d, radius, s):
+        p = FracParams(s, 1.0, d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mass = kernel_lattice_mass(p, tol=1e-12)
+            partial = float(build_kernel_table(p, radius, tol=1e-10).values.sum())
+        assert math.isfinite(mass)
+        assert partial < mass < partial + kernel_tail_bound_ell1(p, radius)
 
 
 class TestAppendixBound:
@@ -195,11 +234,9 @@ class TestTorusKernel:
         h = 2.0 * math.pi / n
         table = torus_kernel_table(s, N, 2, tol=1e-13)
         K = 30
-        brute = 0.0
-        for k1 in range(-K, K + 1):
-            for k2 in range(-K, K + 1):
-                a, b = 1 + k1 * n, 2 + k2 * n
-                brute += _kernel_nd_impl(s, h, [abs(a), abs(b)], 1e-9)[0]
+        wraps = [(1 + k1 * n, 2 + k2 * n)
+                 for k1 in range(-K, K + 1) for k2 in range(-K, K + 1)]
+        brute = float(kernel_values(FracParams(s, h, 2), wraps, tol=1e-9)[0].sum())
         # every excluded wrap lies beyond sup-norm distance K*n - 2 from the
         # base offset, so the gap is controlled by the ell^1 tail bound there
         tail = kernel_tail_bound_ell1(FracParams(s, h, 2), K * n - 2)
@@ -288,6 +325,7 @@ class TestKernelTable:
             assert t.value(m) == pytest.approx(kernel_1d(p, m), abs=1e-300, rel=1e-13)
 
     def test_d2_vs_adaptive(self):
+        # reference: the scipy quadrature oracle, not the shared grid
         p = FracParams(0.5, 1.0, 2)
         t = build_kernel_table(p, 64, tol=1e-9)
         rng = np.random.default_rng(3)
@@ -295,8 +333,16 @@ class TestKernelTable:
             a, b = int(rng.integers(0, 65)), int(rng.integers(0, 65))
             if a == b == 0:
                 a = 1
-            ref = _kernel_nd_impl(0.5, 1.0, [a, b], 1e-10)[0]
+            ref = _quad_oracle(0.5, (a, b))
             assert abs(t.value((a, b)) - ref) <= 1e-8 * ref + 1e-13
+
+    @pytest.mark.parametrize("s", [0.25, 0.5])
+    def test_d2_honours_tol(self, s):
+        tol = 1e-12
+        t = build_kernel_table(FracParams(s, 1.0, 2), 60, tol=tol)
+        off_zero = t.values != 0.0
+        assert off_zero.sum() == t.values.size - 1
+        assert (t.err[off_zero] <= tol * t.values[off_zero]).all()
 
     def test_symmetry_and_zero(self):
         p = FracParams(0.3, 1.0, 2)
@@ -308,7 +354,7 @@ class TestKernelTable:
     def test_d3_small(self):
         p = FracParams(0.5, 1.0, 3)
         t = build_kernel_table(p, 2, tol=1e-8)
-        ref = _kernel_nd_impl(0.5, 1.0, [1, 2, 0], 1e-10)[0]
+        ref = _quad_oracle(0.5, (1, 2, 0))
         assert t.value((1, 2, 0)) == pytest.approx(ref, rel=1e-7)
 
 
@@ -319,7 +365,10 @@ class TestNonFiniteCertificates:
         import fraclat.kernel
         from fraclat.kernel import ToleranceError
 
-        monkeypatch.setattr(fraclat.kernel, "bessel_i_scaled", lambda n, t: math.nan)
+        def row_nan(nmax, t, out):
+            out[..., :nmax + 1] = math.nan
+
+        monkeypatch.setattr(fraclat.kernel, "bessel_i_scaled_row", row_nan)
         with pytest.raises(ToleranceError):
             kernel_nd(FracParams(0.4142, 1.0, 2), (1, 2))
         with pytest.raises(ToleranceError):
@@ -334,8 +383,7 @@ class TestNonFiniteCertificates:
         def row_nan_at_small_t(nmax, t, out):
             # quadrature nodes only: the heat route's plateau search stays finite
             real_row(nmax, t, out)
-            if t < 1.0:
-                out[:nmax + 1] = math.nan
+            out[..., :nmax + 1] = np.where(np.asarray(t) < 1.0, math.nan, out[..., :nmax + 1])
 
         monkeypatch.setattr(fraclat.kernel, "bessel_i_scaled_row", row_nan_at_small_t)
         for d in (1, 2):

@@ -6,11 +6,19 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_single_numpy_scipy_path():
-    # one NumPy/SciPy code path: no JIT layer, decorator or switch between two
-    banned = re.compile(r"numba|njit|FRACLAT_NUMBA|JIT_ENABLED")
-    hits = [f"{path.relative_to(SRC)}:{no}"
+def _hits(pattern):
+    banned = re.compile(pattern)
+    return [f"{path.relative_to(SRC)}:{no}"
             for path in sorted(SRC.rglob("*.py"))
             for no, line in enumerate(path.read_text().splitlines(), 1)
             if banned.search(line)]
-    assert hits == []
+
+
+def test_single_numpy_scipy_path():
+    # one NumPy/SciPy code path: no JIT layer, decorator or switch between two
+    assert _hits(r"numba|njit|FRACLAT_NUMBA|JIT_ENABLED") == []
+
+
+def test_single_kernel_quadrature():
+    # one shared-grid evaluator: no per-offset adaptive path or budget knob
+    assert _hits(r"\b_adaptive\b|\b_gk15\b|_kernel_nd_impl|\bbudget=") == []

@@ -97,13 +97,24 @@ class TestGammaRatio:
         assert abs(val - 1.0) < 0.01
 
     def test_asymptotic_path_consistency(self):
-        # the two branches agree where both are accurate
-        a, b = 9.5e3, 9.501e3  # direct path
+        # large nearly-equal arguments (the poch side of the 171 switch)
+        # agree with the log-Gamma difference within the digits it keeps
+        a, b = 9.5e3, 9.501e3
         direct = gamma_ratio(a, b)
-        a2, b2 = 2.0e4, 2.0001e4  # asymptotic path
+        a2, b2 = 2.0e4, 2.0001e4
         asym = gamma_ratio(a2, b2)
         assert direct == pytest.approx(math.exp(log_gamma(a) - log_gamma(b)), rel=1e-12)
         assert asym == pytest.approx(math.exp(log_gamma(a2) - log_gamma(b2)), rel=1e-9)
+
+    def test_switch_at_171(self):
+        # Gamma quotient below 171, poch beyond: each side matches mpmath
+        import mpmath as mp
+
+        mp.mp.dps = 30
+        for a, b, rel in ((0.01, 2.99, 4e-15), (39.01, 41.99, 4e-15),
+                          (170.5, 170.99, 4e-15), (171.2, 172.0, 1e-12)):
+            ref = float(mp.gamma(mp.mpf(a)) / mp.gamma(mp.mpf(b)))
+            assert gamma_ratio(a, b) == pytest.approx(ref, rel=rel)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -116,6 +127,15 @@ class TestReflection:
         for s in (0.1, 0.25, 0.5, 0.75, 0.9):
             val = math.exp(log_abs_gamma_neg(s) + log_gamma(1.0 + s))
             assert val * math.sin(math.pi * s) == pytest.approx(math.pi, rel=1e-13)
+
+    def test_near_one(self):
+        # sin(pi s) near s = 1 is taken at pi (1 - s), which keeps its digits
+        import mpmath as mp
+
+        mp.mp.dps = 30
+        for s in (0.99, 0.995, 0.9999):
+            ref = float(mp.log(abs(mp.gamma(-mp.mpf(s)))))
+            assert log_abs_gamma_neg(s) == pytest.approx(ref, rel=1e-15, abs=1e-15)
 
 
 class TestBesselIScaled:
@@ -152,8 +172,9 @@ class TestBesselIScaled:
                 assert 0.0 <= v <= 1.0
 
     def test_branch_seams(self):
-        # the series/recurrence/asymptotic switch points leave no seam:
-        # each side matches mpmath to ~1e-12
+        # scipy's ive serves every finite argument; around t = 20 and the
+        # former switch point max(400, 4 n^2) of the large-argument
+        # expansion it matches mpmath to ~1e-12
         import mpmath as mp
 
         mp.mp.dps = 30
