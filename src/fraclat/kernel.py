@@ -8,9 +8,15 @@ against ``t^{-1-s} dt``.  One evaluator computes that integral for a whole
 batch of offsets (and the total mass) on a single fixed log-t Gauss-Kronrod
 grid, with analytic small-t head and large-t tail and a certified error per
 entry; kernel_nd, the d=2 and d=3 tables, the lattice operator and the UCP
-systems all use it.  The module also holds exact 1D tail sums, the
-periodized kernel of the discrete torus (Gamma-ratio series and heat-route
-tables) and the semidiscrete heat kernels, each with explicit error control.
+systems all use it.  Arbitrary offsets gather their products from the grid's
+Bessel matrix; the dense tables cover a full box, whose quadrature is a
+weighted Gram product of that matrix.  The module also holds exact 1D tail
+sums, the periodized kernel of the discrete torus (Gamma-ratio series and
+heat-route tables) and the semidiscrete heat kernels, each with explicit
+error control.  The heat-route table builds its Bessel rows one panel of
+nodes at a time, and integrates only to the time T where the wrap sums have
+flattened to their plateau; a table that also needs the diagonal wrap value
+integrates on until the tail of g_0(2t)^d is certified too.
 
 Everything here is immutable after construction and safe to read
 concurrently.
@@ -182,33 +188,56 @@ def kernel_values(params, offsets, tol=1e-10):
         raise ValueError("tol must be positive")
     if m.size == 0:
         return np.zeros(0), np.zeros(0)
-    s, d = params.s, params.d
-    a = 0.5 * d + s
-    n1 = m.sum(axis=1)
-    msq = (m * m).sum(axis=1).astype(float)
-    big_a = (4.0 * msq + 9.0 * d) / 16.0
-    T, ts, w15, w7 = _shared_grid(s, d, float(big_a.max()), tol)
-    nmax = int(m.max())
-    G = np.empty((ts.size, nmax + 1))
-    bessel_i_scaled_row(nmax, 2.0 * ts[:, None], G)
+    T, w15, w7, G = _kernel_grid(params, float((m * m).sum(axis=1).max()), int(m.max()), tol)
     q15 = np.empty(len(m))
     q7 = np.empty(len(m))
-    step = max(1, (1 << 18) // (ts.size * d))
+    step = max(1, (1 << 18) // (G.shape[0] * params.d))
     for lo in range(0, len(m), step):
         F = G[:, m[lo:lo + step]].prod(axis=2)
         q15[lo:lo + step] = w15 @ F
         q7[lo:lo + step] = w7 @ F
+    return _kernel_finish(params, m, T, q15, q7, tol)
+
+
+def _kernel_grid(params, msq_max, nmax, tol):
+    """T, the Kronrod and Gauss weights of the shared grid for offsets with
+    |m|^2 <= msq_max, and its Bessel matrix G[q, k] = g_k(2 t_q), k <= nmax,
+    from one vectorised call over nodes x orders."""
+    big_a = (4.0 * msq_max + 9.0 * params.d) / 16.0
+    T, ts, w15, w7 = _shared_grid(params.s, params.d, big_a, tol)
+    G = np.empty((ts.size, nmax + 1))
+    bessel_i_scaled_row(nmax, 2.0 * ts[:, None], G)
+    return T, w15, w7, G
+
+
+def _kernel_finish(params, m, T, q15, q7, tol):
+    """Certified kernel values and errors at the nonzero offsets m, a (B, d)
+    array, from their Kronrod and Gauss sums q15, q7 over the grid [t0, T]."""
+    s, d = params.s, params.d
+    a = 0.5 * d + s
+    n1 = m.sum(axis=1)
+    msq = (m * m).sum(axis=1).astype(float)
     # [0, t0]: prod_i g_{m_i}(2t) = t^{|m|_1} / prod_i m_i! (1 - theta), 0 <= theta <= 2dt
     head = np.exp((n1 - s) * _LOG_T0 - gammaln(m + 1.0).sum(axis=1)) / (n1 - s)
     # [T, inf): prod_i g_{m_i}(2t) = (4 pi t)^{-d/2} (1 - c1/t + c2/t^2 - ...)
     c = (4.0 * math.pi) ** (-0.5 * d)
     c1 = (4.0 * msq - d) / 16.0
+    big_a = (4.0 * msq + 9.0 * d) / 16.0
     tail = c * (T ** -a / a - c1 * T ** (-a - 1.0) / (a + 1.0))
     tail_err = 2.0 * c * big_a ** 2 * T ** (-a - 2.0) / (a + 2.0)
     total = head + q15 + tail
     err = np.abs(q15 - q7) + 2.0 * d * _T0 * head + tail_err + _ROUNDING * total
     pref = math.exp(_log_pref(s, params.h))
     return _certified("kernel quadrature", pref * total, pref * err, tol), pref * err
+
+
+def _orthant_sums(G, w, d):
+    """sum_q w_q prod_i G[q, m_i] for every m in the box {0..nmax}^d, d = 2
+    or 3, as a weighted Gram product of the Bessel matrix G."""
+    Gw = G * w[:, None]
+    if d == 3:
+        Gw = (Gw[:, :, None] * G[:, None, :]).reshape(len(G), -1)
+    return (Gw.T @ G).reshape((G.shape[1],) * d)
 
 
 def kernel_nd(params, m, tol=1e-10):
@@ -274,15 +303,22 @@ def heat_kernel(m, t):
 
 
 def _wrap_sums(n, x):
-    """Row e^{-x} I_k(x), k = 0..m, and its wrap sums
+    """Rows e^{-x} I_k(x), k = 0..m, and their wrap sums
     sum_l e^{-x} I_{|j + l n|}(x) for every torus coordinate j in [0, n-1].
 
-    Orders past m = sqrt(90 x) + 2n are below e^{-45} and dropped."""
-    m = int(math.sqrt(90.0 * x)) + 2 * n + 2
-    row = np.empty(m + 1)
-    bessel_i_scaled_row(m, x, row)
+    x is a scalar, giving one row and one wrap vector, or a 1-d array of
+    arguments, giving one of each per argument from a single broadcast Bessel
+    call; the fold onto the torus is a matmul.  Orders past
+    m = sqrt(90 max x) + 2n are below e^{-45} and dropped."""
+    x = np.asarray(x, dtype=float)
+    m = int(math.sqrt(90.0 * x.max())) + 2 * n + 2
+    rows = np.empty(x.shape + (m + 1,))
+    bessel_i_scaled_row(m, x[..., None], rows)
+    # fold[|k|, k mod n] counts the orders k in [-m, m] that wrap onto each j
     k = np.arange(-m, m + 1)
-    return row, np.bincount(k % n, weights=row[np.abs(k)], minlength=n)
+    fold = np.zeros((m + 1, n))
+    np.add.at(fold, (np.abs(k), k % n), 1.0)
+    return rows, rows @ fold
 
 
 def torus_heat_kernel(N, h, j, t, tol=1e-14, spectral=False):
@@ -410,11 +446,15 @@ def _g0d_tail(d, s, T):
 
 
 class _TorusKernelData:
-    """Periodized torus kernel on {-N..N}^d plus the diagonal wrap value."""
+    """Periodized torus kernel on {-N..N}^d plus the diagonal wrap value.
 
-    __slots__ = ("N", "d", "s", "h", "full", "diag", "err")
+    For a heat-route table, T is the time where the quadrature stopped and
+    nodes the number of quadrature nodes; both are None for the series route.
+    """
 
-    def __init__(self, N, d, s, h, full, diag, err):
+    __slots__ = ("N", "d", "s", "h", "full", "diag", "err", "T", "nodes")
+
+    def __init__(self, N, d, s, h, full, diag, err, T=None, nodes=None):
         self.N = N
         self.d = d
         self.s = s
@@ -422,6 +462,8 @@ class _TorusKernelData:
         self.full = full
         self.diag = diag
         self.err = err
+        self.T = T
+        self.nodes = nodes
 
     def value(self, offset):
         """Kernel at an integer offset (any representative; reduced mod 2N+1)."""
@@ -433,18 +475,24 @@ class _TorusKernelData:
 
 
 def _torus_table_heat(s, N, d, tol_abs, need_diag):
+    """Heat-route torus table: the semigroup integral of the wrap sums on a
+    log-t grid up to T, plus the plateau n^{-d} beyond T.
+
+    T doubles until the plateau residual passes; the error of the g_0^d tail
+    enters only the diagonal wrap value, so only a table with need_diag also
+    waits for it (up to 32 times larger T at tol 1e-12 and N = 8, 16).  The
+    Bessel rows are built one Kronrod panel of consecutive nodes at a time."""
     if not 0.05 <= s <= 0.95:
         raise ValueError("heat-route torus tables support s in [0.05, 0.95]")
     n = 2 * N + 1
     pref = math.exp(_log_pref(s, 2.0 * math.pi / n))
     tol_u = tol_abs / pref
-    # grow T until the uniform-plateau residual and the g_0^d tail error pass
     T = 256.0
     while True:
         wrow = _wrap_sums(n, 2.0 * T)[1][:N + 1]
         dev = np.abs(wrow - 1.0 / n).max()
         plateau_resid = (max(dev * d * n ** (-(d - 1)), 0.0)) * T ** (-s) / s
-        _, g0_err = _g0d_tail(d, s, T)
+        g0_err = _g0d_tail(d, s, T)[1] if need_diag else 0.0
         if plateau_resid <= 0.05 * tol_u and g0_err <= 0.05 * tol_u:
             break
         T *= 2.0
@@ -458,11 +506,12 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
     W = np.empty((ts.size, N + 1))
     ring0 = np.empty(ts.size)
     g0row = np.empty(ts.size)
-    for q, t in enumerate(ts):
-        row, wrap = _wrap_sums(n, 2.0 * t)
-        W[q] = wrap[:N + 1]
-        ring0[q] = 2.0 * row[n::n].sum()
-        g0row[q] = row[0]
+    panel = XGK15.size
+    for lo in range(0, ts.size, panel):
+        rows, wrap = _wrap_sums(n, 2.0 * ts[lo:lo + panel])
+        W[lo:lo + panel] = wrap[:, :N + 1]
+        ring0[lo:lo + panel] = 2.0 * rows[:, n::n].sum(axis=1)
+        g0row[lo:lo + panel] = rows[:, 0]
     plateau = n ** (-d) * T ** (-s) / s
 
     if d == 1:
@@ -503,7 +552,7 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
         full = orth[np.ix_(idx, idx)] * pref
         full[0, 0] = 0.0
     return _TorusKernelData(N, d, s, 2.0 * math.pi / n, full, diag,
-                            max(pref * err, diag_err))
+                            max(pref * err, diag_err), T, ts.size)
 
 
 def _torus_table_series(s, N, tol_abs, need_diag):
@@ -603,8 +652,10 @@ def _tail_constant(params):
 def build_kernel_table(params, radius, tol=1e-9):
     """Dense kernel cache up to the given sup-norm radius.
 
-    d=1 uses the closed form; d=2 and 3 evaluate the offsets of the
-    nonnegative orthant in one shared-grid batch and mirror them.
+    d=1 uses the closed form; d=2 and 3 integrate the nonnegative orthant,
+    a full box, on the shared grid of kernel_values (same T, nodes, error
+    terms and certificate) by a Gram product of its Bessel matrix, and
+    mirror it.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -615,10 +666,14 @@ def build_kernel_table(params, radius, tol=1e-9):
         return _kernel_table(params, r, vals, np.abs(vals) * 1e-14)
     if d not in (2, 3):
         raise ValueError("kernel tables support d in {1, 2, 3}")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    T, w15, w7, G = _kernel_grid(params, float(d * r * r), r, tol)
     vals = np.zeros((r + 1,) * d)
     errs = np.zeros((r + 1,) * d)
-    vals.flat[1:], errs.flat[1:] = kernel_values(
-        params, np.indices(vals.shape).reshape(d, -1).T[1:], tol)
+    vals.flat[1:], errs.flat[1:] = _kernel_finish(
+        params, np.indices(vals.shape).reshape(d, -1).T[1:], T,
+        _orthant_sums(G, w15, d).ravel()[1:], _orthant_sums(G, w7, d).ravel()[1:], tol)
     mirror = np.ix_(*(np.abs(np.arange(-r, r + 1)),) * d)
     return _kernel_table(params, r, vals[mirror], errs[mirror])
 
@@ -635,19 +690,22 @@ def _tail_bound_ell1_cached(s, h, d, radius):
     # P, integral comparison beyond, then doubled for safety.
     c = _tail_constant(FracParams(s, h, d))
     big_p = max(100000, 4 * radius)
+    # Gamma(rho - s) / Gamma(rho + d + s) by the recurrence
+    # ratio(rho + 1) = ratio(rho) (rho - s) / (rho + d + s), as running
+    # products over chunks of shells that carry the last ratio
     total = 0.0
     ratio = gamma_ratio(radius + 1.0 - s, radius + 1.0 + d + s)
-    m = radius + 1
-    for rho in range(radius + 1, big_p):
+    for lo in range(radius + 1, big_p, 1 << 12):
+        rho = np.arange(lo, min(lo + (1 << 12), big_p), dtype=float)
+        run = np.cumprod(np.concatenate(([ratio], (rho - s) / (rho + d + s))))
         if d == 1:
             cnt = 2.0
         elif d == 2:
             cnt = 4.0 * rho
         else:
             cnt = 4.0 * rho * rho + 2.0
-        total += cnt * ratio
-        ratio *= (m - s) / (m + d + s)
-        m += 1
+        total += float(np.sum(cnt * run[:-1]))
+        ratio = float(run[-1])
     # power-law continuation of the last ratio beyond P
     if d == 1:
         rem = 2.0 * ratio * big_p / (2.0 * s)

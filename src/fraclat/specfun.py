@@ -13,7 +13,8 @@ argument limit of the underlying AMOS routines, and returns nan beyond it
 for every order.  The kernel quadrature can evaluate past that limit, so
 the large-argument expansion replaces exactly the entries where ``ive`` is
 not finite; its terms decrease from the start there for every order the
-package uses.
+package uses.  Likewise Gamma ratios of large arguments, where
+``scipy.special.poch`` loses digits, come from a Stirling-series difference.
 
 All functions are pure and safe for concurrent use.
 """
@@ -50,14 +51,30 @@ def gamma_ratio(a, b):
 
     Below 171, where Gamma is finite, the quotient of ``scipy.special.gamma``
     keeps about 1e-15 relative accuracy; ``poch`` loses up to 2e-13 there.
-    Beyond, the Pochhammer symbol (b)_{a-b} avoids the overflow, with a
-    relative error that grows with the arguments (about 1e-11 near 5000).
+    Beyond, with both arguments at least 100, the difference of Stirling
+    series is arranged so that no term of the size of ln Gamma cancels:
+
+        ln Gamma(a) - ln Gamma(b) = (a - 1/2) log1p(-d/b) - d (ln b - 1)
+                                    + S(a) - S(b),   d = b - a,
+
+    with S(z) = 1/(12z) - 1/(360z^3) + 1/(1260z^5), whose truncation is below
+    1e-17 from z = 100 on.  Against mpmath it keeps 1.3e-14 relative accuracy
+    for nearby arguments (b - a <= 3 + 2s, a = M - s) up to M = 1e6, where
+    ``poch`` lost up to 4e-11 between 171 and about 1e4.  Only arguments on
+    both sides of 100 (a ratio beyond 1e150 or below 1e-150) still go to the
+    Pochhammer symbol (b)_{a-b}.
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("gamma_ratio requires positive arguments")
     if max(a, b) < 171.0:
         return float(special.gamma(a) / special.gamma(b))
-    return float(special.poch(b, a - b))
+    if min(a, b) < 100.0:
+        return float(special.poch(b, a - b))
+    d = b - a
+    ia, ib = 1.0 / a, 1.0 / b
+    x = ((a - 0.5) * math.log1p(-d * ib) - d * (math.log(b) - 1.0) + (ia - ib) / 12.0
+         - (ia ** 3 - ib ** 3) / 360.0 + (ia ** 5 - ib ** 5) / 1260.0)
+    return math.exp(x) if x < 709.78 else math.inf
 
 
 def _bessel_i_scaled_asymptotic(n, t):

@@ -23,6 +23,7 @@ from fraclat.kernel import (
     torus_kernel,
     torus_kernel_table,
 )
+from fraclat.specfun import bessel_i_scaled_row, gamma_ratio
 
 
 def _quad_oracle(s, m):
@@ -253,6 +254,30 @@ class TestTorusKernel:
             torus_kernel(p, 8, 0)
 
 
+class TestHeatRouteTable:
+    @pytest.mark.parametrize("N", [8, 16])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.85, 0.95])
+    def test_off_diagonal_table_stops_at_its_plateau(self, s, d, N):
+        # only the diagonal wrap value needs the g_0^d tail certified, so a
+        # table without it may stop at a smaller T; both must agree
+        import fraclat.kernel
+
+        fraclat.kernel._torus_table_cached.cache_clear()  # build inside the filter
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            off = torus_kernel_table(s, N, d, tol=1e-12, method="heat")
+            with_diag = torus_kernel_table(s, N, d, tol=1e-12, need_diag=True, method="heat")
+        assert np.abs(off.full - with_diag.full).max() <= off.err + with_diag.err
+        assert off.T <= with_diag.T
+        assert off.nodes <= with_diag.nodes
+        assert off.diag == 0.0 and with_diag.diag > 0.0
+
+    def test_series_route_records_no_plateau(self):
+        table = torus_kernel_table(0.5, 8, 1, method="series")
+        assert table.T is None and table.nodes is None
+
+
 class TestHeatKernel:
     def test_initial_condition(self):
         assert heat_kernel([0], 0.0) == 1.0
@@ -298,6 +323,37 @@ class TestTorusHeatKernel:
             torus_heat_kernel(N, h, 2, 0.7) * torus_heat_kernel(N, h, 3, 0.7),
             rel=1e-13)
 
+    def test_batched_wrap_sums_equal_scalar_rows(self):
+        from fraclat.kernel import _wrap_sums
+
+        x = 2.0 * np.exp(np.linspace(-60.0, 9.0, 40))
+        for n in (3, 17, 33):
+            rows, wraps = _wrap_sums(n, x)
+            for i, xi in enumerate(x):
+                row, wrap = _wrap_sums(n, xi)
+                assert np.abs(rows[i, :row.size] - row).max() <= 1e-15
+                # the batch shares the largest argument's order cut-off
+                assert rows[i, row.size:].max(initial=0.0) <= math.exp(-45.0)
+                assert np.abs(wraps[i] - wrap).max() <= 1e-15
+
+    def test_matches_per_argument_bincount_fold(self):
+        def wrap_reference(n, x):
+            # the wrap sums as first written: one Bessel row, folded by bincount
+            m = int(math.sqrt(90.0 * x)) + 2 * n + 2
+            row = np.empty(m + 1)
+            bessel_i_scaled_row(m, x, row)
+            k = np.arange(-m, m + 1)
+            return np.bincount(k % n, weights=row[np.abs(k)], minlength=n)
+
+        for N in (1, 4, 8, 16):
+            n = 2 * N + 1
+            h = 2.0 * math.pi / n
+            for t in (1e-9, 0.3, 2.0, 40.0, 900.0):
+                wrap = wrap_reference(n, 2.0 * t / (h * h))
+                for j in ((0,), (N,), (1, -N), (N, 2)):
+                    ref = math.prod(wrap[c % n] for c in j)
+                    assert abs(torus_heat_kernel(N, h, j, t) - ref) <= 1e-15
+
 
 class TestTailBound:
     def test_dominates_measured_partial_tails(self):
@@ -315,6 +371,39 @@ class TestTailBound:
         p = FracParams(0.3, 1.0, 2)
         vals = [kernel_tail_bound_ell1(p, R) for R in (10, 30, 90)]
         assert vals[0] > vals[1] > vals[2] > 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.3, 0.9])
+    def test_matches_scalar_loop(self, s, d):
+        from fraclat.kernel import _tail_constant
+
+        def loop_bound(radius):
+            # the bound as first written: one ratio update per ell^1 shell
+            big_p = max(100000, 4 * radius)
+            total = 0.0
+            ratio = gamma_ratio(radius + 1.0 - s, radius + 1.0 + d + s)
+            m = radius + 1
+            for rho in range(radius + 1, big_p):
+                if d == 1:
+                    cnt = 2.0
+                elif d == 2:
+                    cnt = 4.0 * rho
+                else:
+                    cnt = 4.0 * rho * rho + 2.0
+                total += cnt * ratio
+                ratio *= (m - s) / (m + d + s)
+                m += 1
+            if d == 1:
+                rem = 2.0 * ratio * big_p / (2.0 * s)
+            elif d == 2:
+                rem = 4.0 * ratio * big_p * big_p / (2.0 * s)
+            else:
+                rem = 4.0 * ratio * big_p ** 3 / (1.0 + 2.0 * s)
+            return 2.0 * _tail_constant(FracParams(s, 1.0, d)) * (total + 1.05 * rem)
+
+        for radius in (5, 30, 200):
+            assert kernel_tail_bound_ell1(FracParams(s, 1.0, d), radius) == pytest.approx(
+                loop_bound(radius), rel=1e-12)
 
 
 class TestKernelTable:
@@ -356,6 +445,21 @@ class TestKernelTable:
         t = build_kernel_table(p, 2, tol=1e-8)
         ref = _quad_oracle(0.5, (1, 2, 0))
         assert t.value((1, 2, 0)) == pytest.approx(ref, rel=1e-7)
+
+    @pytest.mark.parametrize("d, r", [(2, 90), (3, 12)])
+    @pytest.mark.parametrize("s", [0.01, 0.25, 0.5, 0.95, 0.99])
+    def test_gram_table_equals_gathered_offsets(self, s, d, r):
+        # the table's Gram contraction and kernel_values' per-offset gather
+        # share the grid, so they differ only by rounding
+        p = FracParams(s, 1.0, d)
+        table = build_kernel_table(p, r, tol=1e-9)
+        m = np.indices((r + 1,) * d).reshape(d, -1).T[1:]
+        val, _ = kernel_values(p, m, tol=1e-9)
+        signs = np.random.default_rng(7).choice([-1, 1], size=m.shape)
+        idx = tuple((signs * m + r).T)
+        gap = np.abs(table.values[idx] - val)
+        assert (gap <= 1e-14 * val).all()
+        assert (gap <= table.err[idx]).all()
 
 
 class TestNonFiniteCertificates:

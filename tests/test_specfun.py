@@ -97,7 +97,7 @@ class TestGammaRatio:
         assert abs(val - 1.0) < 0.01
 
     def test_asymptotic_path_consistency(self):
-        # large nearly-equal arguments (the poch side of the 171 switch)
+        # large nearly-equal arguments (the Stirling side of the 171 switch)
         # agree with the log-Gamma difference within the digits it keeps
         a, b = 9.5e3, 9.501e3
         direct = gamma_ratio(a, b)
@@ -107,7 +107,8 @@ class TestGammaRatio:
         assert asym == pytest.approx(math.exp(log_gamma(a2) - log_gamma(b2)), rel=1e-9)
 
     def test_switch_at_171(self):
-        # Gamma quotient below 171, poch beyond: each side matches mpmath
+        # Gamma quotient below 171, Stirling difference beyond: each side
+        # matches mpmath
         import mpmath as mp
 
         mp.mp.dps = 30
@@ -115,6 +116,21 @@ class TestGammaRatio:
                           (170.5, 170.99, 4e-15), (171.2, 172.0, 1e-12)):
             ref = float(mp.gamma(mp.mpf(a)) / mp.gamma(mp.mpf(b)))
             assert gamma_ratio(a, b) == pytest.approx(ref, rel=rel)
+
+    def test_nearby_large_arguments_against_mpmath(self):
+        # the ratios of the kernel, its tails and its bounds: a = M - s and
+        # b - a in {1, 2, 3} + 2s, across the band 171..1e4 where poch lost
+        # up to 4e-11
+        import mpmath as mp
+
+        with mp.workdps(30):
+            for big_m in np.geomspace(150.0, 2.0e4, 30):
+                for s in (0.01, 0.05, 0.5, 0.95, 0.99):
+                    for k in (1.0, 2.0, 3.0):
+                        a = big_m - s
+                        b = a + k + 2.0 * s
+                        ref = float(mp.gamma(mp.mpf(a)) / mp.gamma(mp.mpf(b)))
+                        assert gamma_ratio(a, b) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
