@@ -188,10 +188,7 @@ def torus_ucp_counterexample(N, s, X, tol=1e-12):
     table = torus_kernel_table(s, N, 1, tol=1e-14)
     Ys = [y[0] for y in _auto_select_y([(x,) for x in Xs], len(Xs) + 1, 1,
                                        [(x,) for x in Xs], wrap=n)]
-    M = np.empty((len(Xs), len(Ys)))
-    for i, x in enumerate(Xs):
-        for j, y in enumerate(Ys):
-            M[i, j] = table.value(x - y)
+    M = table.value(np.subtract.outer(Xs, Ys)[..., None])
     _, sig, vt = np.linalg.svd(M)
     coeffs = _normalize_null_vector(vt[-1])
     vals = np.zeros(n)

@@ -102,10 +102,7 @@ def forward_matrix(setup, check_columns=5, rng=None):
     spectral application.
     """
     table = torus_kernel_table(setup.s, setup.N, 1, tol=1e-13)
-    A = np.empty((len(setup.Omega), len(setup.W)))
-    for j, w in enumerate(setup.W):
-        for i, om in enumerate(setup.Omega):
-            A[i, j] = -table.value(om - w)
+    A = -table.value(np.subtract.outer(setup.Omega, setup.W)[..., None])
     if check_columns:
         rng = np.random.default_rng(setup.seed) if rng is None else rng
         n = 2 * setup.N + 1

@@ -294,8 +294,11 @@ def apply_frac_lattice(u, j, tol=1e-10):
 
     Finitely supported inputs use the exact total kernel mass plus a finite
     sum; d=1 step profiles get exact half-line tails through the closed-form
-    tail sums; d>=2 step profiles are truncated with an ell^1 tail
-    certificate and raise ToleranceError if tol cannot be certified.
+    tail sums; d>=2 step profiles are truncated to a centered box with an
+    ell^1 tail certificate and raise ToleranceError if tol cannot be
+    certified.  The box sum takes the profile as a 1-D array along its axis
+    against the table summed over the other axes, and gathers the support
+    points inside the box.
     """
     params = u.params
     jj = tuple(int(c) for c in np.atleast_1d(j))
@@ -336,13 +339,18 @@ def apply_frac_lattice(u, j, tol=1e-10):
                 achieved=kernel_tail_bound_ell1(params, radius // 2) * sup,
                 requested=tol)
     table = build_kernel_table(params, radius, tol=min(1e-9, tol))
-    total = 0.0
-    for off in np.ndindex(*(2 * radius + 1,) * params.d):
-        r = tuple(o - radius for o in off)
-        if all(x == 0 for x in r):
-            continue
-        m = tuple(a - b for a, b in zip(jj, r))
-        total += (uj - u.value(m)) * table.values[off]
+    # the zero-offset slot of the table holds 0, so r = 0 needs no exclusion
+    prof = u.profile
+    c = jj[prof.axis] - np.arange(-radius, radius + 1)
+    base = np.select([c <= min(-prof.cutoff, -1), c >= prof.cutoff],
+                     [prof.left_value, prof.right_value], 0.0)
+    others = tuple(a for a in range(params.d) if a != prof.axis)
+    total = float((uj - base) @ table.values.sum(axis=others))
+    if u.support:
+        offs = np.array(jj) - np.array(list(u.support))
+        inside = np.abs(offs).max(axis=1) <= radius
+        weights = np.array(list(u.support.values()))[inside]
+        total -= float(weights @ table.values[tuple((offs[inside] + radius).T)])
     return total
 
 
@@ -352,13 +360,25 @@ def apply_frac_lattice(u, j, tol=1e-10):
 def _apply_pointwise(v, table):
     """sum_r K(r) (v_j - v_{j-r}) over all table offsets r, in any dimension.
 
-    A direct kernel sum: no FFT, so it stays independent of the spectral
-    route.  The zero-offset slot of the table holds 0."""
-    out = np.zeros_like(v)
-    axes = tuple(range(v.ndim))
-    for r in np.ndindex(table.shape):
-        out += table[r] * (v - np.roll(v, r, axis=axes))
-    return out
+    A direct kernel sum with no FFT, so it stays independent of the spectral
+    route.  Wrap-padding v by n-1 in front of every axis gives each point j a
+    periodic window whose entry n-1-r is v_{j-r}; the window differences
+    v_j - v_{j-r} of a chunk of output points are gathered into one block
+    of about 2^18 entries and contracted with the flipped table.  The
+    zero-offset slot of the table holds 0, and a constant maps to exactly 0.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(v, [(v.shape[0] - 1, 0)] * v.ndim, mode="wrap"), v.shape)
+    kflip = np.flip(table).ravel()
+    flat = v.ravel()
+    out = np.empty(flat.size)
+    step = max(1, (1 << 18) // flat.size)
+    for lo in range(0, flat.size, step):
+        pts = np.arange(lo, min(lo + step, flat.size))
+        diff = windows[np.unravel_index(pts, v.shape)].reshape(pts.size, -1)
+        np.subtract(flat[pts, None], diff, out=diff)
+        out[pts] = diff @ kflip
+    return out.reshape(v.shape)
 
 
 def apply_frac_torus_pointwise(v, s, tol=1e-11, method="auto"):
@@ -412,22 +432,45 @@ def repeat(v):
     return RepeatedTorusFunction(v)
 
 
-def _transference_direct_1d(vrep, n, big_n, supp_pts, supp_vals, s, h, mass, L):
-    # sum_{|l| <= L} Rv_l * (op phi)_l, kernels evaluated per offset
-    nsup = supp_pts.size
-    acc = 0.0
-    for l in range(-L, L + 1):
-        phi_l = 0.0
-        for i in range(nsup):
-            if supp_pts[i] == l:
-                phi_l = supp_vals[i]
-        op_l = phi_l * mass
-        for i in range(nsup):
-            off = l - supp_pts[i]
-            if off != 0:
-                op_l -= supp_vals[i] * _kernel_1d_raw(s, h, off)
-        acc += vrep[((l + big_n) % n + n) % n] * op_l
-    return acc
+def _transference_direct_1d(v, phi, L):
+    """sum_{|l| <= L} Rv_l (op phi)_l through the closed-form kernel (d = 1).
+
+    (op phi)_l = mass phi_l - sum_i c_i K(l - p_i): K is evaluated once per
+    distinct |offset| up to L + max|p_i|, and each support point subtracts
+    one slice of those values from the whole range of l."""
+    params = phi.params
+    supp_pts = np.array([k[0] for k in phi.support], dtype=np.int64)
+    supp_vals = np.array(list(phi.support.values()))
+    mass = kernel_lattice_mass(params)
+    reach = L + int(np.abs(supp_pts).max(initial=0))
+    kvals = np.array([_kernel_1d_raw(params.s, params.h, a) for a in range(reach + 1)])
+    kfull = np.concatenate([kvals[:0:-1], kvals])  # offsets -reach..reach
+    op = np.zeros(2 * L + 1)
+    inside = np.abs(supp_pts) <= L
+    op[supp_pts[inside] + L] = mass * supp_vals[inside]
+    for p, c in zip(supp_pts, supp_vals):
+        op -= c * kfull[reach - L - p:reach + L - p + 1]
+    vrep = v.values[(np.arange(-L, L + 1) + v.N) % v.n]
+    return float(vrep @ op)
+
+
+def _wrapped_lhs(v, phi):
+    """Left side of the transference identity, resummed exactly through the
+    periodized kernel: mass <v, P phi> - sum_m phi_m sum_j v_j K^A(j - m),
+    with the diagonal wrap value at the zero offset.
+
+    One gather of the table covers every (support point, torus point) pair
+    and one contraction with phi and v sums it; no FFT."""
+    params, N, d = phi.params, v.N, v.d
+    mass = kernel_lattice_mass(params)
+    table = torus_kernel_table(params.s, N, d, tol=1e-13, need_diag=True,
+                               method="series" if d == 1 else "heat")
+    pts = np.array(list(phi.support), dtype=np.int64).reshape(-1, d)
+    weights = np.array(list(phi.support.values()))
+    grid = np.indices(v.values.shape).reshape(d, -1).T - N
+    K = table.value(grid - pts[:, None])  # (support point, torus point)
+    v_at_pts = v.values[tuple(((pts + N) % v.n).T)]
+    return float(weights @ (mass * v_at_pts - K @ v.values.ravel()))
 
 
 def transference_check(v, phi, tol=1e-10, method="wrapped", direct_radius=20000):
@@ -437,15 +480,17 @@ def transference_check(v, phi, tol=1e-10, method="wrapped", direct_radius=20000)
     operator of phi.  Right side: torus inner product of v with the spectral
     operator applied to the periodization of phi.  method='wrapped' resums
     the absolutely convergent left side exactly through the periodized
-    kernel; method='direct' (d=1 only) truncates the lattice sum at
-    direct_radius and adds the measured-decay tail certificate to the
-    returned defect.
+    kernel, as one gather of the torus table over every (support point,
+    torus point) pair and one contraction; method='direct' (d=1 only)
+    truncates the lattice sum at direct_radius, as array sums of the
+    closed-form kernel, and adds the measured-decay tail certificate to the
+    returned defect.  Neither left side uses an FFT; only the right side is
+    spectral.
     """
     if phi.profile is not None:
         raise ValueError("transference requires finitely supported phi")
     params = phi.params
     N, d = v.N, v.d
-    n = v.n
     if d != params.d:
         raise ValueError("dimension mismatch")
     if abs(params.h - v.h) > 1e-12 * v.h:
@@ -457,15 +502,7 @@ def transference_check(v, phi, tol=1e-10, method="wrapped", direct_radius=20000)
     rhs = float(np.sum(v.values * rhs_field.values))
 
     if method == "wrapped":
-        mass = kernel_lattice_mass(params)
-        table = torus_kernel_table(s, N, d, tol=1e-13, need_diag=True,
-                                   method="series" if d == 1 else "heat")
-        lhs = mass * float(np.sum(v.values * pphi.values))
-        for m, pm in phi.support.items():
-            for j in np.ndindex(*(n,) * d):
-                jj = tuple(c - N for c in j)
-                off = tuple(a - b for a, b in zip(jj, m))
-                lhs -= float(v.values[j]) * pm * table.value(off)
+        lhs = _wrapped_lhs(v, phi)
         defect = abs(lhs - rhs)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         if defect > tol * scale and defect > tol:
@@ -475,12 +512,8 @@ def transference_check(v, phi, tol=1e-10, method="wrapped", direct_radius=20000)
 
     if method != "direct" or d != 1:
         raise ValueError("method must be 'wrapped', or 'direct' with d = 1")
-    mass = kernel_lattice_mass(params)
-    supp_pts = np.array([k[0] for k in phi.support], dtype=np.int64)
-    supp_vals = np.array([phi.support[(int(k),)] for k in supp_pts])
     L = int(direct_radius)
-    lhs = _transference_direct_1d(v.values, n, N, supp_pts, supp_vals,
-                                  s, params.h, mass, L)
+    lhs = _transference_direct_1d(v, phi, L)
     # measured decay constant of (op phi), inflated x4, integral-compared tail
     probe = [2 * L // 3, 3 * L // 4, L]
     cdec = 4.0 * max(abs(apply_frac_lattice(phi, l)) * (1.0 + abs(l)) ** (1.0 + 2.0 * s)

@@ -243,6 +243,21 @@ class TestTorusKernel:
         tail = kernel_tail_bound_ell1(FracParams(s, h, 2), K * n - 2)
         assert 0.0 < table.value((1, 2)) - brute < tail
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_batch_value_matches_scalar(self, d):
+        N = 3
+        table = torus_kernel_table(0.4, N, d, tol=1e-12, need_diag=True)
+        rng = np.random.default_rng(d)
+        offsets = rng.integers(-20, 21, (40, d))
+        offsets[:3] = [[0] * d, [7] * d, [-14] * d]  # zero offset and its wraps
+        got = table.value(offsets)
+        assert got.shape == (40,)
+        assert list(got) == [table.value(tuple(o)) for o in offsets]
+        assert (got[:3] == table.diag).all()
+        assert (table.value(offsets.reshape(4, 10, d)) == got.reshape(4, 10)).all()
+        with pytest.raises(ValueError):
+            table.value(np.zeros((2, d + 1), dtype=int))
+
     def test_mesh_consistency_enforced(self):
         with pytest.raises(ValueError):
             torus_kernel(FracParams(0.5, 1.0, 1), 8, 1)

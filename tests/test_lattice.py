@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from fraclat.kernel import FracParams, kernel_1d, kernel_lattice_mass, torus_kernel_table
+from fraclat.kernel import (
+    FracParams,
+    build_kernel_table,
+    kernel_1d,
+    kernel_lattice_mass,
+    kernel_tail_bound_ell1,
+    torus_kernel_table,
+)
 from fraclat.lattice import (
     LatticeFunction,
     StepProfile,
@@ -22,6 +29,55 @@ from fraclat.lattice import (
     symbol,
     transference_check,
 )
+
+
+# The index loops that the array code in fraclat.lattice replaced, kept as
+# references for it.
+
+
+def _roll_loop_apply(v, table):
+    out = np.zeros_like(v)
+    axes = tuple(range(v.ndim))
+    for r in np.ndindex(table.shape):
+        out += table[r] * (v - np.roll(v, r, axis=axes))
+    return out
+
+
+def _box_loop_apply(u, j, radius, table):
+    jj = tuple(j)
+    uj = u.value(jj)
+    total = 0.0
+    for off in np.ndindex(*(2 * radius + 1,) * u.params.d):
+        r = tuple(o - radius for o in off)
+        if all(x == 0 for x in r):
+            continue
+        m = tuple(a - b for a, b in zip(jj, r))
+        total += (uj - u.value(m)) * table.values[off]
+    return total
+
+
+def _wrapped_lhs_loop(v, phi):
+    params, N, d = phi.params, v.N, v.d
+    table = torus_kernel_table(params.s, N, d, tol=1e-13, need_diag=True,
+                               method="series" if d == 1 else "heat")
+    lhs = kernel_lattice_mass(params) * float(np.sum(v.values * periodize(phi, N).values))
+    for m, pm in phi.support.items():
+        for j in np.ndindex(*(v.n,) * d):
+            off = tuple(c - N - a for c, a in zip(j, m))
+            lhs -= float(v.values[j]) * pm * table.value(off)
+    return lhs
+
+
+def _direct_lhs_loop(v, phi, L):
+    mass = kernel_lattice_mass(phi.params)
+    acc = 0.0
+    for l in range(-L, L + 1):
+        op_l = phi.support.get((l,), 0.0) * mass
+        for (p,), c in phi.support.items():
+            if l != p:
+                op_l -= c * kernel_1d(phi.params, l - p)
+        acc += v.values[(l + v.N) % v.n] * op_l
+    return acc
 
 
 def random_torus(N, d, seed, sup_one=False):
@@ -123,6 +179,17 @@ class TestApplyLattice:
         val = apply_frac_lattice(step, (0, 3), tol=0.05)
         assert abs(val) < 1e-10  # odd symmetry in the step axis
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_step_profile_2d_box_loop_oracle(self, axis):
+        p = FracParams(0.5, 1.0, 2)
+        u = LatticeFunction(p, {(1, 2): 0.7, (-3, 5): -1.2, (0, 3): 0.5, (40, 0): 2.0},
+                            StepProfile(axis, 2, -1.0, 1.5))
+        for j in [(0, 3), (4, -1), (-2, 7), (30, -30)]:
+            sup = u.sup_norm_bound() + abs(u.value(j))
+            tol = 1.01 * kernel_tail_bound_ell1(p, 32) * sup  # radius 32
+            ref = _box_loop_apply(u, j, 32, build_kernel_table(p, 32, tol=1e-9))
+            assert apply_frac_lattice(u, j, tol=tol) == pytest.approx(ref, abs=1e-12)
+
     def test_step_profile_2d_unreachable_tolerance(self):
         from fraclat.kernel import ToleranceError
 
@@ -184,6 +251,45 @@ class TestApplyTorus:
                                 ref[j1, j2] += (v[j1, j2] - v[m1, m2]) * K[(j1 - m1) % n,
                                                                            (j2 - m2) % n]
         assert np.abs(_apply_pointwise(v, K) - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("s,N,d", [(0.75, 32, 1), (0.4, 10, 2), (0.7, 12, 2)])
+    def test_pointwise_roll_loop_oracle(self, s, N, d):
+        from fraclat.lattice import _apply_pointwise
+
+        K = torus_kernel_table(s, N, d, tol=1e-12).full
+        v = random_torus(N, d, 17, sup_one=True).values
+        assert np.abs(_apply_pointwise(v, K) - _roll_loop_apply(v, K)).max() <= 1e-13
+
+    def test_pointwise_generic_in_d(self):
+        from fraclat.lattice import _apply_pointwise
+
+        rng = np.random.default_rng(8)
+        K = rng.random((5, 5, 5))
+        K[0, 0, 0] = 0.0
+        v = rng.standard_normal((5, 5, 5))
+        assert np.abs(_apply_pointwise(v, K) - _roll_loop_apply(v, K)).max() <= 1e-13
+        assert np.abs(_apply_pointwise(np.full((5, 5, 5), 2.2), K)).max() == 0.0
+
+    def test_pointwise_gathers_in_chunks(self):
+        # unchunked, the window differences at d=2 N=40 take 6561^2 doubles
+        # (344 MB); each chunk gathers about 2^18 of them
+        import tracemalloc
+
+        from fraclat.lattice import _apply_pointwise
+
+        rng = np.random.default_rng(40)
+        K = rng.random((81, 81))
+        K[0, 0] = 0.0
+        v = rng.standard_normal((81, 81))
+        tracemalloc.start()
+        try:
+            out = _apply_pointwise(v, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        ref = _roll_loop_apply(v, K)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_self_adjoint_and_nonnegative(self):
         N = 6
@@ -270,6 +376,34 @@ class TestTransference:
                                       direct_radius=60000)
         assert d_direct < 2e-3
         assert transference_check(v, phi, tol=1e-8) < d_direct
+
+    @pytest.mark.parametrize("d,N", [(1, 6), (2, 4)])
+    def test_wrapped_lhs_loop_oracle(self, d, N):
+        from fraclat.lattice import _wrapped_lhs
+
+        n = 2 * N + 1
+        params = FracParams(0.3, 2.0 * math.pi / n, d)
+        rng = np.random.default_rng(21)
+        v = TorusFunction(N, d, rng.standard_normal((n,) * d))
+        # support beyond the torus too, so offsets wrap and hit the diagonal
+        phi = LatticeFunction(params, {
+            tuple(int(c) for c in rng.integers(-2 * n, 2 * n, d)): float(rng.standard_normal())
+            for _ in range(6)})
+        ref = _wrapped_lhs_loop(v, phi)
+        assert _wrapped_lhs(v, phi) == pytest.approx(ref, rel=1e-13)
+
+    def test_direct_lhs_loop_oracle(self):
+        from fraclat.lattice import _transference_direct_1d
+
+        N = 6
+        n = 2 * N + 1
+        params = FracParams(0.5, 2.0 * math.pi / n, 1)
+        rng = np.random.default_rng(4)
+        v = TorusFunction(N, 1, rng.standard_normal(n))
+        phi = LatticeFunction(params, {(k,): float(rng.standard_normal())
+                                       for k in (-3, -1, 0, 2, 5, 1999, 2004)})
+        ref = _direct_lhs_loop(v, phi, 2000)
+        assert _transference_direct_1d(v, phi, 2000) == pytest.approx(ref, rel=1e-13)
 
     def test_mesh_mismatch_rejected(self):
         v = random_torus(4, 1, 0)

@@ -6,10 +6,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _hits(pattern):
+def _hits(pattern, files="**/*.py"):
     banned = re.compile(pattern)
     return [f"{path.relative_to(SRC)}:{no}"
-            for path in sorted(SRC.rglob("*.py"))
+            for path in sorted(SRC.glob(files))
             for no, line in enumerate(path.read_text().splitlines(), 1)
             if banned.search(line)]
 
@@ -22,3 +22,8 @@ def test_single_numpy_scipy_path():
 def test_single_kernel_quadrature():
     # one shared-grid evaluator: no per-offset adaptive path or budget knob
     assert _hits(r"\b_adaptive\b|\b_gk15\b|_kernel_nd_impl|\bbudget=") == []
+
+
+def test_lattice_has_no_index_loops():
+    # the operator sums in lattice.py are array gathers and contractions
+    assert _hits(r"np\.ndindex", "fraclat/lattice.py") == []
