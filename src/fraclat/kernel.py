@@ -470,19 +470,16 @@ class _TorusKernelData:
 
         The zero offset gives the diagonal wrap value ``.diag``.  An integer
         array of shape (B, d), or (..., d), is a batch of offsets and gives
-        an array of shape (B,), or (...), by one gather."""
-        n = 2 * self.N + 1
-        if np.ndim(offset) >= 2:
-            idx = np.moveaxis(np.asarray(offset) % n, -1, 0)
-            if idx.shape[0] != self.d:
-                raise ValueError("offset dimension mismatch")
-            out = self.full[tuple(idx)]
-            out[~idx.any(axis=0)] = self.diag
-            return out
-        idx = tuple((int(c) % n) for c in np.atleast_1d(offset))
-        if all(i == 0 for i in idx):
-            return self.diag
-        return self.full[idx]
+        an array of shape (B,), or (...), by one gather; a single offset is
+        the batch of one."""
+        if np.ndim(offset) < 2:
+            return float(self.value(np.reshape(offset, (1, -1)))[0])
+        idx = np.moveaxis(np.asarray(offset) % (2 * self.N + 1), -1, 0)
+        if idx.shape[0] != self.d:
+            raise ValueError("offset dimension mismatch")
+        out = self.full[tuple(idx)]
+        out[~idx.any(axis=0)] = self.diag
+        return out
 
 
 def _torus_table_heat(s, N, d, tol_abs, need_diag):

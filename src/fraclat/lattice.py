@@ -436,21 +436,19 @@ def _transference_direct_1d(v, phi, L):
     """sum_{|l| <= L} Rv_l (op phi)_l through the closed-form kernel (d = 1).
 
     (op phi)_l = mass phi_l - sum_i c_i K(l - p_i): K is evaluated once per
-    distinct |offset| up to L + max|p_i|, and each support point subtracts
-    one slice of those values from the whole range of l."""
+    distinct |l - p_i| with |l| <= L, gathered into a (support point, l)
+    array and contracted with the weights c_i."""
     params = phi.params
     supp_pts = np.array([k[0] for k in phi.support], dtype=np.int64)
     supp_vals = np.array(list(phi.support.values()))
     mass = kernel_lattice_mass(params)
-    reach = L + int(np.abs(supp_pts).max(initial=0))
-    kvals = np.array([_kernel_1d_raw(params.s, params.h, a) for a in range(reach + 1)])
-    kfull = np.concatenate([kvals[:0:-1], kvals])  # offsets -reach..reach
-    op = np.zeros(2 * L + 1)
+    ls = np.arange(-L, L + 1)
+    dist, where = np.unique(np.abs(ls - supp_pts[:, None]), return_inverse=True)
+    kvals = np.array([_kernel_1d_raw(params.s, params.h, int(a)) for a in dist])
+    op = -(supp_vals @ kvals[where.reshape(supp_pts.size, ls.size)])
     inside = np.abs(supp_pts) <= L
-    op[supp_pts[inside] + L] = mass * supp_vals[inside]
-    for p, c in zip(supp_pts, supp_vals):
-        op -= c * kfull[reach - L - p:reach + L - p + 1]
-    vrep = v.values[(np.arange(-L, L + 1) + v.N) % v.n]
+    op[supp_pts[inside] + L] += mass * supp_vals[inside]
+    vrep = v.values[(ls + v.N) % v.n]
     return float(vrep @ op)
 
 

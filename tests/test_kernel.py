@@ -244,19 +244,28 @@ class TestTorusKernel:
         assert 0.0 < table.value((1, 2)) - brute < tail
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_batch_value_matches_scalar(self, d):
+    def test_value_gathers_full_and_diag(self, d):
         N = 3
         table = torus_kernel_table(0.4, N, d, tol=1e-12, need_diag=True)
         rng = np.random.default_rng(d)
         offsets = rng.integers(-20, 21, (40, d))
         offsets[:3] = [[0] * d, [7] * d, [-14] * d]  # zero offset and its wraps
+        n = 2 * N + 1
+        ref = [table.diag if not (o % n).any() else table.full[tuple(o % n)]
+               for o in offsets]
         got = table.value(offsets)
         assert got.shape == (40,)
-        assert list(got) == [table.value(tuple(o)) for o in offsets]
+        assert list(got) == ref
         assert (got[:3] == table.diag).all()
         assert (table.value(offsets.reshape(4, 10, d)) == got.reshape(4, 10)).all()
+        assert [table.value(tuple(o)) for o in offsets] == ref
         with pytest.raises(ValueError):
             table.value(np.zeros((2, d + 1), dtype=int))
+        with pytest.raises(ValueError):
+            table.value((3,) * (d + 1))
+        if d == 2:
+            with pytest.raises(ValueError):
+                table.value(3)
 
     def test_mesh_consistency_enforced(self):
         with pytest.raises(ValueError):

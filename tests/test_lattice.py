@@ -405,6 +405,26 @@ class TestTransference:
         ref = _direct_lhs_loop(v, phi, 2000)
         assert _transference_direct_1d(v, phi, 2000) == pytest.approx(ref, rel=1e-13)
 
+    def test_direct_lhs_far_support(self, monkeypatch):
+        # a support point far beyond L costs its own 2L+1 offsets, not the
+        # whole range up to it; the near points share theirs
+        import fraclat.lattice as lattice
+
+        N = 6
+        n = 2 * N + 1
+        params = FracParams(0.5, 2.0 * math.pi / n, 1)
+        rng = np.random.default_rng(5)
+        v = TorusFunction(N, 1, rng.standard_normal(n))
+        phi = LatticeFunction(params, {(k,): float(rng.standard_normal())
+                                       for k in (-3, 0, 5, 10 ** 7)})
+        calls = []
+        raw = lattice._kernel_1d_raw
+        monkeypatch.setattr(lattice, "_kernel_1d_raw",
+                            lambda s, h, m: calls.append(m) or raw(s, h, m))
+        got = lattice._transference_direct_1d(v, phi, 2000)
+        assert len(calls) == len(set(calls)) == 2006 + 4001
+        assert got == pytest.approx(_direct_lhs_loop(v, phi, 2000), rel=1e-13)
+
     def test_mesh_mismatch_rejected(self):
         v = random_torus(4, 1, 0)
         phi = LatticeFunction(FracParams(0.5, 1.0, 1), {(0,): 1.0})
