@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .lattice import (
     LatticeFunction,
@@ -26,7 +27,7 @@ from .lattice import (
     dft,
     idft,
 )
-from .specfun import bessel_k, log_abs_gamma_neg, log_gamma
+from .specfun import log_abs_gamma_neg, log_gamma
 
 
 class GridTooCoarseError(RuntimeError):
@@ -37,28 +38,30 @@ class GridTooCoarseError(RuntimeError):
 
 
 def _theta(s, x):
-    # 2^{1-s} x^s K_s(x) / Gamma(s); theta(0) = 1, decreasing to 0.
-    if x < 0.0:
+    # 2^{1-s} x^s K_s(x) / Gamma(s) on an array x >= 0; theta(0) = 1,
+    # decreasing to 0.  Below 1e-5 the two-term series at the origin, above
+    # 700 exactly 0 (the value is below 1e-300 there).
+    x = np.asarray(x, dtype=float)
+    if (x < 0.0).any():
         raise ValueError("theta requires x >= 0")
-    if x < 1e-5:
-        c1 = -math.exp(log_abs_gamma_neg(s) - log_gamma(s) - s * math.log(4.0))
-        x2 = 0.25 * x * x
-        main = 1.0 + x2 / (1.0 - s)
-        corr = 0.0
-        if x > 0.0:
-            corr = c1 * x ** (2.0 * s) * (1.0 + x2 / (1.0 + s))
-        return main + corr
-    if x > 700.0:
-        return 0.0
-    pref = math.exp((1.0 - s) * math.log(2.0) + s * math.log(x) - log_gamma(s))
-    return pref * bessel_k(s, x)
+    out = np.zeros(x.shape)
+    small = x < 1e-5
+    mid = ~small & (x <= 700.0)
+    xs = x[small]
+    c1 = -math.exp(log_abs_gamma_neg(s) - log_gamma(s) - s * math.log(4.0))
+    x2 = 0.25 * xs * xs
+    out[small] = 1.0 + x2 / (1.0 - s) + c1 * xs ** (2.0 * s) * (1.0 + x2 / (1.0 + s))
+    xm = x[mid]
+    pref = np.exp((1.0 - s) * math.log(2.0) + s * np.log(xm) - log_gamma(s))
+    out[mid] = pref * special.kv(s, xm)
+    return out
 
 
 def extension_profile(s, x):
     """Normalized per-mode extension profile theta_s(x); theta_s(0) = 1."""
     if not 0.0 < s < 1.0:
         raise ValueError("extension_profile requires s in (0,1)")
-    return _theta(s, float(x))
+    return float(_theta(s, float(x)))
 
 
 def make_t_grid(t_min=1e-8, t_max=4.0, ratio=1.05):
@@ -99,21 +102,10 @@ def cs_extend_torus(v, s, t_grid):
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0) or t[0] <= 0:
         raise ValueError("t_grid must be strictly increasing and positive")
     lam = _torus_multiplier(v.N, v.d, v.h, 1.0)  # Laplacian eigenvalues
-    hat = dft(v)
     sq = np.sqrt(lam)
     uniq, inv = np.unique(np.round(sq, 15), return_inverse=True)
-    prof = np.empty((uniq.size, t.size))
-    for i, q in enumerate(uniq):
-        if q == 0.0:
-            prof[i] = 1.0
-        else:
-            for j, tt in enumerate(t):
-                prof[i, j] = _theta(s, q * tt)
-    theta = prof[inv].reshape(sq.shape + (t.size,))
-    modes = hat[..., None] * theta
-    out = np.empty(v.values.shape + (t.size,))
-    for j in range(t.size):
-        out[..., j] = np.real(idft(modes[..., j], v.N, v.d))
+    theta = _theta(s, uniq[:, None] * t)[inv].reshape(sq.shape + (t.size,))
+    out = np.real(idft(dft(v)[..., None] * theta, v.N, v.d))
     return ExtensionField(v, s, t, out)
 
 
@@ -425,23 +417,16 @@ def half_ball_norms(field, center, r):
 
     # per column: trapezoid over grid nodes up to the last one inside the
     # ball, plus the initial [0, t_0] sliver closed with the trace value
-    bulk_sq = 0.0
-    for idx in np.ndindex(*dist2.shape):
-        rem = r * r - dist2[idx]
-        if rem <= 0:
-            continue
-        tmax = math.sqrt(rem)
-        k = int(np.searchsorted(t, tmax, side="right"))
-        if k == 0:
-            continue
-        col = field.values[idx]
-        seg = 0.5 * t[0] * (base.values[idx] ** 2 + col[0] ** 2)
-        if k >= 2:
-            seg += float(np.trapezoid(col[:k] ** 2, t[:k]))
-        bulk_sq += seg
-    bulk_sq *= h ** d
+    rem = r * r - dist2
+    mask = rem > 0
+    n_in = np.searchsorted(t, np.sqrt(np.where(mask, rem, 0.0)), side="right")
+    live = mask & (n_in > 0)
+    sq = np.where(live[..., None], field.values, 0.0) ** 2
+    sliver = 0.5 * t[0] * (np.where(live, base.values, 0.0) ** 2 + sq[..., 0])
+    panels = np.diff(t) * (sq[..., 1:] + sq[..., :-1]) / 2.0
+    panels *= np.arange(t.size - 1) < (n_in - 1)[..., None]
+    bulk_sq = h ** d * float(np.sum(sliver) + np.sum(panels))
 
-    mask = dist2 < r * r
     tr = base.values[mask]
     trace_l2 = math.sqrt(h ** d * float(np.sum(tr ** 2)))
     grad_sq = 0.0

@@ -386,6 +386,11 @@ def run(config):
         artifacts.append(_write_artifact(out, "stability.csv", "\n".join(lines) + "\n"))
         artifacts.append(_write_artifact(out, "stability_summary.json",
                                          curve.to_json(setup)))
+        # the singular values of A L^{-1} (P = L'L): the modal staircase the
+        # recovery error follows, which caps the log-log fit's R^2
+        lines = ["index,sigma"] + [f"{i},{fmt(x)}" for i, x in
+                                   enumerate(curve.extras["singular_values"])]
+        artifacts.append(_write_artifact(out, "singular_values.csv", "\n".join(lines) + "\n"))
         nerr = noiseless_recovery_error(setup)
         checks.append(Check("noiseless_error", nerr < 1e-3, nerr, 1e-3))
         checks.append(Check("fitted_nu_positive", curve.fitted_nu > 0.0,

@@ -84,14 +84,10 @@ def h1_gram(N, W):
     """H^1(W) Gram matrix of the delta basis on W, from the torus multiplier."""
     n = 2 * N + 1
     h = 2.0 * math.pi / n
-    W = [int(w) for w in W]
     m = np.arange(-N, N + 1)
-    mult = _sobolev_multiplier(N, 1, h)
-    P = np.empty((len(W), len(W)))
-    for a, wa in enumerate(W):
-        for b, wb in enumerate(W):
-            P[a, b] = (h / n) * float(np.sum(mult * np.cos(2.0 * math.pi * m * (wa - wb) / n)))
-    return P
+    diff = np.subtract.outer(np.asarray(W, dtype=int), np.asarray(W, dtype=int))
+    cos = np.cos(2.0 * math.pi * m * diff[..., None] / n)
+    return (h / n) * np.sum(_sobolev_multiplier(N, 1, h) * cos, axis=-1)
 
 
 def forward_matrix(setup, check_columns=5, rng=None):
@@ -143,32 +139,66 @@ class LambdaRangeError(RuntimeError):
     """The discrepancy target is not bracketed by the lambda search range."""
 
 
+def _standard_form(A, P):
+    """Factors of ||A f - g||^2 + lam f'P f in standard form.
+
+    With P = L'L and A L^{-1} = U diag(sigma) V' (U square), the minimizer is
+    f_lam = L^{-1} V diag(sigma / (sigma^2 + lam)) beta with beta = U_1'g,
+    where U_1 holds the first len(sigma) columns of U.  Returns
+    (L^{-1} V, U, sigma).
+    """
+    L = np.linalg.cholesky(P).T
+    U, sigma, Vt = np.linalg.svd(scipy.linalg.solve_triangular(L, A.T, trans="T").T)
+    return scipy.linalg.solve_triangular(L, Vt[:sigma.size].T), U, sigma
+
+
 def discrepancy_lambda(A, g, P, target, lam_lo=None, lam_hi=1e8, iters=120):
     """Bisection on log(lambda) for ||A f_lambda - g|| = target (monotone).
 
-    The default floor lam_lo = 1e-16 ||A||_2^2 scales with the problem, as
-    in :func:`noiseless_recovery_error`; noise nearly orthogonal to the
-    range of A can put the root below a fixed floor.
+    g may hold a batch of data vectors, shape (..., m), with target of shape
+    (...); every root is bisected at once and an array of lambdas returned
+    (a float for a single g).  Raises LambdaRangeError naming the first
+    entry whose target the range does not bracket.  The default floor
+    lam_lo = 1e-16 ||A||_2^2 scales with the problem, as in
+    :func:`noiseless_recovery_error`; noise nearly orthogonal to the range
+    of A can put the root below a fixed floor.
+
+    The residual comes from the standard form (:func:`_standard_form`):
+    ||A f_lam - g||^2 = sum (lam beta_i / (sigma_i^2 + lam))^2 + ||U_perp'g||^2,
+    the second term from the complementary columns of U, not from
+    ||g||^2 - ||beta||^2, so nothing cancels.
     """
+    _, U, sigma = _standard_form(A, P)
+    proj = np.asarray(g, dtype=float) @ U
+    beta = proj[..., :sigma.size]
+    perp2 = np.sum(proj[..., sigma.size:] ** 2, axis=-1)
+    sigma2 = sigma * sigma
+    target = np.broadcast_to(np.asarray(target, dtype=float), perp2.shape)
+
+    def resid(log_lam):
+        lam = np.exp(log_lam)[..., None]
+        r = lam * beta / (sigma2 + lam)
+        return np.sqrt(np.sum(r * r, axis=-1) + perp2)
+
     if lam_lo is None:
         lam_lo = 1e-16 * np.linalg.norm(A, 2) ** 2
-
-    def resid(lam):
-        f = recover_tikhonov(A, g, lam, P)
-        return float(np.linalg.norm(A @ f - g))
-
-    r_lo, r_hi = resid(lam_lo), resid(lam_hi)
-    if not r_lo <= target <= r_hi:
+    lo = np.full(perp2.shape, math.log(lam_lo))
+    hi = np.full(perp2.shape, math.log(lam_hi))
+    r_lo, r_hi = resid(lo), resid(hi)
+    bad = ~((r_lo <= target) & (target <= r_hi))
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = f" at entry {idx}" if idx else ""
         raise LambdaRangeError(
-            f"target residual {target:.3e} outside [{r_lo:.3e}, {r_hi:.3e}]")
-    lo, hi = math.log(lam_lo), math.log(lam_hi)
+            f"target residual {target[idx]:.3e}{where} outside "
+            f"[{r_lo[idx]:.3e}, {r_hi[idx]:.3e}]")
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if resid(math.exp(mid)) < target:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(0.5 * (lo + hi))
+        below = resid(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    lam = np.exp(0.5 * (lo + hi))
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def _draw_f(rng, P):
@@ -194,13 +224,35 @@ def noiseless_recovery_error(setup, trials=5):
     return float(np.mean(errs))
 
 
+def _sweep_data(setup, A, P, eps, trials):
+    """Truths f (T, |W|), exact data g0 (T, |Omega|) and noisy data
+    g (E, T, |Omega|) of a noise sweep; trial t draws from the generator
+    seeded by ``seed XOR (t + 1)``."""
+    f_true, g0, eta = [], [], []
+    for t in range(trials):
+        rng = np.random.default_rng(setup.seed ^ (t + 1))
+        f = _draw_f(rng, P)
+        g = A @ f
+        e = rng.standard_normal(g.size)
+        e *= float(np.linalg.norm(g)) / float(np.linalg.norm(e))
+        f_true.append(f)
+        g0.append(g)
+        eta.append(e)
+    g0 = np.array(g0)
+    return np.array(f_true), g0, g0 + np.asarray(eps)[:, None, None] * np.array(eta)
+
+
 def stability_sweep(setup, eps_list, trials=10):
     """Noise sweep: seeded H^1-normalized truths, relative Gaussian noise,
     discrepancy-principle regularization, and a log-log stability fit.
 
     Each trial owns the generator seeded by ``seed XOR trial``, so results
-    do not depend on evaluation order.  Returns a StabilityCurve with
-    points (eps, mean L2(W) recovery error, mean data ratio).
+    do not depend on evaluation order.  All (eps, trial) roots are found by
+    one batched bisection in the standard form of the problem.  Returns a
+    StabilityCurve with points (eps, mean L2(W) recovery error, mean data
+    ratio); its extras carry the per-eps error spread, the chosen lambdas
+    (eps x trial) and the singular values of A L^{-1} (P = L'L), whose
+    staircase the recovery error follows.
     """
     eps = [float(e) for e in eps_list]
     if any(not 0.0 < e < 1.0 for e in eps):
@@ -209,23 +261,14 @@ def stability_sweep(setup, eps_list, trials=10):
         raise ValueError("eps_list must be strictly decreasing")
     A = forward_matrix(setup)
     P = h1_gram(setup.N, setup.W)
-    h = setup.h
-    errors = np.zeros((len(eps), trials))
-    ratios = np.zeros((len(eps), trials))
-    lambdas = np.zeros((len(eps), trials))
-    for t in range(trials):
-        rng = np.random.default_rng(setup.seed ^ (t + 1))
-        f_true = _draw_f(rng, P)
-        g0 = A @ f_true
-        eta = rng.standard_normal(g0.size)
-        eta *= float(np.linalg.norm(g0)) / float(np.linalg.norm(eta))
-        for i, e in enumerate(eps):
-            g = g0 + e * eta
-            lam = discrepancy_lambda(A, g, P, e * float(np.linalg.norm(g)))
-            f_hat = recover_tikhonov(A, g, lam, P)
-            errors[i, t] = math.sqrt(h) * float(np.linalg.norm(f_hat - f_true))
-            ratios[i, t] = e * float(np.linalg.norm(g0))
-            lambdas[i, t] = lam
+    f_true, g0, g = _sweep_data(setup, A, P, eps, trials)
+    e_col = np.array(eps)[:, None]
+    lambdas = discrepancy_lambda(A, g, P, e_col * np.linalg.norm(g, axis=-1))
+    linv_v, U, sigma = _standard_form(A, P)
+    lam = lambdas[..., None]
+    f_hat = (sigma / (sigma * sigma + lam) * (g @ U[:, :sigma.size])) @ linv_v.T
+    errors = math.sqrt(setup.h) * np.linalg.norm(f_hat - f_true, axis=-1)
+    ratios = e_col * np.linalg.norm(g0, axis=-1)
     err_mean = errors.mean(axis=1)
     err_std = errors.std(axis=1)
     ratio_mean = ratios.mean(axis=1)
@@ -247,7 +290,9 @@ def stability_sweep(setup, eps_list, trials=10):
         fitted_C=float(math.exp(intercept)),
         r_squared=r2,
         extras={"err_std": err_std.tolist(),
-                "lambda_geomean": np.exp(np.log(lambdas).mean(axis=1)).tolist()},
+                "lambda_geomean": np.exp(np.log(lambdas).mean(axis=1)).tolist(),
+                "lambda": lambdas.tolist(),
+                "singular_values": sigma.tolist()},
     )
 
 

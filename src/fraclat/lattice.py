@@ -183,11 +183,14 @@ def dft(v):
 
 
 def idft(coeffs, N, d):
-    """Inverse of :func:`dft`; returns the complex value array in {-N..N} order."""
+    """Inverse of :func:`dft`; returns the complex value array in {-N..N} order.
+
+    The first d axes are the frequencies; trailing axes are a batch.
+    """
     n = 2 * N + 1
     axes = tuple(range(d))
     rolled = np.roll(coeffs, -N, axis=axes)
-    vals = np.fft.ifftn(rolled) * n ** d
+    vals = np.fft.ifftn(rolled, axes=axes) * n ** d
     return np.roll(vals, N, axis=axes)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from fraclat.extension import (
     CarlemanConfig,
+    _theta,
     GridTooCoarseError,
     boundary_bulk_probe,
     carleman_probe,
@@ -21,7 +22,8 @@ from fraclat.extension import (
     tangential_commutator_check,
     tangential_conjugates,
 )
-from fraclat.lattice import TorusFunction, apply_frac_torus_spectral
+from fraclat.lattice import TorusFunction, _torus_multiplier, apply_frac_torus_spectral, dft
+from fraclat.specfun import bessel_k, log_abs_gamma_neg, log_gamma
 
 
 def random_torus(N, d, seed):
@@ -84,6 +86,54 @@ class TestProfile:
                 d1 = (f(t + dt) - f(t - dt)) / (2.0 * dt)
                 resid = d2 + (1.0 - 2.0 * s) / t * d1 - lam * f(t)
                 assert abs(resid) <= 1e-6 * (lam * abs(f(t)) + 1.0)
+
+
+class TestArrayProfile:
+    @staticmethod
+    def scalar_theta(s, x):
+        # the per-entry formula: series below 1e-5, 0 above 700, Bessel between
+        if x < 1e-5:
+            c1 = -math.exp(log_abs_gamma_neg(s) - log_gamma(s) - s * math.log(4.0))
+            x2 = 0.25 * x * x
+            corr = c1 * x ** (2.0 * s) * (1.0 + x2 / (1.0 + s)) if x > 0.0 else 0.0
+            return 1.0 + x2 / (1.0 - s) + corr
+        if x > 700.0:
+            return 0.0
+        pref = math.exp((1.0 - s) * math.log(2.0) + s * math.log(x) - log_gamma(s))
+        return pref * bessel_k(s, x)
+
+    def test_half_is_exponential_on_all_branches(self):
+        x = np.concatenate([[0.0, 1e-12, 3e-7, 9.99e-6],
+                            np.geomspace(1e-5, 700.0, 200), [700.5, 1e3, 1e5]])
+        got = _theta(0.5, x)
+        # above 700 the profile is exactly 0 and e^{-x} < 1e-304
+        assert np.allclose(got, np.exp(-x), rtol=1e-12, atol=1e-300)
+        assert (got[x > 700.0] == 0.0).all()
+
+    @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.77, 0.95])
+    def test_matches_scalar_formula(self, s):
+        x = np.concatenate([[0.0, 1e-9, 9.99e-6, 1e-5],
+                            np.geomspace(1e-5, 700.0, 297), [700.0, 700.1, 1e4]])
+        got = _theta(s, x.reshape(4, -1)).ravel()
+        ref = np.array([self.scalar_theta(s, float(v)) for v in x])
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        assert np.allclose(got, ref, rtol=4e-15, atol=0.0)
+
+    def test_negative_argument_rejected(self):
+        with pytest.raises(ValueError):
+            _theta(0.5, np.array([1.0, -1e-3]))
+
+    @pytest.mark.parametrize("d,N", [(1, 7), (2, 5)])
+    def test_half_field_mode_by_mode(self, d, N):
+        # s = 1/2: the field's mode k is hat(v)_k exp(-sqrt(lam_k) t)
+        v = random_torus(N, d, 21 + d)
+        t = make_t_grid(1e-6, 3.0, 1.3)
+        field = cs_extend_torus(v, 0.5, t)
+        lam = _torus_multiplier(N, d, v.h, 1.0)
+        expect = dft(v)[..., None] * np.exp(-np.sqrt(lam)[..., None] * t)
+        got = np.stack([dft(v.copy_with(field.values[..., j])) for j in range(t.size)],
+                       axis=-1)
+        assert np.abs(got - expect).max() < 1e-14 * np.abs(dft(v)).max()
 
 
 class TestExtensionField:
@@ -345,6 +395,30 @@ class TestHalfBallNorms:
             for i in range(k - 1):
                 seg += 0.5 * (tg[i + 1] - tg[i]) * (col[i] ** 2 + col[i + 1] ** 2)
             acc += seg * h
+        assert bulk == pytest.approx(math.sqrt(acc), rel=1e-12)
+
+
+    def test_direct_summation_oracle_2d(self):
+        v = random_torus(5, 2, 4)
+        tg = make_t_grid(1e-3, 2.0, 1.25)
+        field = cs_extend_torus(v, 0.5, tg)
+        r = 1.3
+        h = v.h
+        acc = 0.0
+        for i in range(11):
+            for j in range(11):
+                rem = r * r - ((i - 5) * h) ** 2 - ((j - 5) * h) ** 2
+                if rem <= 0:
+                    continue
+                k = int(np.searchsorted(tg, math.sqrt(rem), side="right"))
+                if k == 0:
+                    continue
+                col = field.values[i, j]
+                seg = 0.5 * tg[0] * (v.values[i, j] ** 2 + col[0] ** 2)
+                for m in range(k - 1):
+                    seg += 0.5 * (tg[m + 1] - tg[m]) * (col[m] ** 2 + col[m + 1] ** 2)
+                acc += seg * h * h
+        bulk = half_ball_norms(field, (0.0, 0.0), r)[0]
         assert bulk == pytest.approx(math.sqrt(acc), rel=1e-12)
 
 

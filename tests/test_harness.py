@@ -159,6 +159,20 @@ class TestExperiments:
         summary = json.loads((tmp_path / "stability_summary.json").read_text())
         assert {"fitted_nu", "fitted_C", "N", "W", "Omega", "seed"} <= set(summary)
 
+    def test_inverse_sweep_singular_values(self, tmp_path):
+        # the F2 staircase: sigma_i of A L^{-1}, positive and descending
+        cfg = ExperimentConfig(experiment="inverse-sweep",
+                               params={"N": 16, "trials": 2, "eps": "1e-1;1e-3"},
+                               output_dir=str(tmp_path), seed=2024)
+        report = run(cfg)
+        assert any(a["path"].endswith("singular_values.csv") for a in report.artifacts)
+        csv = (tmp_path / "singular_values.csv").read_text().strip().split("\n")
+        assert csv[0] == "index,sigma"
+        sigma = np.array([float(line.split(",")[1]) for line in csv[1:]])
+        assert sigma.size == 6
+        assert (sigma > 0.0).all()
+        assert (np.diff(sigma) < 0.0).all()
+
     def test_boundary_bulk_experiment(self, tmp_path):
         cfg = ExperimentConfig(experiment="boundary-bulk",
                                params={"N": 31, "r0": 0.5},

@@ -8,6 +8,7 @@ import pytest
 from fraclat.inverse import (
     InverseSetup,
     LambdaRangeError,
+    _sweep_data,
     continuum_regime,
     discrepancy_lambda,
     forward_matrix,
@@ -157,6 +158,90 @@ class TestDiscrepancy:
         g = np.ones(len(SETUP.Omega))
         with pytest.raises(LambdaRangeError):
             discrepancy_lambda(A, g, P, 1e30)
+
+
+class TestStandardForm:
+    """The batched standard-form route against the independent augmented
+    least-squares route and a 40-digit oracle."""
+
+    EPS = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+
+    def test_sweep_lambdas_meet_target_on_augmented_route(self):
+        curve = stability_sweep(SETUP, self.EPS, trials=10)
+        A = forward_matrix(SETUP)
+        P = h1_gram(SETUP.N, SETUP.W)
+        _, _, g = _sweep_data(SETUP, A, P, self.EPS, 10)
+        lam = np.array(curve.extras["lambda"])
+        assert lam.shape == (len(self.EPS), 10)
+        for i, e in enumerate(self.EPS):
+            for t in range(10):
+                f = recover_tikhonov(A, g[i, t], lam[i, t], P)
+                resid = float(np.linalg.norm(A @ f - g[i, t]))
+                assert resid == pytest.approx(e * float(np.linalg.norm(g[i, t])), rel=1e-6)
+
+    def test_batch_matches_single_roots(self):
+        A = forward_matrix(SETUP)
+        P = h1_gram(SETUP.N, SETUP.W)
+        eps = [1e-2, 1e-5]
+        _, _, g = _sweep_data(SETUP, A, P, eps, 3)
+        target = np.array(eps)[:, None] * np.linalg.norm(g, axis=-1)
+        batch = discrepancy_lambda(A, g, P, target)
+        assert batch.shape == (2, 3)
+        for i in range(2):
+            for t in range(3):
+                single = discrepancy_lambda(A, g[i, t], P, target[i, t])
+                assert isinstance(single, float)
+                assert batch[i, t] == pytest.approx(single, rel=1e-12)
+
+    def test_unbracketed_entry_named(self):
+        A = forward_matrix(SETUP)
+        P = h1_gram(SETUP.N, SETUP.W)
+        _, _, g = _sweep_data(SETUP, A, P, [1e-2, 1e-3], 3)
+        target = 1e-2 * np.linalg.norm(g, axis=-1)
+        target[1, 2] = 1e30
+        with pytest.raises(LambdaRangeError, match=r"entry \(1, 2\)"):
+            discrepancy_lambda(A, g, P, target)
+
+    def test_mpmath_oracle_root(self):
+        # the eps = 1e-6 roots of every trial, solved at 40 digits on the same
+        # double data through the normal equations; measured worst deviation
+        # 1.8e-9 (trial 6, where the residual is nearly flat in lambda)
+        import mpmath as mp
+
+        A = forward_matrix(SETUP)
+        P = h1_gram(SETUP.N, SETUP.W)
+        _, _, g = _sweep_data(SETUP, A, P, [1e-6], 10)
+        with mp.workdps(40):
+            Am = mp.matrix(A.tolist())
+            AtA, Pm = Am.T * Am, mp.matrix(P.tolist())
+            for gv in g[0]:
+                target = 1e-6 * float(np.linalg.norm(gv))
+                lam = discrepancy_lambda(A, gv, P, target)
+                gm = mp.matrix(gv.tolist())
+                Atg = Am.T * gm
+
+                def excess(log_lam):
+                    f = mp.lu_solve(AtA + mp.exp(log_lam) * Pm, Atg)
+                    return mp.norm(Am * f - gm) - mp.mpf(target)
+
+                oracle = mp.exp(mp.findroot(excess, mp.log(lam)))
+                assert abs(float(lam / oracle) - 1.0) <= 1e-8
+
+    def test_sweep_makes_no_lstsq_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        stability_sweep(SETUP, self.EPS, trials=10)
+        assert calls == []
+        # the counter sees the augmented route
+        A = forward_matrix(SETUP)
+        recover_tikhonov(A, np.ones(len(SETUP.Omega)), 1e-6, h1_gram(SETUP.N, SETUP.W))
+        assert len(calls) == 1
 
 
 class TestSweep:

@@ -25,5 +25,7 @@ def test_single_kernel_quadrature():
 
 
 def test_lattice_has_no_index_loops():
-    # the operator sums in lattice.py are array gathers and contractions
-    assert _hits(r"np\.ndindex", "fraclat/lattice.py") == []
+    # the operator sums in lattice.py and the half-ball norms in extension.py
+    # are array gathers and contractions
+    for files in ("fraclat/lattice.py", "fraclat/extension.py"):
+        assert _hits(r"np\.ndindex", files) == []
