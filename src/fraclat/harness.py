@@ -212,10 +212,9 @@ def run(config):
 
     elif name == "apply":
         s = float(p.get("s", 0.5))
-        src = Path(p["file"]).read_text()
-        doc = json.loads(src)
+        doc = json.loads(Path(p["file"]).read_text())
         if "values" in doc:
-            v = TorusFunction.from_json(src)
+            v = TorusFunction.from_json(doc)
             spec_out = apply_frac_torus_spectral(v, s)
             artifacts.append(_write_artifact(out, "applied.json", spec_out.to_json()))
             pw = apply_frac_torus_pointwise(v, s, tol=1e-10)
@@ -224,14 +223,15 @@ def run(config):
         else:
             from .lattice import apply_frac_lattice
 
-            u = LatticeFunction.from_json(src)
+            u = LatticeFunction.from_json(doc)
             radius = int(p.get("radius", 10))
+            tol = float(p.get("tol", 1e-10))
             d = u.params.d
             lines = [",".join([f"j_{i + 1}" for i in range(d)] + ["value"])]
             for off in sorted(np.ndindex(*(2 * radius + 1,) * d)):
                 j = tuple(o - radius for o in off)
                 lines.append(",".join([str(c) for c in j]
-                                      + [fmt(apply_frac_lattice(u, j))]))
+                                      + [fmt(apply_frac_lattice(u, j, tol=tol))]))
             artifacts.append(_write_artifact(out, "applied.csv",
                                              "\n".join(lines) + "\n"))
             checks.append(Check("row_count",

@@ -13,9 +13,10 @@ Bessel matrix; the dense tables cover a full box, whose quadrature is a
 weighted Gram product of that matrix.  The module also holds exact 1D tail
 sums, the periodized kernel of the discrete torus (Gamma-ratio series and
 heat-route tables) and the semidiscrete heat kernels, each with explicit
-error control.  The heat-route table builds its Bessel rows one panel of
-nodes at a time, and integrates only to the time T where the wrap sums have
-flattened to their plateau; a table that also needs the diagonal wrap value
+error control.  The heat-route table builds its Bessel rows in chunks of
+consecutive nodes bounded by entry count, one recurrence sweep each, and
+integrates only to the time T where the wrap sums have flattened to their
+plateau; a table that also needs the diagonal wrap value
 integrates on until the tail of g_0(2t)^d is certified too.
 
 Everything here is immutable after construction and safe to read
@@ -36,6 +37,7 @@ from .specfun import (
     bessel_i_scaled,
     bessel_i_scaled_row,
     gamma_ratio,
+    gamma_ratio_shifted,
     log_abs_gamma_neg,
     log_gamma,
 )
@@ -93,13 +95,13 @@ def _kernel_1d_raw(s, h, m):
     if m == 0:
         return 0.0
     a = abs(m)
-    return math.exp(_log_c1(s, h)) * gamma_ratio(a - s, a + 1.0 + s)
+    return math.exp(_log_c1(s, h)) * gamma_ratio_shifted(a, -s, 1.0 + s)
 
 
 def _tail_1d_raw(s, h, big_m):
     # sum_{m >= M} K(m) by the telescoping identity
     # Gamma(m-s)/Gamma(m+1+s) = (1/2s)[Gamma(m-s)/Gamma(m+s) - shifted].
-    return math.exp(_log_c1(s, h)) * gamma_ratio(big_m - s, big_m + s) / (2.0 * s)
+    return math.exp(_log_c1(s, h)) * gamma_ratio_shifted(big_m, -s, s) / (2.0 * s)
 
 
 def kernel_1d(params, m):
@@ -147,6 +149,8 @@ _T0 = math.exp(_LOG_T0)
 # |u| <= 40 carry up to ~40 ulps per node, and the measured deviation of the
 # kernel from its mpmath value stays below 8 ulps
 _ROUNDING = 32.0 * np.finfo(float).eps
+# entries per array of a batched build: Bessel-product gathers, wrap-sum rows
+_BATCH = 1 << 18
 
 
 def _shared_grid(s, d, big_a, tol):
@@ -191,7 +195,7 @@ def kernel_values(params, offsets, tol=1e-10):
     T, w15, w7, G = _kernel_grid(params, float((m * m).sum(axis=1).max()), int(m.max()), tol)
     q15 = np.empty(len(m))
     q7 = np.empty(len(m))
-    step = max(1, (1 << 18) // (G.shape[0] * params.d))
+    step = max(1, _BATCH // (G.shape[0] * params.d))
     for lo in range(0, len(m), step):
         F = G[:, m[lo:lo + step]].prod(axis=2)
         q15[lo:lo + step] = w15 @ F
@@ -302,16 +306,22 @@ def heat_kernel(m, t):
     return val
 
 
+def _wrap_order(n, x):
+    """The order cut-off of the wrap sums at argument x (a scalar or array):
+    orders past sqrt(90 x) + 2n + 2 are below e^{-45}."""
+    return np.sqrt(90.0 * np.asarray(x)).astype(np.int64) + 2 * n + 2
+
+
 def _wrap_sums(n, x):
     """Rows e^{-x} I_k(x), k = 0..m, and their wrap sums
     sum_l e^{-x} I_{|j + l n|}(x) for every torus coordinate j in [0, n-1].
 
     x is a scalar, giving one row and one wrap vector, or a 1-d array of
     arguments, giving one of each per argument from a single broadcast Bessel
-    call; the fold onto the torus is a matmul.  Orders past
-    m = sqrt(90 max x) + 2n are below e^{-45} and dropped."""
+    call; the fold onto the torus is a matmul.  The rows stop at the
+    cut-off of the largest argument, past which orders are dropped."""
     x = np.asarray(x, dtype=float)
-    m = int(math.sqrt(90.0 * x.max())) + 2 * n + 2
+    m = int(_wrap_order(n, x.max()))
     rows = np.empty(x.shape + (m + 1,))
     bessel_i_scaled_row(m, x[..., None], rows)
     # fold[|k|, k mod n] counts the orders k in [-m, m] that wrap onto each j
@@ -436,12 +446,18 @@ def _grid_nodes_weights(edges, s):
 
 
 def _g0d_tail(d, s, T):
-    """int_T^inf g_0(2t)^d t^{-1-s} dt, two asymptotic terms plus size of the next."""
+    """int_T^inf g_0(2t)^d t^{-1-s} dt: two asymptotic terms, and twice the
+    third as the bound on the rest.
+
+    g_0(2t)^d = (4 pi t)^{-d/2} (1 + d/(16t) + (d^2 + 8d)/(512 t^2) + ...)
+    has positive terms, so the rest exceeds the third term (at d = 1 the
+    diagonal's deviation passed that bound by up to 4e-4 of it); from
+    t = 100 on, the terms after it add under 1% to it."""
     c = (4.0 * math.pi) ** (-0.5 * d)
     a1 = 0.5 * d + s
     a2 = a1 + 1.0
     val = c * (T ** (-a1) / a1 + (d / 16.0) * T ** (-a2) / a2)
-    err = c * (9.0 * d * d / 512.0) * T ** (-a2 - 1.0) / (a2 + 1.0)
+    err = c * ((d * d + 8.0 * d) / 256.0) * T ** (-a2 - 1.0) / (a2 + 1.0)
     return val, err
 
 
@@ -489,7 +505,8 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
     T doubles until the plateau residual passes; the error of the g_0^d tail
     enters only the diagonal wrap value, so only a table with need_diag also
     waits for it (up to 32 times larger T at tol 1e-12 and N = 8, 16).  The
-    Bessel rows are built one Kronrod panel of consecutive nodes at a time."""
+    Bessel rows are built in chunks of consecutive nodes bounded by their
+    entry count, each one recurrence sweep."""
     if not 0.05 <= s <= 0.95:
         raise ValueError("heat-route torus tables support s in [0.05, 0.95]")
     n = 2 * N + 1
@@ -497,12 +514,13 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
     tol_u = tol_abs / pref
     T = 256.0
     while True:
-        wrow = _wrap_sums(n, 2.0 * T)[1][:N + 1]
-        dev = np.abs(wrow - 1.0 / n).max()
-        plateau_resid = (max(dev * d * n ** (-(d - 1)), 0.0)) * T ** (-s) / s
-        g0_err = _g0d_tail(d, s, T)[1] if need_diag else 0.0
-        if plateau_resid <= 0.05 * tol_u and g0_err <= 0.05 * tol_u:
-            break
+        # the g_0^d tail bound is analytic: no wrap row until it passes
+        if not need_diag or _g0d_tail(d, s, T)[1] <= 0.05 * tol_u:
+            wrow = _wrap_sums(n, 2.0 * T)[1][:N + 1]
+            dev = np.abs(wrow - 1.0 / n).max()
+            plateau_resid = (max(dev * d * n ** (-(d - 1)), 0.0)) * T ** (-s) / s
+            if plateau_resid <= 0.05 * tol_u:
+                break
         T *= 2.0
         if T > 1e8:
             raise ToleranceError("torus kernel plateau did not converge")
@@ -514,12 +532,18 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
     W = np.empty((ts.size, N + 1))
     ring0 = np.empty(ts.size)
     g0row = np.empty(ts.size)
-    panel = XGK15.size
-    for lo in range(0, ts.size, panel):
-        rows, wrap = _wrap_sums(n, 2.0 * ts[lo:lo + panel])
-        W[lo:lo + panel] = wrap[:, :N + 1]
-        ring0[lo:lo + panel] = 2.0 * rows[:, n::n].sum(axis=1)
-        g0row[lo:lo + panel] = rows[:, 0]
+    # chunks of consecutive nodes with at most _BATCH Bessel entries; the
+    # nodes ascend, so each chunk's rows are as long as its last node's
+    entries = _wrap_order(n, 2.0 * ts) + 1
+    lo = 0
+    while lo < ts.size:
+        fits = np.arange(1, ts.size - lo + 1) * entries[lo:] <= _BATCH
+        hi = lo + max(1, int(np.count_nonzero(fits)))
+        rows, wrap = _wrap_sums(n, 2.0 * ts[lo:hi])
+        W[lo:hi] = wrap[:, :N + 1]
+        ring0[lo:hi] = 2.0 * rows[:, n::n].sum(axis=1)
+        g0row[lo:hi] = rows[:, 0]
+        lo = hi
     plateau = n ** (-d) * T ** (-s) / s
 
     if d == 1:

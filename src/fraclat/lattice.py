@@ -107,8 +107,9 @@ class LatticeFunction:
         }, sort_keys=True)
 
     @staticmethod
-    def from_json(text):
-        obj = json.loads(text)
+    def from_json(doc):
+        """From the JSON text of to_json, or from that text already parsed."""
+        obj = json.loads(doc) if isinstance(doc, str) else doc
         params = FracParams(s=obj["s"], h=obj["h"], d=obj["d"])
         support = {tuple(int(c) for c in row[:-1]): row[-1] for row in obj["support"]}
         prof = obj.get("profile")
@@ -157,8 +158,9 @@ class TorusFunction:
         }, sort_keys=True)
 
     @staticmethod
-    def from_json(text):
-        obj = json.loads(text)
+    def from_json(doc):
+        """From the JSON text of to_json, or from that text already parsed."""
+        obj = json.loads(doc) if isinstance(doc, str) else doc
         n = 2 * int(obj["N"]) + 1
         vals = np.array(obj["values"], dtype=float).reshape((n,) * int(obj["d"]))
         return TorusFunction(obj["N"], obj["d"], vals)

@@ -1,5 +1,5 @@
 """Special functions behind every kernel evaluation: thin wrappers over
-``math`` and ``scipy.special``.
+``math`` and ``scipy.special``, and the scaled Bessel rows.
 
 Exports log-Gamma, Gamma ratios, the exponentially scaled modified Bessel
 function e^{-t} I_n(t) for integer orders, and the Macdonald function K_s
@@ -8,13 +8,19 @@ on.  Only the scaled form of I_n is exposed: the unscaled function
 overflows near t ~ 700 while every formula downstream pairs it with a
 decaying exponential.
 
-``scipy.special.ive`` is accurate to a few ulps up to t ~ 1.07e9, the
-argument limit of the underlying AMOS routines, and returns nan beyond it
-for every order.  The kernel quadrature can evaluate past that limit, so
-the large-argument expansion replaces exactly the entries where ``ive`` is
-not finite; its terms decrease from the start there for every order the
-package uses.  Likewise Gamma ratios of large arguments, where
-``scipy.special.poch`` loses digits, come from a Stirling-series difference.
+The scalar e^{-t} I_n(t) is ``scipy.special.ive``, accurate to a few ulps
+at low orders up to t ~ 1.07e9, the argument limit of the underlying AMOS
+routines, beyond which it returns nan for every order.  The kernel
+quadrature can evaluate past that limit, so the large-argument expansion
+replaces exactly the entries where ``ive`` is not finite; its terms
+decrease from the start only while 4n^2 is small against 8t, which holds
+for the orders of the kernel quadrature.  Rows of orders 0..nmax, which
+every lattice and torus kernel consumes, come from a normalised backward
+recurrence over a whole batch of arguments at once, seeded and scaled by
+``ive``; short rows and tiny arguments stay direct ``ive`` calls.  Gamma
+ratios of large arguments, where ``scipy.special.poch`` loses digits, come
+from a Stirling-series difference, and ratios at an integer plus small
+shifts keep the integer apart from the shifts.
 
 All functions are pure and safe for concurrent use.
 """
@@ -77,6 +83,29 @@ def gamma_ratio(a, b):
     return math.exp(x) if x < 709.78 else math.inf
 
 
+def gamma_ratio_shifted(m, alpha, beta):
+    """Gamma(m + alpha)/Gamma(m + beta) for an integer m >= 1 and real shifts
+    with m + alpha, m + beta > 0, keeping m apart from the shifts.
+
+    m + alpha rounds to a double a with an error e = (m + alpha) - a that
+    TwoSum recovers exactly, and Gamma(m + alpha) = Gamma(a) exp(psi(a) e)
+    to second order in e (e is at most half an ulp of a).  Passing the
+    rounded sums to gamma_ratio would instead carry a relative error of
+    about m psi(m) eps: 2.6e-14 at m = 100 and 1.3e-9 at m = 1e6.
+    """
+    m = float(m)
+    a, ea = _two_sum(m, alpha)
+    b, eb = _two_sum(m, beta)
+    return gamma_ratio(a, b) * math.exp(float(special.psi(a)) * ea - float(special.psi(b)) * eb)
+
+
+def _two_sum(x, y):
+    """fl(x + y) and its exact rounding error (Knuth's TwoSum)."""
+    s = x + y
+    yv = s - x
+    return s, (x - (s - yv)) + (y - yv)
+
+
 def _bessel_i_scaled_asymptotic(n, t):
     # Large-argument expansion of e^{-t} I_n(t) for arrays n, t of one shape,
     # each entry truncated at its smallest term.
@@ -97,6 +126,17 @@ def _bessel_i_scaled_asymptotic(n, t):
     return total / np.sqrt(2.0 * math.pi * t)
 
 
+def _ive(n, t):
+    """scipy's e^{-t} I_n(t) on broadcast arrays n, t; the large-argument
+    expansion replaces the entries where it is not finite."""
+    v = np.asarray(special.ive(n, t))
+    bad = ~np.isfinite(v)
+    if bad.any():
+        n, t = np.broadcast_arrays(n, t)
+        v[bad] = _bessel_i_scaled_asymptotic(n[bad], t[bad])
+    return v
+
+
 def bessel_i_scaled(n, t):
     """e^{-t} I_n(t) for integer n and t >= 0; symmetric in n <-> -n.
 
@@ -104,29 +144,98 @@ def bessel_i_scaled(n, t):
     """
     if t < 0.0:
         raise ValueError("bessel_i_scaled requires t >= 0")
-    v = float(special.ive(abs(n), t))
-    if not math.isfinite(v):
-        v = float(_bessel_i_scaled_asymptotic(np.array(abs(n), float), np.array(float(t))))
-    return v
+    return float(_ive(abs(n), float(t)))
+
+
+# A row's recurrence starts at the last order up to 2 nmax whose leading
+# Debye estimate is above both e^{-5} times the estimate at nmax, which damps
+# the seeds' error at nmax by about e^{-10}, and e^{-690} (about 2e-300),
+# so that every order left at 0 is below 1e-280.
+_ROW_MARGIN = 5.0
+_LOG_ROW_FLOOR = -690.0
+# Below this argument the orders from 2 on underflow to 0.
+_ROW_TINY = 1e-200
+
+
+def _log_ive_debye(k, x):
+    """Leading uniform (Debye) estimate of log(e^{-x} I_k(x)) for k >= 1, x > 0."""
+    z = x / k
+    r = np.sqrt(1.0 + z * z)
+    return k * (1.0 / (r + z) + np.log(z / (1.0 + r))) - 0.5 * np.log(2.0 * math.pi * k * r)
+
+
+def _top_orders(nmax, x):
+    """The order in 1..2 nmax at which each row's recurrence starts (see
+    _ROW_MARGIN), by bisection, as the estimate decreases in k.  Arguments
+    below 1e-200 get order 0: their rows are the seeds at orders 0 and 1."""
+    tiny = x < _ROW_TINY
+    x = np.where(tiny, 1.0, x)
+    level = np.maximum(_LOG_ROW_FLOOR, _log_ive_debye(float(nmax), x) - _ROW_MARGIN)
+    lo = np.ones(x.shape, dtype=np.int64)
+    hi = np.full(x.shape, 2 * nmax)
+    while (live := hi > lo).any():
+        mid = (lo + hi + 1) // 2
+        above = _log_ive_debye(mid.astype(float), x) > level
+        lo = np.where(live & above, mid, lo)
+        hi = np.where(live & ~above, mid - 1, hi)
+    return np.where(tiny, 0, lo)
 
 
 def bessel_i_scaled_row(nmax, t, out):
-    """Fill out[..., 0..nmax] with e^{-t} I_n(t), equal to the scalar calls.
+    """Fill out[..., 0..nmax] with e^{-t} I_n(t), n = 0..nmax.
 
-    t is a scalar, or an array whose trailing axis broadcasts against the
-    orders: a column ``t[:, None]`` fills one row of ``out`` per argument in
-    a single vectorised call.
+    t is a scalar, or an array whose trailing axis has length 1: a column
+    ``t[:, None]`` fills one row of ``out`` per argument in one call.
+
+    e^{-t} I_k(t) is the minimal solution of y_{k-1} = y_{k+1} + (2k/t) y_k,
+    so the recurrence is stable run downwards (Gautschi, SIAM Rev. 9, 1967).
+    Each row starts from ``ive`` at its own top order and the next, where
+    its values have fallen by a margin past nmax or reach a floor, and is
+    scaled by ``ive(0, t)``, which cancels the seeds' own error.  The sweep
+    goes one order at a time over every argument of the call, in
+    order-major layout.  Rows with nmax < 8 are direct ``ive`` calls, as
+    are orders 0 and 1 of arguments below 1e-200, where every higher order
+    is 0.  Against 50-digit references (x from 1e-3 to 2e5, up to 4,310
+    orders) the rows stay within 26 ulps wherever they exceed 1e-250; the
+    rounding error grows slowly with the number of orders swept.
     """
     t = np.asarray(t, dtype=float)
     if (t < 0.0).any():
         raise ValueError("bessel_i_scaled_row requires t >= 0")
-    orders = np.arange(nmax + 1.0)
     res = out[..., :nmax + 1]
-    special.ive(orders, t, out=res)
-    bad = ~np.isfinite(res)
-    if bad.any():
-        n, tb = np.broadcast_arrays(orders, t)
-        res[bad] = _bessel_i_scaled_asymptotic(n[bad], tb[bad])
+    if nmax < 8:
+        res[...] = _ive(np.arange(nmax + 1.0), t)
+        return
+    x = np.broadcast_to(t, res.shape[:-1] + (1,)).ravel()
+    top = _top_orders(nmax, x)
+    # rows by ascending top order (as they come for ascending arguments), so
+    # that the rows still running at each step of the sweep are a trailing
+    # slice
+    order = None if (np.diff(top) >= 0).all() else np.argsort(top, kind="stable")
+    if order is not None:
+        x, top = x[order], top[order]
+    kmax = int(top[-1])
+    cols = np.arange(x.size)
+    y = np.zeros((max(kmax + 2, nmax + 1), x.size))
+    y[top, cols] = _ive(top, x)
+    y[top + 1, cols] = _ive(top + 1, x)
+    # the rows whose top order is k or more are the columns first[k]:
+    first = np.searchsorted(top, np.arange(kmax + 2))
+    # 2k/x, each rounded once, for the rows that recur (none of them tiny)
+    c = np.empty((kmax + 1, x.size))
+    c[:, first[1]:] = np.arange(0.0, 2.0 * kmax + 1.0, 2.0)[:, None] / x[first[1]:]
+    # between successive top orders the running rows are a fixed slice
+    starts = np.unique(top)[::-1].tolist()
+    for hi, lo in zip(starts, starts[1:] + [0]):
+        ys, cs = y[:, first[hi]:], c[:, first[hi]:]
+        for k in range(hi, lo, -1):
+            ck = cs[k]
+            ck *= ys[k]
+            np.add(ck, ys[k + 1], out=ys[k - 1])
+    rows = y[:nmax + 1]
+    rows *= _ive(0, x) / rows[0]
+    rows = rows.T if order is None else rows.T[np.argsort(order)]
+    res[...] = rows.reshape(res.shape)
 
 
 def bessel_k(s, x):

@@ -135,6 +135,50 @@ class TestExperiments:
         assert float(row["3"]) == pytest.approx(
             -kernel_1d(FracParams(0.5), 3), rel=1e-12)
 
+    def test_apply_torus_parses_input_once(self, tmp_path, monkeypatch):
+        # one json.loads of the input file, and the artifact of the input
+        # read from its text
+        from fraclat.lattice import TorusFunction, apply_frac_torus_spectral
+
+        rng = np.random.default_rng(3)
+        v = TorusFunction(5, 2, rng.standard_normal((11, 11)))
+        src = tmp_path / "v.json"
+        src.write_text(v.to_json())
+        expected = apply_frac_torus_spectral(TorusFunction.from_json(src.read_text()),
+                                             0.3).to_json()
+        calls = []
+        real_loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            calls.append(text)
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        cfg = ExperimentConfig(experiment="apply", params={"s": 0.3, "file": str(src)},
+                               output_dir=str(tmp_path))
+        report = run(cfg)
+        assert report.all_passed
+        assert calls.count(src.read_text()) == 1
+        assert (tmp_path / "applied.json").read_text() == expected
+
+    def test_apply_lattice_step_profile_d2(self, tmp_path):
+        # a d = 2 step profile is certified at the tol the experiment is given
+        from fraclat.kernel import FracParams
+        from fraclat.lattice import LatticeFunction, StepProfile
+
+        u = LatticeFunction(FracParams(0.5, 1.0, 2), {}, StepProfile(0, 2, -1.0, 1.0))
+        src = tmp_path / "u.json"
+        src.write_text(u.to_json())
+        cfg = ExperimentConfig(experiment="apply",
+                               params={"s": 0.5, "file": str(src), "radius": 1,
+                                       "tol": 0.05},
+                               output_dir=str(tmp_path))
+        report = run(cfg)
+        assert report.all_passed
+        assert [c.name for c in report.checks] == ["row_count"]
+        lines = (tmp_path / "applied.csv").read_text().strip().split("\n")
+        assert lines[0] == "j_1,j_2,value" and len(lines) == 10
+
     def test_carleman_probe_experiment(self, tmp_path):
         cfg = ExperimentConfig(experiment="carleman-probe",
                                params={"h": 0.05, "tau": 8.0},

@@ -29,3 +29,10 @@ def test_lattice_has_no_index_loops():
     # are array gathers and contractions
     for files in ("fraclat/lattice.py", "fraclat/extension.py"):
         assert _hits(r"np\.ndindex", files) == []
+
+
+def test_modified_bessel_only_in_specfun():
+    # one Bessel-row path serves every kernel: scipy's modified Bessel
+    # functions of the first kind are called in specfun.py alone
+    hits = _hits(r"\b(ive|iv|i0e|i1e)\b")
+    assert [h for h in hits if not h.startswith("fraclat/specfun.py:")] == []

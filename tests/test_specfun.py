@@ -1,6 +1,7 @@
 """Special function checks against independent approximations and mpmath."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fraclat.specfun import (
     bessel_i_scaled_row,
     bessel_k,
     gamma_ratio,
+    gamma_ratio_shifted,
     log_abs_gamma_neg,
     log_gamma,
 )
@@ -31,6 +33,53 @@ MPMATH = {
     "K_0.7_3.0": 0.037302582431968067,
     "K_0.25_20.0": 5.7500020724036826e-10,
 }
+
+
+# e^{-x} I_k(x) frozen with mpmath at 40 digits (besseli(k, x) * exp(-x)):
+# (x, m, k, value) with m = int(sqrt(90 x)) + 68, the wrap-sum order
+# cut-off of a torus with N = 16, and k up to m
+MPMATH_ROWS = [
+    (0.001, 68, 0, 0.9990007495835156),
+    (0.001, 68, 34, 1.9696145872409843e-151),
+    (0.001, 68, 67, 1.8561241e-316),
+    (0.001, 68, 68, 1.364e-321),
+    (0.00836, 68, 1, 0.004145237076476193),
+    (0.00836, 68, 34, 4.427907005478963e-120),
+    (0.00836, 68, 67, 1.130397781304624e-254),
+    (0.00836, 68, 68, 6.948621629790892e-259),
+    (0.0699, 70, 0, 0.933626447110719),
+    (0.0699, 70, 35, 9.46403213144511e-92),
+    (0.0699, 70, 69, 1.7147421530884916e-199),
+    (0.0699, 70, 70, 8.561460503012368e-203),
+    (0.585, 75, 1, 0.17002441986145253),
+    (0.585, 75, 37, 7.158727606791875e-64),
+    (0.585, 75, 74, 5.250456879134051e-148),
+    (0.585, 75, 75, 2.0476474483928385e-150),
+    (4.89, 88, 0, 0.18573251473383842),
+    (4.89, 88, 44, 3.922667372273055e-40),
+    (4.89, 88, 87, 2.3026704715939033e-101),
+    (4.89, 88, 88, 6.392884633926944e-103),
+    (40.9, 128, 1, 0.06180402219995968),
+    (40.9, 128, 64, 4.911156365800242e-21),
+    (40.9, 128, 127, 4.149472337894936e-64),
+    (40.9, 128, 128, 6.469472389145537e-65),
+    (342.0, 243, 0, 0.021580225522529282),
+    (342.0, 243, 121, 1.3142323225413012e-11),
+    (342.0, 243, 242, 2.919303409010145e-38),
+    (342.0, 243, 243, 1.5076885394752285e-38),
+    (2860.0, 575, 1, 0.007458819457735012),
+    (2860.0, 575, 287, 4.1973347620682585e-09),
+    (2860.0, 575, 574, 8.625094575933695e-28),
+    (2860.0, 575, 575, 7.064589931635381e-28),
+    (23900.0, 1534, 0, 0.002580556586975238),
+    (23900.0, 1534, 767, 1.1669901470707552e-08),
+    (23900.0, 1534, 1533, 1.165394100314307e-24),
+    (23900.0, 1534, 1534, 1.0930136972387406e-24),
+    (200000.0, 4310, 1, 0.0008920603854574132),
+    (200000.0, 4310, 2155, 8.095532824502326e-09),
+    (200000.0, 4310, 4309, 6.1906792269110035e-24),
+    (200000.0, 4310, 4310, 6.0587222232179294e-24),
+]
 
 
 def lanczos_log_gamma(x):
@@ -132,6 +181,20 @@ class TestGammaRatio:
                         ref = float(mp.gamma(mp.mpf(a)) / mp.gamma(mp.mpf(b)))
                         assert gamma_ratio(a, b) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
+    def test_shifted_against_mpmath(self):
+        # Gamma(m - s)/Gamma(m + s) and Gamma(m - s)/Gamma(m + 1 + s) with m
+        # kept apart from the shifts: the rounding of m - s cost 1.3e-9 at
+        # m = 1e6 when the sums went to gamma_ratio
+        import mpmath as mp
+
+        with mp.workdps(30):
+            for m in (1, 2, 7, 100, 171, 1000, 10**4, 540673, 10**6):
+                for s in (0.01, 0.05, 0.5, 0.95, 0.99):
+                    for alpha, beta in ((-s, s), (-s, 1.0 + s)):
+                        ref = float(mp.gamma(m + mp.mpf(alpha)) / mp.gamma(m + mp.mpf(beta)))
+                        got = gamma_ratio_shifted(m, alpha, beta)
+                        assert got == pytest.approx(ref, rel=1e-14, abs=0.0), (m, s)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             gamma_ratio(-1.0, 2.0)
@@ -201,12 +264,42 @@ class TestBesselIScaled:
                     assert bessel_i_scaled(n, t) == pytest.approx(ref, rel=1e-12)
 
     def test_row_matches_scalar(self):
-        for t in (0.4, 18.0, 33.0, 2.0e3):
-            out = np.empty(41)
-            bessel_i_scaled_row(40, t, out)
-            for n in range(41):
-                ref = bessel_i_scaled(n, t)
-                assert out[n] == pytest.approx(ref, rel=1e-12, abs=1e-280)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (0.4, 18.0, 33.0, 2.0e3):
+                out = np.empty(41)
+                bessel_i_scaled_row(40, t, out)
+                for n in range(41):
+                    ref = bessel_i_scaled(n, t)
+                    assert out[n] == pytest.approx(ref, rel=1e-12, abs=1e-280)
+            # direct rows (nmax < 8), the recurrence, x = 0, a subnormal x,
+            # a row that ends at its floor, and x past scipy's argument limit
+            for nmax in (0, 1, 7, 8, 90, 600):
+                for t in (0.0, 1e-310, 1e-180, 20.8, 2.0e3, 1.0e6, 2.0e9):
+                    out = np.empty(nmax + 1)
+                    bessel_i_scaled_row(nmax, t, out)
+                    for n in range(nmax + 1):
+                        ref = bessel_i_scaled(n, t)
+                        assert out[n] == pytest.approx(ref, rel=1e-12, abs=1e-280)
+
+    def test_row_against_mpmath(self):
+        # within 32 ulps of the 40-digit values wherever they exceed 1e-250
+        # (and as close as the scalar below), one argument per call and all
+        # of them in one batch, given in descending order
+        eps = np.finfo(float).eps
+        xs = sorted({x for x, _, _, _ in MPMATH_ROWS}, reverse=True)
+        batch = np.empty((len(xs), max(m for _, m, _, _ in MPMATH_ROWS) + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bessel_i_scaled_row(batch.shape[1] - 1, np.array(xs)[:, None], batch)
+            for x, m, k, ref in MPMATH_ROWS:
+                out = np.empty(m + 1)
+                bessel_i_scaled_row(m, x, out)
+                for got in (out[k], batch[xs.index(x), k]):
+                    if ref > 1e-250:
+                        assert abs(got - ref) <= 32.0 * eps * ref, (x, k)
+                    else:
+                        assert got == pytest.approx(ref, rel=1e-12, abs=1e-280), (x, k)
 
     def test_domain(self):
         with pytest.raises(ValueError):
