@@ -147,14 +147,13 @@ def global_ucp_counterexample(params, X, Y=None, tol=1e-9, ktol=1e-12):
         if len(Ys) != len(Xs) + 1:
             raise ValueError("Y must have |X| + 1 points")
 
-    offsets = [tuple(a - b for a, b in zip(x, y)) for x in Xs for y in Ys]
-    M = _kernels_at(params, offsets, ktol).reshape(len(Xs), len(Ys))
+    M = _kernels_at(params, np.array(Xs)[:, None] - np.array(Ys), ktol)
     _, sig, vt = np.linalg.svd(M)
     coeffs = _normalize_null_vector(vt[-1])
     multiple = bool(sig.size >= 2 and sig[-2] <= 1e-12 * sig[0])
 
     u = LatticeFunction(params, {y: float(c) for y, c in zip(Ys, coeffs)})
-    residual = max(abs(apply_frac_lattice(u, x)) for x in Xs)
+    residual = float(np.abs(apply_frac_lattice(u, np.array(Xs))).max())
     u_norm = float(np.abs(coeffs).max())
     cert = Certificate(
         residual_sup=residual,
@@ -214,10 +213,7 @@ def torus_ucp_counterexample(N, s, X, tol=1e-12):
 
 def slab_correction_amplitude(params):
     """The corrective spike amplitude a = (K(1)+K(2)) / (K(3)-K(1))."""
-    s, h = params.s, params.h
-    k1 = _kernel_1d_raw(s, h, 1)
-    k2 = _kernel_1d_raw(s, h, 2)
-    k3 = _kernel_1d_raw(s, h, 3)
+    k1, k2, k3 = _kernel_1d_raw(params.s, params.h, np.arange(1, 4)).tolist()
     a = (k1 + k2) / (k3 - k1)
     if a == -1.0:
         raise CertificateError("slab correction amplitude hit -1; spikes vanish")
@@ -235,12 +231,13 @@ def slab_counterexample_1d(params, tol=1e-10, window=200):
         raise ValueError("slab_counterexample_1d requires d = 1")
     a = slab_correction_amplitude(params)
     u = LatticeFunction(params, {(2,): a, (-2,): -a}, StepProfile(0, 2, -1.0, 1.0))
-    residuals = {j: apply_frac_lattice(u, j) for j in (-1, 0, 1)}
+    # the slab points, then the window, in one operator call
+    js = np.arange(-window, window + 1)
+    pts = np.concatenate(([-1, 0, 1], js))[:, None]
+    lu = apply_frac_lattice(u, pts)
+    residuals = dict(zip((-1, 0, 1), lu[:3].tolist()))
     residual_sup = max(abs(r) for r in residuals.values())
-
-    js = [j for j in range(-window, window + 1)]
-    lu = np.array([apply_frac_lattice(u, j) for j in js])
-    uv = np.array([u.value(j) for j in js])
+    lu, uv = lu[3:], u.value(pts[3:])
     V = potential_from_pair(uv, lu, tol=max(tol, residual_sup * 4.0 + 1e-14))
     pot_bound = float(np.abs(V).max())
     # |Lu| is already decaying at the window edge, so the sup is interior
@@ -259,7 +256,7 @@ def slab_counterexample_1d(params, tol=1e-10, window=200):
     )
     if not cert.passed:
         raise CertificateError(f"slab residual {residual_sup:.3e} above {tol:.3e}")
-    Vfun = LatticeFunction(params, {(j,): float(v) for j, v in zip(js, V)
+    Vfun = LatticeFunction(params, {(j,): v for j, v in zip(js.tolist(), V.tolist())
                                     if v != 0.0})
     return u, Vfun, cert
 
@@ -282,13 +279,9 @@ def slab_counterexample_2d(params, j2_samples=(0, 1, 5, 25, 100),
     if j2max > r // 2:
         raise ValueError("j2 samples must satisfy |j2| <= trunc_radius/2")
     a = slab_correction_amplitude(FracParams(params.s, params.h, 1))
-
-    def w(m1):
-        if m1 <= -2:
-            return -1.0 + (-a if m1 == -2 else 0.0)
-        if m1 >= 2:
-            return 1.0 + (a if m1 == 2 else 0.0)
-        return 0.0
+    # the corrected step along j1: the one-dimensional slab function
+    step = StepProfile(0, 2, -1.0, 1.0)
+    w = LatticeFunction(FracParams(params.s, params.h, 1), {(2,): a, (-2,): -a}, step).value
 
     table = build_kernel_table(params, r + j2max, tol=1e-9)
     sup_diff = 2.0 * (1.0 + abs(a))
@@ -296,35 +289,24 @@ def slab_counterexample_2d(params, j2_samples=(0, 1, 5, 25, 100),
     quad_tol = sup_diff * float(table.err.max()) * (2 * r + 1) ** 2
     cert_tol = tail_tol + quad_tol if tol is None else tol
 
-    k1 = _kernel_1d_raw(params.s, params.h, 1)
-    k2 = _kernel_1d_raw(params.s, params.h, 2)
-    step_target = -(k1 + k2)
+    step_target = -float(_kernel_1d_raw(params.s, params.h, np.arange(1, 3)).sum())
 
     # column sums of the kernel over m2 in [-r, r] for each r1 and each j2
     rad = table.radius
+    r1 = np.arange(-r, r + 1)
     out = {}
     for j2 in j2s:
-        lo = j2 - r + rad
-        hi = j2 + r + rad + 1
-        cols = table.values[:, lo:hi].sum(axis=1)  # indexed by r1 + rad
+        cols = table.values[:, j2 - r + rad:j2 + r + rad + 1].sum(axis=1)[r1 + rad]
         for j1 in (-1, 0, 1):
-            uj = w(j1)
-            acc = 0.0
-            for r1 in range(-r, r + 1):
-                acc += (uj - w(j1 - r1)) * cols[r1 + rad]
-            out[(j1, j2)] = acc
+            out[(j1, j2)] = float((w(j1) - w((j1 - r1)[:, None])) @ cols)
 
     resid = max(abs(v) for v in out.values())
     spread = max(abs(out[(1, j2)] - out[(1, j2s[0])]) for j2 in j2s)
     spread = max(spread, max(abs(out[(-1, j2)] - out[(-1, j2s[0])]) for j2 in j2s))
 
     # uncorrected step value at (1, 0): 1D reduction oracle target
-    step_only = 0.0
-    cols0 = table.values[:, -r + rad:r + rad + 1].sum(axis=1)
-    for r1 in range(-r, r + 1):
-        m1 = 1 - r1
-        wm = -1.0 if m1 <= -2 else (1.0 if m1 >= 2 else 0.0)
-        step_only += (0.0 - wm) * cols0[r1 + rad]
+    cols0 = table.values[:, -r + rad:r + rad + 1].sum(axis=1)[r1 + rad]
+    step_only = -float(step.base_values(1 - r1) @ cols0)
 
     cert = Certificate(
         residual_sup=resid,
@@ -355,15 +337,7 @@ def potential_from_pair(u_vals, lu_vals, tol=1e-12):
     lu = np.asarray(lu_vals, dtype=float)
     if u.shape != lu.shape:
         raise ValueError("u and Lu must have the same shape")
-    V = np.zeros_like(u)
-    flat_u = u.ravel()
-    flat_lu = lu.ravel()
-    flat_v = V.ravel()
-    for i in range(flat_u.size):
-        if flat_u[i] == 0.0:
-            if abs(flat_lu[i]) > tol:
-                raise InconsistentPotentialError(np.unravel_index(i, u.shape))
-            flat_v[i] = 0.0
-        else:
-            flat_v[i] = flat_lu[i] / flat_u[i]
-    return V
+    bad = np.flatnonzero((u == 0.0) & (np.abs(lu) > tol))
+    if bad.size:
+        raise InconsistentPotentialError(np.unravel_index(bad[0], u.shape))
+    return np.divide(lu, u, out=np.zeros_like(u), where=u != 0.0)

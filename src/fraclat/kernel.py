@@ -92,23 +92,27 @@ def _log_c1(s, h):
 
 
 def _kernel_1d_raw(s, h, m):
-    if m == 0:
-        return 0.0
-    a = abs(m)
-    return math.exp(_log_c1(s, h)) * gamma_ratio_shifted(a, -s, 1.0 + s)
+    """K(m) by the closed form c1 Gamma(|m|-s)/Gamma(|m|+1+s) at an integer
+    or an integer array m (0 at m = 0); a scalar m is the batch of one."""
+    a = np.abs(np.asarray(m, dtype=float))
+    out = math.exp(_log_c1(s, h)) * gamma_ratio_shifted(np.maximum(a, 1.0), -s, 1.0 + s)
+    out = np.where(a == 0.0, 0.0, out)
+    return out if out.ndim else float(out)
 
 
 def _tail_1d_raw(s, h, big_m):
-    # sum_{m >= M} K(m) by the telescoping identity
-    # Gamma(m-s)/Gamma(m+1+s) = (1/2s)[Gamma(m-s)/Gamma(m+s) - shifted].
+    """sum_{m >= M} K(m) at an integer or an integer array M >= 1, by the
+    telescoping identity Gamma(m-s)/Gamma(m+1+s) = (1/2s)[Gamma(m-s)/Gamma(m+s)
+    - the same at m + 1]; a scalar M is the batch of one."""
     return math.exp(_log_c1(s, h)) * gamma_ratio_shifted(big_m, -s, s) / (2.0 * s)
 
 
 def kernel_1d(params, m):
-    """Closed-form 1D kernel value at lattice offset m (0 at m = 0)."""
+    """Closed-form 1D kernel value at lattice offset m (0 at m = 0); an
+    integer array of offsets gives an array."""
     if params.d != 1:
         raise ValueError("kernel_1d requires d = 1")
-    return _kernel_1d_raw(params.s, params.h, int(m))
+    return _kernel_1d_raw(params.s, params.h, np.asarray(m, dtype=np.int64))
 
 
 def kernel_tail_sum_1d(params, big_m):
@@ -362,55 +366,16 @@ def torus_heat_kernel(N, h, j, t, tol=1e-14, spectral=False):
 # --- torus kernel: Gamma-ratio series with certified remainders (d = 1) ------
 
 
-def _arith_tail_remainder(s, h, n, a0):
-    # Certified band for sum_{k >= 0} K(a0 + k n) using block convexity:
-    # estimate (1/n) T(a0-(n-1)/2) - E/2 with |error| <= E/2,
-    # E = ((n^2-1)/(8n)) (K(A) - K(A+1)) at A = a0 - (n-1)/2 - n.
-    half = (n - 1) // 2
-    l0 = a0 - half
+def _residue_remainders(s, h, n, a0):
+    """Certified bands for sum_{k >= 0} K(a0 + k n) at an array of starts a0
+    by block convexity: the estimate (1/n) T(a0 - (n-1)/2) - E/2, |error| <=
+    E/2, E = ((n^2-1)/(8n)) (K(A) - K(A+1)) at A = a0 - (n-1)/2 - n >= 1,
+    with K(A) - K(A+1) = K(A) (1+2s)/(A+1+s) free of cancellation."""
+    l0 = a0 - (n - 1) // 2
     big_a = l0 - n
-    if big_a < 1:
-        return -1.0, -1.0
     e_tot = ((n * n - 1.0) / (8.0 * n)) * (
-        _kernel_1d_raw(s, h, big_a) - _kernel_1d_raw(s, h, big_a + 1))
-    est = _tail_1d_raw(s, h, float(l0)) / n - 0.5 * e_tot
-    return est, 0.5 * e_tot
-
-
-def _arith_tail_sum(s, h, n, a_start, tol_side):
-    """sum_{k >= 0} K(a_start + k n) with certified absolute error <= tol_side."""
-    k_req = 4
-    while True:
-        est, err = _arith_tail_remainder(s, h, n, a_start + k_req * n)
-        if err >= 0.0 and err <= tol_side:
-            break
-        k_req *= 2
-        if k_req > 1 << 40:
-            return -1.0, -1.0
-    # K(a_start + k n) for k < k_req by the ratio K(m+1)/K(m) = (m-s)/(m+1+s),
-    # as running products over chunks whose lengths are multiples of n
-    total = 0.0
-    kk = _kernel_1d_raw(s, h, a_start)
-    chunk = n * max(1, (1 << 16) // n)
-    for lo in range(0, k_req * n, chunk):
-        m = a_start + lo + np.arange(min(chunk, k_req * n - lo), dtype=float)
-        run = kk * np.cumprod((m - s) / (m + 1.0 + s))  # run[i] = K(m[i] + 1)
-        total += kk + float(run[n - 1:-1:n].sum())
-        kk = float(run[-1])
-    return total + est, err
-
-
-def _torus_kernel_series_1d(s, h, n, j, tol_abs):
-    """Periodized 1D kernel sum_k K(j + k n), j reduced into [0, n-1].
-
-    j = 0 returns the diagonal periodization (zero-offset term excluded).
-    """
-    if j == 0:
-        v, e = _arith_tail_sum(s, h, n, n, 0.25 * tol_abs)
-        return 2.0 * v, 2.0 * e
-    v1, e1 = _arith_tail_sum(s, h, n, j, 0.25 * tol_abs)
-    v2, e2 = _arith_tail_sum(s, h, n, n - j, 0.25 * tol_abs)
-    return v1 + v2, e1 + e2
+        _kernel_1d_raw(s, h, big_a) * (1.0 + 2.0 * s) / (big_a + 1.0 + s))
+    return _tail_1d_raw(s, h, l0) / n - 0.5 * e_tot, 0.5 * e_tot
 
 
 # --- torus kernel: heat-semigroup route (any d) -------------------------------
@@ -588,22 +553,41 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
 
 
 def _torus_table_series(s, N, tol_abs, need_diag):
+    """Gamma-ratio route (d = 1): S(a) = sum_{k >= 0} K(a + k n) for all
+    residues a = 1..n at once; entry j is S(j) + S(n - j), ``.diag`` 2 S(n).
+
+    One doubling search finds k_req, after which every residue's remainder
+    band is within tol_abs/4 (residue 1 binds).  K(m), m = 1..k_req n, is a
+    running product of K(m+1)/K(m) = (m-s)/(m+1+s) over chunks of at most
+    2^16 entries, each a multiple of n and seeded from the closed form; each
+    chunk reshaped to (., n) adds its column sums to every residue."""
     n = 2 * N + 1
     h = 2.0 * math.pi / n
-    vals = np.zeros(n)
-    errs = 0.0
-    for j in range(1, N + 1):
-        v, e = _torus_kernel_series_1d(s, h, n, j, tol_abs)
-        if not e >= 0:
+    k_req = 4
+    while True:
+        est, err = _residue_remainders(s, h, n, np.arange(1, n + 1) + k_req * n)
+        if err.max() <= 0.25 * tol_abs:
+            break
+        k_req *= 2
+        if k_req > 1 << 40:
             raise ToleranceError("torus kernel series remainder failed")
-        vals[j] = v
-        vals[n - j] = v
-        errs = max(errs, e)
+    chunk = n * max(1, (1 << 16) // n)
+    starts = np.arange(1, k_req * n + 1, chunk)
+    sums = np.zeros(n)
+    for m0, seed in zip(starts.tolist(), _kernel_1d_raw(s, h, starts).tolist()):
+        q = m0 - 1.0 + np.arange(min(chunk, k_req * n + 1 - m0))
+        q = (q - s) / (q + 1.0 + s)
+        q[0] = seed
+        sums += np.cumprod(q).reshape(-1, n).sum(axis=0)
+    sums += est
+    vals = np.zeros(n)
+    vals[1:] = sums[:-1] + sums[-2::-1]
+    errs = np.max(err[:-1] + err[-2::-1], initial=0.0)
     diag = 0.0
     if need_diag:
-        diag, e = _torus_kernel_series_1d(s, h, n, 0, tol_abs)
-        errs = max(errs, e)
-    return _TorusKernelData(N, 1, s, h, vals, diag, errs)
+        diag = 2.0 * float(sums[-1])
+        errs = max(errs, 2.0 * err[-1])
+    return _TorusKernelData(N, 1, s, h, vals, diag, float(errs))
 
 
 @lru_cache(maxsize=None)
@@ -694,7 +678,7 @@ def build_kernel_table(params, radius, tol=1e-9):
     s, h, d = params.s, params.h, params.d
     r = int(radius)
     if d == 1:
-        vals = np.array([_kernel_1d_raw(s, h, m) for m in range(-r, r + 1)])
+        vals = _kernel_1d_raw(s, h, np.arange(-r, r + 1))
         return _kernel_table(params, r, vals, np.abs(vals) * 1e-14)
     if d not in (2, 3):
         raise ValueError("kernel tables support d in {1, 2, 3}")

@@ -47,13 +47,10 @@ class StepProfile:
         if self.cutoff < 0:
             raise ValueError("cutoff must be >= 0")
 
-    def base_value(self, j):
-        c = int(np.atleast_1d(j)[self.axis])
-        if c <= min(-self.cutoff, -1):
-            return self.left_value
-        if c >= self.cutoff:
-            return self.right_value
-        return 0.0
+    def base_values(self, c):
+        """The profile at an integer array c of coordinates along its axis."""
+        return np.select([c <= min(-self.cutoff, -1), c >= self.cutoff],
+                         [self.left_value, self.right_value], 0.0)
 
 
 @dataclass(frozen=True)
@@ -81,11 +78,21 @@ class LatticeFunction:
             raise ValueError("profile axis out of range")
 
     def value(self, j):
-        key = tuple(int(c) for c in np.atleast_1d(j))
-        v = self.support.get(key, 0.0)
+        """u at a point; an integer array of shape (P, d) is a batch of P
+        points and gives an array of shape (P,), one point the batch of one."""
+        if np.ndim(j) < 2:
+            return float(self.value(np.reshape(j, (1, -1)))[0])
+        pts = np.asarray(j, dtype=np.int64)
+        keys, weights = self._support_arrays()
+        v = (pts[:, None, :] == keys).all(axis=2) @ weights
         if self.profile is not None:
-            v += self.profile.base_value(key)
+            v += self.profile.base_values(pts[:, self.profile.axis])
         return v
+
+    def _support_arrays(self):
+        """The support points as an integer (S, d) array and their values."""
+        return (np.array(list(self.support), dtype=np.int64).reshape(-1, self.params.d),
+                np.array(list(self.support.values()), dtype=float))
 
     def sup_norm_bound(self):
         b = max((abs(v) for v in self.support.values()), default=0.0)
@@ -272,69 +279,66 @@ def sobolev_norm(u, r):
 
 
 def _kernels_at(params, offsets, tol):
-    """Kernel values at a list of nonzero offset tuples: the closed form in
-    d=1, one shared-grid batch otherwise."""
+    """Kernel values at an integer array of offsets of shape (..., d), 0 at
+    the zero offset: one closed-form call in d=1, one shared-grid batch of
+    the nonzero offsets otherwise."""
+    offsets = np.asarray(offsets, dtype=np.int64)
     if params.d == 1:
-        return np.array([_kernel_1d_raw(params.s, params.h, o[0]) for o in offsets])
-    return kernel_values(params, np.reshape(offsets, (-1, params.d)), tol)[0]
-
-
-def _sum_kernel_ge(params, M, j):
-    """sum over m >= M, m != j of K(j-m) in closed form (d = 1)."""
-    s, h = params.s, params.h
-    if M > j:
-        return _tail_1d_raw(s, h, float(M - j))
-    return 2.0 * _tail_1d_raw(s, h, 1.0) - _tail_1d_raw(s, h, float(j - M + 1))
-
-
-def _sum_kernel_le(params, M, j):
-    if M < j:
-        return _tail_1d_raw(params.s, params.h, float(j - M))
-    return 2.0 * _tail_1d_raw(params.s, params.h, 1.0) - _tail_1d_raw(
-        params.s, params.h, float(M - j + 1))
+        return _kernel_1d_raw(params.s, params.h, offsets[..., 0])
+    flat = offsets.reshape(-1, params.d)
+    out = np.zeros(len(flat))
+    nonzero = flat.any(axis=1)
+    out[nonzero] = kernel_values(params, flat[nonzero], tol)[0]
+    return out.reshape(offsets.shape[:-1])
 
 
 def apply_frac_lattice(u, j, tol=1e-10):
     """Pointwise operator value sum_{m != j} (u_j - u_m) K(j - m).
 
-    Finitely supported inputs use the exact total kernel mass plus a finite
-    sum; d=1 step profiles get exact half-line tails through the closed-form
-    tail sums; d>=2 step profiles are truncated to a centered box with an
-    ell^1 tail certificate and raise ToleranceError if tol cannot be
-    certified.  The box sum takes the profile as a 1-D array along its axis
-    against the table summed over the other axes, and gathers the support
-    points inside the box.
+    j is one point, or an integer array of shape (P, d) whose rows are P
+    points, which gives an array of shape (P,); one point is the batch of
+    one.  Finitely supported inputs use the exact total kernel mass plus one
+    kernel batch over every (point, support point) pair; d=1 step profiles
+    get exact half-line tails from one array call of the closed-form tail
+    sums; d>=2 step profiles are truncated to a centered box, one kernel
+    table per call, with an ell^1 tail certificate, and raise ToleranceError
+    if tol cannot be certified.  The box sum takes the profile as a 1-D
+    array along its axis against the table summed over the other axes, and
+    gathers the support points inside the box.
     """
     params = u.params
-    jj = tuple(int(c) for c in np.atleast_1d(j))
-    if len(jj) != params.d:
+    if np.ndim(j) < 2:
+        return float(apply_frac_lattice(u, np.reshape(j, (1, -1)), tol)[0])
+    pts = np.asarray(j, dtype=np.int64)
+    if pts.shape[1] != params.d:
         raise ValueError("point dimension mismatch")
-    uj = u.value(jj)
-    ktol = 1e-12
+    uj = u.value(pts)
+    keys, weights = u._support_arrays()
+    # (point, support point) offsets; a point on the support meets K(0) = 0
+    offs = pts[:, None, :] - keys
+    prof = u.profile
 
-    if u.profile is None:
-        total = uj * kernel_lattice_mass(params) if uj != 0.0 else 0.0
-        pts = [m for m in u.support if m != jj]
-        offsets = [tuple(a - b for a, b in zip(jj, m)) for m in pts]
-        weights = np.array([u.support[m] for m in pts])
-        return total - float(weights @ _kernels_at(params, offsets, ktol))
+    if prof is None:
+        total = uj * kernel_lattice_mass(params) if uj.any() else 0.0
+        return total - (_kernels_at(params, offs, 1e-12) * weights).sum(axis=1)
 
     if params.d == 1:
-        jx = jj[0]
-        prof = u.profile
-        left_hi = min(-prof.cutoff, -1)
-        right_lo = prof.cutoff
-        total = uj * 2.0 * _tail_1d_raw(params.s, params.h, 1.0)
-        total -= prof.left_value * _sum_kernel_le(params, left_hi, jx)
-        total -= prof.right_value * _sum_kernel_ge(params, right_lo, jx)
-        for m, um in u.support.items():
-            if m == jj:
-                continue
-            total -= um * _kernel_1d_raw(params.s, params.h, jx - m[0])
-        return total
+        # sum_{m <= lo} K(j - m) and sum_{m >= hi} K(j - m) are one-sided
+        # tails when j is off the half-line, the mass minus one when it is on
+        jx = pts[:, 0]
+        lo, hi = min(-prof.cutoff, -1), prof.cutoff
+        below, above = jx > lo, jx < hi
+        tails = _tail_1d_raw(params.s, params.h, np.concatenate((
+            [1], np.where(below, jx - lo, lo - jx + 1), np.where(above, hi - jx, jx - hi + 1))))
+        mass = 2.0 * tails[0]
+        t_le, t_ge = np.split(tails[1:], 2)
+        sum_le = np.where(below, t_le, mass - t_le)
+        sum_ge = np.where(above, t_ge, mass - t_ge)
+        total = uj * mass - prof.left_value * sum_le - prof.right_value * sum_ge
+        return total - (_kernels_at(params, offs, 1e-12) * weights).sum(axis=1)
 
     # d >= 2 step profile: centered-box truncation with a tail certificate
-    sup = u.sup_norm_bound() + abs(uj)
+    sup = u.sup_norm_bound() + float(np.abs(uj).max())
     radius = 32
     while kernel_tail_bound_ell1(params, radius) * sup > tol:
         radius *= 2
@@ -345,18 +349,12 @@ def apply_frac_lattice(u, j, tol=1e-10):
                 requested=tol)
     table = build_kernel_table(params, radius, tol=min(1e-9, tol))
     # the zero-offset slot of the table holds 0, so r = 0 needs no exclusion
-    prof = u.profile
-    c = jj[prof.axis] - np.arange(-radius, radius + 1)
-    base = np.select([c <= min(-prof.cutoff, -1), c >= prof.cutoff],
-                     [prof.left_value, prof.right_value], 0.0)
+    base = prof.base_values(pts[:, prof.axis, None] - np.arange(-radius, radius + 1))
     others = tuple(a for a in range(params.d) if a != prof.axis)
-    total = float((uj - base) @ table.values.sum(axis=others))
-    if u.support:
-        offs = np.array(jj) - np.array(list(u.support))
-        inside = np.abs(offs).max(axis=1) <= radius
-        weights = np.array(list(u.support.values()))[inside]
-        total -= float(weights @ table.values[tuple((offs[inside] + radius).T)])
-    return total
+    total = (uj[:, None] - base) @ table.values.sum(axis=others)
+    inside = np.abs(offs).max(axis=2) <= radius
+    gathered = table.values[tuple(np.moveaxis(np.clip(offs, -radius, radius) + radius, -1, 0))]
+    return total - (np.where(inside, gathered, 0.0) * weights).sum(axis=1)
 
 
 # --- the operator on the torus --------------------------------------------------
@@ -449,7 +447,7 @@ def _transference_direct_1d(v, phi, L):
     mass = kernel_lattice_mass(params)
     ls = np.arange(-L, L + 1)
     dist, where = np.unique(np.abs(ls - supp_pts[:, None]), return_inverse=True)
-    kvals = np.array([_kernel_1d_raw(params.s, params.h, int(a)) for a in dist])
+    kvals = _kernel_1d_raw(params.s, params.h, dist)
     op = -(supp_vals @ kvals[where.reshape(supp_pts.size, ls.size)])
     inside = np.abs(supp_pts) <= L
     op[supp_pts[inside] + L] += mass * supp_vals[inside]
@@ -518,9 +516,9 @@ def transference_check(v, phi, tol=1e-10, method="wrapped", direct_radius=20000)
     L = int(direct_radius)
     lhs = _transference_direct_1d(v, phi, L)
     # measured decay constant of (op phi), inflated x4, integral-compared tail
-    probe = [2 * L // 3, 3 * L // 4, L]
-    cdec = 4.0 * max(abs(apply_frac_lattice(phi, l)) * (1.0 + abs(l)) ** (1.0 + 2.0 * s)
-                     for l in probe)
+    probe = np.array([2 * L // 3, 3 * L // 4, L])
+    cdec = 4.0 * float(np.max(np.abs(apply_frac_lattice(phi, probe[:, None]))
+                              * (1.0 + probe) ** (1.0 + 2.0 * s)))
     vmax = float(np.abs(v.values).max())
     tail = vmax * cdec * (L ** (-2.0 * s)) / s
     return abs(lhs - rhs) + tail

@@ -11,10 +11,10 @@ decaying exponential.
 The scalar e^{-t} I_n(t) is ``scipy.special.ive``, accurate to a few ulps
 at low orders up to t ~ 1.07e9, the argument limit of the underlying AMOS
 routines, beyond which it returns nan for every order.  The kernel
-quadrature can evaluate past that limit, so the large-argument expansion
-replaces exactly the entries where ``ive`` is not finite; its terms
-decrease from the start only while 4n^2 is small against 8t, which holds
-for the orders of the kernel quadrature.  Rows of orders 0..nmax, which
+quadrature can evaluate past that limit, so exactly the entries where
+``ive`` is not finite come from the large-argument expansion while its
+terms decrease from the start (4n^2 - 1 < 8t), and from the uniform
+(Debye) expansion beyond.  Rows of orders 0..nmax, which
 every lattice and torus kernel consumes, come from a normalised backward
 recurrence over a whole batch of arguments at once, seeded and scaled by
 ``ive``; short rows and tiny arguments stay direct ``ive`` calls.  Gamma
@@ -53,7 +53,8 @@ def log_abs_gamma_neg(s):
 
 
 def gamma_ratio(a, b):
-    """Gamma(a)/Gamma(b) for a, b > 0.
+    """Gamma(a)/Gamma(b) for a, b > 0, elementwise over broadcast arrays; a
+    pair of scalars is the batch of one and gives a float.
 
     Below 171, where Gamma is finite, the quotient of ``scipy.special.gamma``
     keeps about 1e-15 relative accuracy; ``poch`` loses up to 2e-13 there.
@@ -70,22 +71,28 @@ def gamma_ratio(a, b):
     both sides of 100 (a ratio beyond 1e150 or below 1e-150) still go to the
     Pochhammer symbol (b)_{a-b}.
     """
-    if a <= 0.0 or b <= 0.0:
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if not ((a > 0.0) & (b > 0.0)).all():
         raise ValueError("gamma_ratio requires positive arguments")
-    if max(a, b) < 171.0:
-        return float(special.gamma(a) / special.gamma(b))
-    if min(a, b) < 100.0:
-        return float(special.poch(b, a - b))
+    out = np.empty(a.shape)
+    small = np.maximum(a, b) < 171.0
+    mixed = ~small & (np.minimum(a, b) < 100.0)
+    big = ~(small | mixed)
+    out[small] = special.gamma(a[small]) / special.gamma(b[small])
+    out[mixed] = special.poch(b[mixed], a[mixed] - b[mixed])
+    a, b = a[big], b[big]
     d = b - a
     ia, ib = 1.0 / a, 1.0 / b
-    x = ((a - 0.5) * math.log1p(-d * ib) - d * (math.log(b) - 1.0) + (ia - ib) / 12.0
+    x = ((a - 0.5) * np.log1p(-d * ib) - d * (np.log(b) - 1.0) + (ia - ib) / 12.0
          - (ia ** 3 - ib ** 3) / 360.0 + (ia ** 5 - ib ** 5) / 1260.0)
-    return math.exp(x) if x < 709.78 else math.inf
+    out[big] = np.where(x < 709.78, np.exp(np.minimum(x, 709.78)), np.inf)
+    return out if out.ndim else float(out)
 
 
 def gamma_ratio_shifted(m, alpha, beta):
-    """Gamma(m + alpha)/Gamma(m + beta) for an integer m >= 1 and real shifts
-    with m + alpha, m + beta > 0, keeping m apart from the shifts.
+    """Gamma(m + alpha)/Gamma(m + beta) for integers m >= 1 (a scalar or an
+    array) and real shifts with m + alpha, m + beta > 0, keeping m apart
+    from the shifts; a scalar m is the batch of one and gives a float.
 
     m + alpha rounds to a double a with an error e = (m + alpha) - a that
     TwoSum recovers exactly, and Gamma(m + alpha) = Gamma(a) exp(psi(a) e)
@@ -93,14 +100,15 @@ def gamma_ratio_shifted(m, alpha, beta):
     rounded sums to gamma_ratio would instead carry a relative error of
     about m psi(m) eps: 2.6e-14 at m = 100 and 1.3e-9 at m = 1e6.
     """
-    m = float(m)
+    m = np.asarray(m, dtype=float)
     a, ea = _two_sum(m, alpha)
     b, eb = _two_sum(m, beta)
-    return gamma_ratio(a, b) * math.exp(float(special.psi(a)) * ea - float(special.psi(b)) * eb)
+    out = gamma_ratio(a, b) * np.exp(special.psi(a) * ea - special.psi(b) * eb)
+    return out if out.ndim else float(out)
 
 
 def _two_sum(x, y):
-    """fl(x + y) and its exact rounding error (Knuth's TwoSum)."""
+    """fl(x + y) and its exact rounding error (Knuth's TwoSum), elementwise."""
     s = x + y
     yv = s - x
     return s, (x - (s - yv)) + (y - yv)
@@ -126,14 +134,33 @@ def _bessel_i_scaled_asymptotic(n, t):
     return total / np.sqrt(2.0 * math.pi * t)
 
 
+def _bessel_i_scaled_debye(n, t):
+    # Uniform (Debye) expansion of e^{-t} I_n(t) for arrays n >= 1, t > 0 of
+    # one shape, through U_3(p), p = (1 + (t/n)^2)^{-1/2} (DLMF 10.41.3, 10.41.10)
+    p = n / np.hypot(n, t)
+    q = p * p
+    series = (1.0 + p * (3.0 - 5.0 * q) / (24.0 * n)
+              + q * (81.0 + q * (-462.0 + 385.0 * q)) / (1152.0 * n * n)
+              + p * q * (30375.0 + q * (-369603.0 + q * (765765.0 - 425425.0 * q)))
+              / (414720.0 * n ** 3))
+    return np.exp(_log_ive_debye(n, t)) * series
+
+
 def _ive(n, t):
-    """scipy's e^{-t} I_n(t) on broadcast arrays n, t; the large-argument
-    expansion replaces the entries where it is not finite."""
+    """scipy's e^{-t} I_n(t) on broadcast arrays n, t.  Where it is not finite
+    (t beyond about 1.07e9), the large-argument expansion takes the entries
+    with 4n^2 - 1 < 8t, whose terms decrease from the first, and the uniform
+    expansion the others (n > 46,000: first omitted term below 1e-19)."""
     v = np.asarray(special.ive(n, t))
     bad = ~np.isfinite(v)
     if bad.any():
         n, t = np.broadcast_arrays(n, t)
-        v[bad] = _bessel_i_scaled_asymptotic(n[bad], t[bad])
+        n, t = n[bad].astype(float), t[bad]
+        out = np.empty(n.shape)
+        uniform = 4.0 * n * n - 1.0 >= 8.0 * t
+        out[uniform] = _bessel_i_scaled_debye(n[uniform], t[uniform])
+        out[~uniform] = _bessel_i_scaled_asymptotic(n[~uniform], t[~uniform])
+        v[bad] = out
     return v
 
 
@@ -158,10 +185,15 @@ _ROW_TINY = 1e-200
 
 
 def _log_ive_debye(k, x):
-    """Leading uniform (Debye) estimate of log(e^{-x} I_k(x)) for k >= 1, x > 0."""
+    """Leading uniform (Debye) estimate of log(e^{-x} I_k(x)) for k >= 1, x > 0.
+
+    With z = x/k and r = sqrt(1 + z^2), the exponent k (r - z + log(z/(1+r)))
+    is taken as k (w - log1p((1 + w)/z)), w = r - z = 1/(r + z), so that no
+    two terms of size k cancel: its relative error stays a few ulps."""
     z = x / k
     r = np.sqrt(1.0 + z * z)
-    return k * (1.0 / (r + z) + np.log(z / (1.0 + r))) - 0.5 * np.log(2.0 * math.pi * k * r)
+    w = 1.0 / (r + z)
+    return k * (w - np.log1p((1.0 + w) / z)) - 0.5 * np.log(2.0 * math.pi * k * r)
 
 
 def _top_orders(nmax, x):

@@ -133,7 +133,7 @@ def test_c05_global_ucp_failure():
         X = list({tuple(int(c) for c in rng.integers(-6, 7, d))
                   for _ in range(size)})
         uu, cc = global_ucp_counterexample(FracParams(s, 1.0, d), X, tol=1e-9)
-        resid = max(abs(apply_frac_lattice(uu, x)) for x in X)
+        resid = float(np.abs(apply_frac_lattice(uu, np.array(X))).max())
         worst = max(worst, resid / cc.u_norm)
         assert cc.u_norm > 0
     ok = hand_ok and worst <= 1e-9

@@ -211,6 +211,29 @@ class TestAppendixBound:
             assert val <= kernel_nd_bound(p, m) * (1.0 + 1e-8)
 
 
+def _exact_torus_kernel(s, N):
+    """The periodized 1D kernel and its diagonal wrap value from finite sums.
+
+    K_T(j) = -n^{-1} sum_k mu(k) cos(2 pi k j / n), and .diag = mass -
+    mean(mu) is the operator applied to delta_0, read at 0, with the mass
+    2 c1 Gamma(1-s) / (2s Gamma(1+s)) of the telescoping tail at M = 1; both
+    in mpmath at 30 digits."""
+    import mpmath as mp
+
+    n = 2 * N + 1
+    with mp.workdps(30):
+        S = mp.mpf(s)
+        h = 2 * mp.pi / n
+        mu = [(4 / h ** 2 * mp.sin(mp.pi * k / n) ** 2) ** S for k in range(-N, N + 1)]
+        exact = np.array([
+            float(-mp.fsum(m * mp.cos(2 * mp.pi * k * j / n)
+                           for k, m in zip(range(-N, N + 1), mu)) / n)
+            for j in range(n)])
+        c1 = 4 ** S * mp.gamma(0.5 + S) / (mp.sqrt(mp.pi) * abs(mp.gamma(-S)) * h ** (2 * S))
+        mass = c1 * mp.gamma(1 - S) / (S * mp.gamma(1 + S))
+        return exact, float(mass - mp.fsum(mu) / n)
+
+
 class TestTorusKernel:
     def test_series_matches_heat_route_d1(self):
         for s in (0.25, 0.5, 0.75):
@@ -222,29 +245,24 @@ class TestTorusKernel:
     @pytest.mark.parametrize("N", (8, 16))
     @pytest.mark.parametrize("s", (0.05, 0.1, 0.15, 0.21, 0.5, 0.95))
     def test_routes_against_exact_fourier_sum(self, s, N):
-        # K_T(j) = -n^{-1} sum_k mu(k) cos(2 pi k j / n) is a finite sum, and
-        # .diag = mass - mean(mu) is the operator applied to delta_0, read at
-        # 0, with the mass 2 c1 Gamma(1-s) / (2s Gamma(1+s)) of the telescoping
-        # tail at M = 1; both in mpmath at 30 digits.  Each route lies within
-        # its certificate of them.
-        import mpmath as mp
-
-        n = 2 * N + 1
-        with mp.workdps(30):
-            S = mp.mpf(s)
-            h = 2 * mp.pi / n
-            mu = [(4 / h ** 2 * mp.sin(mp.pi * k / n) ** 2) ** S for k in range(-N, N + 1)]
-            exact = np.array([
-                float(-mp.fsum(m * mp.cos(2 * mp.pi * k * j / n)
-                               for k, m in zip(range(-N, N + 1), mu)) / n)
-                for j in range(n)])
-            c1 = 4 ** S * mp.gamma(0.5 + S) / (mp.sqrt(mp.pi) * abs(mp.gamma(-S)) * h ** (2 * S))
-            mass = c1 * mp.gamma(1 - S) / (S * mp.gamma(1 + S))
-            diag = float(mass - mp.fsum(mu) / n)
+        # each route lies within its certificate of the exact values
+        exact, diag = _exact_torus_kernel(s, N)
         for method in ("series", "heat"):
             t = torus_kernel_table(s, N, 1, tol=1e-12, need_diag=True, method=method)
             assert np.abs(t.full[1:] - exact[1:]).max() <= t.err, method
             assert abs(t.diag - diag) <= t.err, method
+
+    @pytest.mark.parametrize("N", (4, 32))
+    @pytest.mark.parametrize("s", (0.01, 0.99))
+    def test_series_route_against_exact_fourier_sum(self, s, N):
+        # the series route alone at orders outside the heat route's range,
+        # where its residue-class build runs longest (s = 0.01) and shortest
+        exact, diag = _exact_torus_kernel(s, N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = torus_kernel_table(s, N, 1, tol=1e-12, need_diag=True, method="series")
+        assert np.abs(t.full[1:] - exact[1:]).max() <= t.err
+        assert abs(t.diag - diag) <= t.err
 
     def test_symmetry_and_domination(self):
         N, s = 8, 0.5

@@ -168,8 +168,9 @@ class TestApplyLattice:
         j = 3
         uj = step.value(j)
         R = 200000
-        brute = sum((uj - step.value(m)) * kernel_1d(p, j - m)
-                    for m in range(j - R, j + R + 1) if m != j)
+        ms = np.arange(j - R, j + R + 1)
+        ms = ms[ms != j]
+        brute = float(np.sum((uj - step.value(ms[:, None])) * kernel_1d(p, j - ms)))
         # brute truncation alone contributes ~ 2*tail(R)
         assert abs(apply_frac_lattice(step, j) - brute) < 1e-5
 
@@ -197,6 +198,58 @@ class TestApplyLattice:
         step = LatticeFunction(p, {}, StepProfile(0, 2, -1.0, 1.0))
         with pytest.raises(ToleranceError):
             apply_frac_lattice(step, (1, 0), tol=1e-12)
+
+
+class TestApplyLatticeBatch:
+    """An integer (P, d) array of points gives the P single-point values."""
+
+    def test_d1_step_and_finite_support(self):
+        p = FracParams(0.35)
+        step = LatticeFunction(p, {(2,): 0.4, (-5,): -1.1}, StepProfile(0, 2, -1.0, 1.5))
+        finite = LatticeFunction(p, {(0,): 1.0, (3,): -0.5, (-7,): 2.0})
+        pts = np.arange(-12, 13)[:, None]
+        for u in (step, finite):
+            batch = apply_frac_lattice(u, pts)
+            assert batch.shape == (len(pts),)
+            single = [apply_frac_lattice(u, j) for j in range(-12, 13)]
+            assert batch == pytest.approx(single, rel=1e-14, abs=1e-16)
+            assert u.value(pts).tolist() == [u.value(j) for j in range(-12, 13)]
+
+    def test_d2_finite_support(self):
+        # one shared-grid batch for every (point, support point) pair; each
+        # kernel value is certified to 1e-12 relative on either grid
+        p = FracParams(0.6, 1.0, 2)
+        u = LatticeFunction(p, {(0, 0): 1.0, (1, -2): -0.7, (-3, 1): 0.4})
+        pts = np.indices((7, 7)).reshape(2, -1).T - 3
+        batch = apply_frac_lattice(u, pts)
+        single = [apply_frac_lattice(u, tuple(j)) for j in pts]
+        assert batch == pytest.approx(single, rel=1e-10, abs=1e-12)
+
+    def test_d2_step_profile_builds_one_table(self, monkeypatch):
+        import fraclat.lattice as lattice
+
+        p = FracParams(0.65, 1.0, 2)
+        u = LatticeFunction(p, {(1, 0): 0.5, (-2, 3): -0.25}, StepProfile(0, 2, -1.0, 1.0))
+        # |u_j| = 1 at every point, so each single call truncates at the
+        # batch's radius (256) and reads the same table
+        pts = np.array([(j1, j2) for j1 in (-4, -3, 2, 4) for j2 in (-2, 0, 3)])
+        calls = []
+        real = lattice.build_kernel_table
+        monkeypatch.setattr(lattice, "build_kernel_table",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        batch = apply_frac_lattice(u, pts, tol=0.05)
+        assert len(calls) == 1
+        single = [apply_frac_lattice(u, tuple(j), tol=0.05) for j in pts]
+        assert len(calls) == 1 + len(pts)
+        assert batch == pytest.approx(single, rel=1e-13, abs=1e-15)
+
+    def test_one_point_is_the_batch_of_one(self):
+        p = FracParams(0.5)
+        step = LatticeFunction(p, {}, StepProfile(0, 2, -1.0, 1.0))
+        assert isinstance(apply_frac_lattice(step, 1), float)
+        assert apply_frac_lattice(step, [[1]]).tolist() == [apply_frac_lattice(step, (1,))]
+        with pytest.raises(ValueError):
+            apply_frac_lattice(step, np.zeros((3, 2), dtype=int))
 
 
 class TestApplyTorus:
@@ -420,7 +473,7 @@ class TestTransference:
         calls = []
         raw = lattice._kernel_1d_raw
         monkeypatch.setattr(lattice, "_kernel_1d_raw",
-                            lambda s, h, m: calls.append(m) or raw(s, h, m))
+                            lambda s, h, m: calls.extend(np.ravel(m).tolist()) or raw(s, h, m))
         got = lattice._transference_direct_1d(v, phi, 2000)
         assert len(calls) == len(set(calls)) == 2006 + 4001
         assert got == pytest.approx(_direct_lhs_loop(v, phi, 2000), rel=1e-13)

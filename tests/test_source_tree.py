@@ -36,3 +36,9 @@ def test_modified_bessel_only_in_specfun():
     # functions of the first kind are called in specfun.py alone
     hits = _hits(r"\b(ive|iv|i0e|i1e)\b")
     assert [h for h in hits if not h.startswith("fraclat/specfun.py:")] == []
+
+
+def test_one_residue_class_series_build():
+    # the series torus table sums every residue class in one array build:
+    # no per-offset series search or per-residue tail sum
+    assert _hits(r"_torus_kernel_series_1d|_arith_tail_sum") == []

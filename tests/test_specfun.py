@@ -19,6 +19,22 @@ from fraclat.specfun import (
     log_gamma,
 )
 
+# (n, t, e^{-t} I_n(t)) past scipy's argument limit, frozen with mpmath at
+# 30 digits: (63245, 2e9) and (46475, 1.08e9) are the last orders of the
+# large-argument expansion at their t, the next ones the first of the
+# uniform one
+MPMATH_LARGE_T = [
+    (5, 3.0e9, 7.2836561739021120193e-6),
+    (1000, 2.0e9, 8.918390704921670493e-6),
+    (40000, 2.0e9, 5.9796707982195903513e-6),
+    (63245, 2.0e9, 3.2817703237794764766e-6),
+    (63246, 2.0e9, 3.2816665468178266361e-6),
+    (100000, 2.0e9, 7.3224912806581397537e-7),
+    (300000, 2.0e9, 1.5092779981805198299e-15),
+    (46475, 1.08e9, 4.4659993969910738714e-6),
+    (46476, 1.08e9, 4.4658072163529912443e-6),
+]
+
 # frozen with mpmath at 40 digits
 MPMATH = {
     "lgamma_0.5": 0.57236494292470009,
@@ -249,6 +265,18 @@ class TestBesselIScaled:
             for t in (0.0, 1e-3, 1.0, 19.0, 500.0, 1e7):
                 v = bessel_i_scaled(n, t)
                 assert 0.0 <= v <= 1.0
+
+    def test_past_scipy_argument_limit(self):
+        # beyond t ~ 1.07e9, where scipy's ive is nan, the large-argument
+        # expansion serves 4n^2 - 1 < 8t and the uniform expansion the rest;
+        # points on both sides of that switch, frozen with mpmath at 30 digits
+        assert {4 * n * n - 1 >= 8 * t for n, t, _ in MPMATH_LARGE_T} == {True, False}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, t, ref in MPMATH_LARGE_T:
+                got = bessel_i_scaled(n, t)
+                assert 0.0 <= got <= 1.0
+                assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (n, t)
 
     def test_branch_seams(self):
         # scipy's ive serves every finite argument; around t = 20 and the
