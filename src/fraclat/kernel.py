@@ -11,13 +11,10 @@ entry; kernel_nd, the d=2 and d=3 tables, the lattice operator and the UCP
 systems all use it.  Arbitrary offsets gather their products from the grid's
 Bessel matrix; the dense tables cover a full box, whose quadrature is a
 weighted Gram product of that matrix.  The module also holds exact 1D tail
-sums, the periodized kernel of the discrete torus (Gamma-ratio series and
-heat-route tables) and the semidiscrete heat kernels, each with explicit
-error control.  The heat-route table builds its Bessel rows in chunks of
-consecutive nodes bounded by entry count, one recurrence sweep each, and
-integrates only to the time T where the wrap sums have flattened to their
-plateau; a table that also needs the diagonal wrap value
-integrates on until the tail of g_0(2t)^d is certified too.
+sums, the periodized kernel of the discrete torus (Gamma-ratio series, and
+heat-route tables that integrate the wrap sums on the same grid up to the
+time T where they have flattened to their plateau) and the semidiscrete
+heat kernels, each with explicit error control.
 
 Everything here is immutable after construction and safe to read
 concurrently.
@@ -164,7 +161,7 @@ def _shared_grid(s, d, big_a, tol):
     |c2| <= big_a^2), so the two-term tail beyond T misses about
     (big_a / T)^{d/2+s+2} of a value, which this T keeps near tol/20."""
     T = big_a * max(100.0, (0.05 * tol) ** (-1.0 / (0.5 * d + s + 2.0)))
-    return (T, *_grid_nodes_weights(_log_grid(_LOG_T0, math.log(T)), s))
+    return (T, *_grid_nodes_weights(_log_grid(math.log(T)), s))
 
 
 def _certified(what, val, err, tol):
@@ -240,10 +237,10 @@ def _kernel_finish(params, m, T, q15, q7, tol):
 
 
 def _orthant_sums(G, w, d):
-    """sum_q w_q prod_i G[q, m_i] for every m in the box {0..nmax}^d, d = 2
-    or 3, as a weighted Gram product of the Bessel matrix G."""
-    Gw = G * w[:, None]
-    if d == 3:
+    """sum_q w_q prod_i G[q, m_i] for every m in the box {0..nmax}^d, as a
+    weighted Gram product of the matrix G (a weighted column sum at d = 1)."""
+    Gw = w[:, None]
+    for _ in range(d - 1):
         Gw = (Gw[:, :, None] * G[:, None, :]).reshape(len(G), -1)
     return (Gw.T @ G).reshape((G.shape[1],) * d)
 
@@ -381,11 +378,11 @@ def _residue_remainders(s, h, n, a0):
 # --- torus kernel: heat-semigroup route (any d) -------------------------------
 
 
-def _log_grid(u_lo, u_hi):
-    """Panel edges on the log-t axis from u_lo to u_hi: coarse deep left
+def _log_grid(u_hi):
+    """Panel edges on the log-t axis from log t0 to u_hi: coarse deep left
     tail, fine center."""
-    edges = [u_lo]
-    u = u_lo
+    edges = [_LOG_T0]
+    u = _LOG_T0
     while u < min(-8.0, u_hi):
         u = min(u + 3.0, -8.0)
         edges.append(u)
@@ -464,36 +461,42 @@ class _TorusKernelData:
 
 
 def _torus_table_heat(s, N, d, tol_abs, need_diag):
-    """Heat-route torus table: the semigroup integral of the wrap sums on a
-    log-t grid up to T, plus the plateau n^{-d} beyond T.
+    """Heat-route torus table, d <= 3: the semigroup integral of the wrap
+    sums on the shared grid [t0, T] of kernel_values, the analytic head of
+    each offset's minimum image below t0, and the plateau n^{-d} beyond T.
 
-    T doubles until the plateau residual passes; the error of the g_0^d tail
-    enters only the diagonal wrap value, so only a table with need_diag also
-    waits for it (up to 32 times larger T at tol 1e-12 and N = 8, 16).  The
-    Bessel rows are built in chunks of consecutive nodes bounded by their
-    entry count, each one recurrence sweep."""
-    if not 0.05 <= s <= 0.95:
-        raise ValueError("heat-route torus tables support s in [0.05, 0.95]")
+    T is the first doubling from 256 whose wrap row is flat to within the
+    plateau bound.  Only the diagonal wrap value needs the g_0^d tail, so
+    only a table with need_diag first doubles until that analytic bound
+    passes.  The leading Fourier term of the row's deviation, (2/n)
+    e^{-2T(1 - cos 2pi/n)}, picks how many doublings share one Bessel call;
+    the rows alone decide T."""
+    if d not in (1, 2, 3):
+        raise ValueError("torus kernel tables support d in {1, 2, 3}")
     n = 2 * N + 1
     pref = math.exp(_log_pref(s, 2.0 * math.pi / n))
-    tol_u = tol_abs / pref
+    goal = 0.05 * tol_abs / pref
+    resid_per_dev = d * n ** (1.0 - d) / s  # plateau residual / (row deviation T^{-s})
     T = 256.0
     while True:
         # the g_0^d tail bound is analytic: no wrap row until it passes
-        if not need_diag or _g0d_tail(d, s, T)[1] <= 0.05 * tol_u:
-            wrow = _wrap_sums(n, 2.0 * T)[1][:N + 1]
-            dev = np.abs(wrow - 1.0 / n).max()
-            plateau_resid = (max(dev * d * n ** (-(d - 1)), 0.0)) * T ** (-s) / s
-            if plateau_resid <= 0.05 * tol_u:
+        if not need_diag or _g0d_tail(d, s, T)[1] <= goal:
+            Ts = [T]
+            while (2.0 * Ts[-1] <= 1e8 and goal < resid_per_dev * Ts[-1] ** -s * (2.0 / n)
+                   * math.exp(-4.0 * Ts[-1] * math.sin(math.pi / n) ** 2)):
+                Ts.append(2.0 * Ts[-1])
+            Ts = np.array(Ts)
+            dev = np.abs(_wrap_sums(n, 2.0 * Ts)[1][:, :N + 1] - 1.0 / n).max(axis=1)
+            resid = resid_per_dev * dev * Ts ** -s
+            passed = np.flatnonzero(resid <= goal)
+            if passed.size:
+                T, plateau_resid = float(Ts[passed[0]]), float(resid[passed[0]])
                 break
+            T = float(Ts[-1])
         T *= 2.0
         if T > 1e8:
             raise ToleranceError("torus kernel plateau did not converge")
-    # The left end sits where the smallest offset's integrand e^{(1-s)u} is
-    # e^{-60}, but no lower than -700/s, so that e^{-s u} stays finite; t is
-    # below 1e-304 there and the integrands of all kept entries are negligible.
-    u_lo = max(-60.0 / (1.0 - s), -700.0 / s)
-    ts, w15, w7 = _grid_nodes_weights(_log_grid(u_lo, math.log(T)), s)
+    ts, w15, w7 = _grid_nodes_weights(_log_grid(math.log(T)), s)
     W = np.empty((ts.size, N + 1))
     ring0 = np.empty(ts.size)
     g0row = np.empty(ts.size)
@@ -511,43 +514,34 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
         lo = hi
     plateau = n ** (-d) * T ** (-s) / s
 
-    if d == 1:
-        v15 = W.T @ w15
-        v7 = W.T @ w7
-        orth = v15 + plateau
-        err_q = float(np.abs(v15 - v7)[1:].max())
-    elif d == 2:
-        A15 = (W * w15[:, None]).T @ W
-        A7 = (W * w7[:, None]).T @ W
-        orth = A15 + plateau
-        dq = np.abs(A15 - A7)
-        dq[0, 0] = 0.0  # zero offset never read; its column integral diverges
-        err_q = float(dq.max())
-    else:
-        raise ValueError("torus kernel tables support d <= 2")
-    err = err_q + plateau_resid + 1e-18
+    # [0, t0]: the wrap product is t^{|j|_1} / prod_i j_i! (1 + theta), |theta|
+    # <= 2dt, its other images t^{n - 2 j_i} j_i! / (n - j_i)! <= t relative
+    j = np.indices((N + 1,) * d)
+    n1 = j.sum(axis=0)
+    head = np.exp((n1 - s) * _LOG_T0 - gammaln(j + 1.0).sum(axis=0)) / (n1 - s)
+    q15 = _orthant_sums(W, w15, d)
+    orth = q15 + head + plateau
+    dq = np.abs(q15 - _orthant_sums(W, w7, d)) + 2.0 * d * _T0 * head + _ROUNDING * orth
+    # the zero offset is never read; its integral diverges
+    err = float(dq.ravel()[1:].max()) + plateau_resid + 1e-18
 
-    diag = 0.0
-    diag_err = 0.0
+    diag = diag_err = 0.0
     if need_diag:
-        if d == 1:
-            drow = ring0
-        else:
-            drow = ring0 * (W[:, 0] + g0row)
+        # W_0^d - g_0^d = ring0 sum_i W_0^i g_0^{d-1-i}; below t0 it is at
+        # most 2d t^n / n!
+        drow = ring0 * sum(W[:, 0] ** i * g0row ** (d - 1 - i) for i in range(d))
         g0t, g0te = _g0d_tail(d, s, T)
         d15 = float(drow @ w15)
         d7 = float(drow @ w7)
+        diag_head = 2.0 * d * math.exp((n - s) * _LOG_T0 - math.lgamma(n + 1.0)) / (n - s)
         diag = pref * (d15 + plateau - g0t)
-        diag_err = pref * (abs(d15 - d7) + plateau_resid + g0te)
+        diag_err = pref * (abs(d15 - d7) + plateau_resid + g0te + diag_head
+                           + _ROUNDING * (d15 + plateau))
 
     # mirror the nonnegative orthant onto the full index cube {-N..N}^d
-    idx = np.minimum(np.abs(np.arange(n)), n - np.abs(np.arange(n)))
-    if d == 1:
-        full = orth[idx] * pref
-        full[0] = 0.0
-    else:
-        full = orth[np.ix_(idx, idx)] * pref
-        full[0, 0] = 0.0
+    idx = np.minimum(np.arange(n), n - np.arange(n))
+    full = orth[np.ix_(*(idx,) * d)] * pref
+    full[(0,) * d] = 0.0
     return _TorusKernelData(N, d, s, 2.0 * math.pi / n, full, diag,
                             max(pref * err, diag_err), T, ts.size)
 

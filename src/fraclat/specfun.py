@@ -74,19 +74,28 @@ def gamma_ratio(a, b):
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if not ((a > 0.0) & (b > 0.0)).all():
         raise ValueError("gamma_ratio requires positive arguments")
-    out = np.empty(a.shape)
     small = np.maximum(a, b) < 171.0
     mixed = ~small & (np.minimum(a, b) < 100.0)
-    big = ~(small | mixed)
-    out[small] = special.gamma(a[small]) / special.gamma(b[small])
-    out[mixed] = special.poch(b[mixed], a[mixed] - b[mixed])
-    a, b = a[big], b[big]
+    # a regime holding every entry takes the arrays whole; an empty one is skipped
+    out = np.empty(a.shape)
+    for part, ratio in ((small, lambda a, b: special.gamma(a) / special.gamma(b)),
+                        (mixed, lambda a, b: special.poch(b, a - b)),
+                        (~(small | mixed), _stirling_ratio)):
+        if part.all():
+            out = ratio(a, b)
+            break
+        if part.any():
+            out[part] = ratio(a[part], b[part])
+    return out if out.ndim else float(out)
+
+
+def _stirling_ratio(a, b):
+    """Gamma(a)/Gamma(b) for a, b >= 100 by the Stirling difference above."""
     d = b - a
     ia, ib = 1.0 / a, 1.0 / b
     x = ((a - 0.5) * np.log1p(-d * ib) - d * (np.log(b) - 1.0) + (ia - ib) / 12.0
          - (ia ** 3 - ib ** 3) / 360.0 + (ia ** 5 - ib ** 5) / 1260.0)
-    out[big] = np.where(x < 709.78, np.exp(np.minimum(x, 709.78)), np.inf)
-    return out if out.ndim else float(out)
+    return np.where(x < 709.78, np.exp(np.minimum(x, 709.78)), np.inf)
 
 
 def gamma_ratio_shifted(m, alpha, beta):
@@ -253,21 +262,22 @@ def bessel_i_scaled_row(nmax, t, out):
     y[top + 1, cols] = _ive(top + 1, x)
     # the rows whose top order is k or more are the columns first[k]:
     first = np.searchsorted(top, np.arange(kmax + 2))
-    # 2k/x, each rounded once, for the rows that recur (none of them tiny)
-    c = np.empty((kmax + 1, x.size))
-    c[:, first[1]:] = np.arange(0.0, 2.0 * kmax + 1.0, 2.0)[:, None] / x[first[1]:]
-    # between successive top orders the running rows are a fixed slice
+    # between successive top orders the running rows are a fixed slice, and
+    # only its coefficients 2k/x are built, each rounded once
     starts = np.unique(top)[::-1].tolist()
     for hi, lo in zip(starts, starts[1:] + [0]):
-        ys, cs = y[:, first[hi]:], c[:, first[hi]:]
+        ys = y[:, first[hi]:]
+        cs = np.arange(2 * lo + 2, 2 * hi + 1, 2)[:, None] / x[first[hi]:]
         for k in range(hi, lo, -1):
-            ck = cs[k]
+            ck = cs[k - lo - 1]
             ck *= ys[k]
             np.add(ck, ys[k + 1], out=ys[k - 1])
-    rows = y[:nmax + 1]
-    rows *= _ive(0, x) / rows[0]
-    rows = rows.T if order is None else rows.T[np.argsort(order)]
-    res[...] = rows.reshape(res.shape)
+    rows, scale = y[:nmax + 1].T, _ive(0, x) / y[0]
+    if order is not None:
+        back = np.argsort(order)
+        rows, scale = rows[back], scale[back]
+    # res may be a strided view: write through it, never through a reshape
+    np.multiply(rows.reshape(res.shape), scale.reshape(res.shape[:-1] + (1,)), out=res)
 
 
 def bessel_k(s, x):

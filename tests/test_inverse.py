@@ -48,6 +48,25 @@ class TestForwardMatrix:
     def test_spectral_column_check_runs(self):
         forward_matrix(SETUP, check_columns=5)
 
+    def test_one_corrupted_entry_raises(self, monkeypatch):
+        # every column is checked: an entry that a single column reads is caught
+        import fraclat.inverse
+        from fraclat.kernel import _TorusKernelData
+
+        setup = InverseSetup(N=16, W=tuple(range(-8, 4)), Omega=tuple(range(6, 13)), seed=0)
+        real = fraclat.inverse.torus_kernel_table
+
+        def corrupted(*args, **kwargs):
+            t = real(*args, **kwargs)
+            full = t.full.copy()
+            full[20] += 1e-8  # offset 20 = 12 - (-8), read by the column of w = -8 alone
+            return _TorusKernelData(t.N, t.d, t.s, t.h, full, t.diag, t.err)
+
+        monkeypatch.setattr(fraclat.inverse, "torus_kernel_table", corrupted)
+        forward_matrix(setup, check_columns=0)
+        with pytest.raises(AssertionError):
+            forward_matrix(setup)
+
     def test_columns_match_spectral(self):
         from fraclat.lattice import TorusFunction, apply_frac_torus_spectral
 

@@ -211,27 +211,39 @@ class TestAppendixBound:
             assert val <= kernel_nd_bound(p, m) * (1.0 + 1e-8)
 
 
-def _exact_torus_kernel(s, N):
-    """The periodized 1D kernel and its diagonal wrap value from finite sums.
+def _exact_torus_kernel(s, N, d=1):
+    """The periodized kernel on {-N..N}^d, indexed by j mod n, and its
+    diagonal wrap value with the absolute error of that value, from finite
+    sums.
 
-    K_T(j) = -n^{-1} sum_k mu(k) cos(2 pi k j / n), and .diag = mass -
-    mean(mu) is the operator applied to delta_0, read at 0, with the mass
-    2 c1 Gamma(1-s) / (2s Gamma(1+s)) of the telescoping tail at M = 1; both
-    in mpmath at 30 digits."""
+    K_T(j) = -n^{-d} sum_k mu(k) cos(2 pi k.j / n), and .diag = mass -
+    mean(mu) is the operator applied to delta_0, read at 0, both in mpmath
+    at 30 digits.  In d = 1 the mass is 2 c1 Gamma(1-s) / (2s Gamma(1+s)),
+    the telescoping tail at M = 1; in d >= 2 it is kernel_lattice_mass at
+    tol 1e-13, whose error the third value carries."""
     import mpmath as mp
 
     n = 2 * N + 1
+    k = np.indices((n,) * d).reshape(d, -1).T - N
+    # K_T is even in each coordinate: sum over j in {0..N}^d and mirror
+    j = np.indices((N + 1,) * d).reshape(d, -1).T
     with mp.workdps(30):
         S = mp.mpf(s)
         h = 2 * mp.pi / n
-        mu = [(4 / h ** 2 * mp.sin(mp.pi * k / n) ** 2) ** S for k in range(-N, N + 1)]
-        exact = np.array([
-            float(-mp.fsum(m * mp.cos(2 * mp.pi * k * j / n)
-                           for k, m in zip(range(-N, N + 1), mu)) / n)
-            for j in range(n)])
-        c1 = 4 ** S * mp.gamma(0.5 + S) / (mp.sqrt(mp.pi) * abs(mp.gamma(-S)) * h ** (2 * S))
-        mass = c1 * mp.gamma(1 - S) / (S * mp.gamma(1 + S))
-        return exact, float(mass - mp.fsum(mu) / n)
+        mu = [(4 / h ** 2 * mp.fsum(mp.sin(mp.pi * int(c) / n) ** 2 for c in kk)) ** S
+              for kk in k]
+        cos = [mp.cos(2 * mp.pi * r / n) for r in range(n)]
+        orth = np.array([float(-mp.fsum(m * cos[r] for m, r in zip(mu, (k @ jj) % n)) / n ** d)
+                         for jj in j]).reshape((N + 1,) * d)
+        mean = mp.fsum(mu) / n ** d
+        if d == 1:
+            c1 = 4 ** S * mp.gamma(0.5 + S) / (mp.sqrt(mp.pi) * abs(mp.gamma(-S)) * h ** (2 * S))
+            mass, mass_err = c1 * mp.gamma(1 - S) / (S * mp.gamma(1 + S)), 0.0
+        else:
+            mass = kernel_lattice_mass(FracParams(s, float(h), d), tol=1e-13)
+            mass_err = 1e-13 * mass
+    idx = np.minimum(np.arange(n), n - np.arange(n))
+    return orth[np.ix_(*(idx,) * d)], float(mass - mean), mass_err
 
 
 class TestTorusKernel:
@@ -243,10 +255,10 @@ class TestTorusKernel:
             assert abs(a.diag - b.diag) < 1e-10
 
     @pytest.mark.parametrize("N", (8, 16))
-    @pytest.mark.parametrize("s", (0.05, 0.1, 0.15, 0.21, 0.5, 0.95))
+    @pytest.mark.parametrize("s", (0.01, 0.05, 0.1, 0.15, 0.21, 0.5, 0.95, 0.99))
     def test_routes_against_exact_fourier_sum(self, s, N):
         # each route lies within its certificate of the exact values
-        exact, diag = _exact_torus_kernel(s, N)
+        exact, diag, _ = _exact_torus_kernel(s, N)
         for method in ("series", "heat"):
             t = torus_kernel_table(s, N, 1, tol=1e-12, need_diag=True, method=method)
             assert np.abs(t.full[1:] - exact[1:]).max() <= t.err, method
@@ -255,14 +267,32 @@ class TestTorusKernel:
     @pytest.mark.parametrize("N", (4, 32))
     @pytest.mark.parametrize("s", (0.01, 0.99))
     def test_series_route_against_exact_fourier_sum(self, s, N):
-        # the series route alone at orders outside the heat route's range,
-        # where its residue-class build runs longest (s = 0.01) and shortest
-        exact, diag = _exact_torus_kernel(s, N)
+        # the series route alone, where its residue-class build runs longest
+        # (s = 0.01) and shortest
+        exact, diag, _ = _exact_torus_kernel(s, N)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             t = torus_kernel_table(s, N, 1, tol=1e-12, need_diag=True, method="series")
         assert np.abs(t.full[1:] - exact[1:]).max() <= t.err
         assert abs(t.diag - diag) <= t.err
+
+    @pytest.mark.parametrize("d, N", [(1, 16), (2, 3), (2, 8), (3, 2)])
+    @pytest.mark.parametrize("s", (0.01, 0.5, 0.99))
+    def test_heat_route_against_exact_fourier_sum_nd(self, s, d, N):
+        # entries with and without the diagonal, and .diag, each within its
+        # certificate of the exact values (and of the mass's error)
+        import fraclat.kernel
+
+        exact, diag, diag_err = _exact_torus_kernel(s, N, d)
+        off = np.ones(exact.shape, dtype=bool)
+        off[(0,) * d] = False
+        fraclat.kernel._torus_table_cached.cache_clear()  # build inside the filter
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for need_diag in (False, True):
+                t = torus_kernel_table(s, N, d, tol=1e-12, need_diag=need_diag, method="heat")
+                assert np.abs(t.full - exact)[off].max() <= t.err, need_diag
+        assert abs(t.diag - diag) <= t.err + diag_err
 
     def test_symmetry_and_domination(self):
         N, s = 8, 0.5
@@ -341,6 +371,23 @@ class TestHeatRouteTable:
         assert off.T <= with_diag.T
         assert off.nodes <= with_diag.nodes
         assert off.diag == 0.0 and with_diag.diag > 0.0
+
+    @pytest.mark.parametrize("N, d, need_diag", [(8, 2, True), (16, 1, False)])
+    @pytest.mark.parametrize("s", (0.25, 0.35, 0.45, 0.55, 0.65, 0.85))
+    def test_plateau_is_the_first_passing_doubling(self, s, N, d, need_diag):
+        # the tables of the cold-kernels benchmark pool: at T/2 the wrap row
+        # (argument 2 (T/2)) or the g_0^d tail misses the plateau bound, so
+        # neither the search start nor the doublings that share one Bessel
+        # call can make T larger than needed
+        import fraclat.kernel as K
+
+        t = torus_kernel_table(s, N, d, tol=1e-12, need_diag=need_diag, method="heat")
+        n = 2 * N + 1
+        goal = 0.05 * 1e-12 / math.exp(K._log_pref(s, 2.0 * math.pi / n))
+        half = t.T / 2.0
+        dev = np.abs(K._wrap_sums(n, t.T)[1][:N + 1] - 1.0 / n).max()
+        resid = d * n ** (1.0 - d) / s * dev * half ** -s
+        assert resid > goal or (need_diag and K._g0d_tail(d, s, half)[1] > goal)
 
     def test_series_route_records_no_plateau(self):
         table = torus_kernel_table(0.5, 8, 1, method="series")

@@ -42,3 +42,9 @@ def test_one_residue_class_series_build():
     # the series torus table sums every residue class in one array build:
     # no per-offset series search or per-residue tail sum
     assert _hits(r"_torus_kernel_series_1d|_arith_tail_sum") == []
+
+
+def test_heat_tables_on_the_shared_grid():
+    # heat-route torus tables integrate on the shared [t0, T] grid for every
+    # s in (0,1): no deep left panels down to -700/s and no heat s-range
+    assert _hits(r"700\.0 / s|heat-route torus tables support s", "fraclat/kernel.py") == []

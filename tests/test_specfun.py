@@ -310,6 +310,22 @@ class TestBesselIScaled:
                         ref = bessel_i_scaled(n, t)
                         assert out[n] == pytest.approx(ref, rel=1e-12, abs=1e-280)
 
+    def test_row_into_wider_out_with_2d_leading_shape(self):
+        # out[..., :nmax + 1] of a wider array is a strided view: every row
+        # lands in it, in argument order (here unsorted), and nothing past
+        # order nmax is written
+        nmax = 60
+        t = np.array([[3.0, 0.0, 250.0, 1e-3],
+                      [40.0, 7.5, 1e-250, 1200.0],
+                      [0.6, 90.0, 15.0, 2.0]])
+        out = np.full((3, 4, nmax + 9), -1.0)
+        bessel_i_scaled_row(nmax, t[..., None], out)
+        assert (out[..., nmax + 1:] == -1.0).all()
+        for idx in np.ndindex(t.shape):
+            one = np.empty(nmax + 1)
+            bessel_i_scaled_row(nmax, t[idx], one)
+            assert (out[idx][:nmax + 1] == one).all(), idx
+
     def test_row_against_mpmath(self):
         # within 32 ulps of the 40-digit values wherever they exceed 1e-250
         # (and as close as the scalar below), one argument per call and all
