@@ -21,8 +21,8 @@ import numpy as np
 from .kernel import (
     FracParams,
     build_kernel_table,
-    kernel_tail_bound_ell1,
     _kernel_1d_raw,
+    _tail_1d_raw,
 )
 from .lattice import (
     LatticeFunction,
@@ -261,48 +261,72 @@ def slab_counterexample_1d(params, tol=1e-10, window=200):
     return u, Vfun, cert
 
 
-def slab_counterexample_2d(params, j2_samples=(0, 1, 5, 25, 100),
-                           trunc_radius=200, tol=None):
+def slab_counterexample_2d(params, j2_samples=(0, 1, 5, 25, 100), trunc_radius=200):
     """Weak-UCP failure on the slab {j1 in {-1,0,1}} in two dimensions.
 
-    Evaluates the operator of the corrected step (constant in j2) at
-    j1 in {0, +-1} for each sampled j2 by truncated double sums; the box is
-    centered at (j1, 0), so the j2 dependence of the truncated values probes
-    the exact cancellation of the infinite sums.  The certificate tolerance
-    is the kernel-bound tail estimate of the truncation.
+    Evaluates the operator of the corrected step w (constant in j2) at
+    j1 in {0, +-1} for each sampled j2 by truncated double sums over the box
+    |m1 - j1| <= r, |m2| <= r, so the j2 dependence of the truncated values
+    probes the exact cancellation of the infinite sums.
+
+    The tolerance is the omitted mass, exact by kernel reduction
+    (sum_{m2} K_2(m1, m2) = K_1(m1)): the full sums give (L_1 w)(j1), and
+    the box omits sum_{m1=1..r} (2w(j1) - w(j1-m1) - w(j1+m1)) D(m1) plus
+    2 w(j1) T(r+1) beyond it, where D(m1) = K_1(m1) - sum_{m2 in the window}
+    K_2(m1, m2) >= 0 and T is the 1-D tail.  It is the largest over the
+    samples of |(L_1 w)(j1)| plus that sum in absolute values, with |D| + e
+    for D (e the window sum of the table's certified errors), plus a
+    rounding floor.  A column with D < -e, a quadrature column above the
+    closed form, raises CertificateError.
     """
     if params.d != 2:
         raise ValueError("slab_counterexample_2d requires d = 2")
+    s, h = params.s, params.h
     r = int(trunc_radius)
     j2s = sorted({int(j) for j in j2_samples})
     j2max = max(abs(j) for j in j2s)
     if j2max > r // 2:
         raise ValueError("j2 samples must satisfy |j2| <= trunc_radius/2")
-    a = slab_correction_amplitude(FracParams(params.s, params.h, 1))
+    p1 = FracParams(s, h, 1)
+    a = slab_correction_amplitude(p1)
     # the corrected step along j1: the one-dimensional slab function
     step = StepProfile(0, 2, -1.0, 1.0)
-    w = LatticeFunction(FracParams(params.s, params.h, 1), {(2,): a, (-2,): -a}, step).value
+    w = LatticeFunction(p1, {(2,): a, (-2,): -a}, step)
+    j1s = np.array([[-1], [0], [1]])
+    exact = np.abs(apply_frac_lattice(w, j1s))
+    k1 = _kernel_1d_raw(s, h, np.arange(r + 1))
+
+    # w(j1) - w(j1 - r1) for |r1| <= r; paired at +-m1 they give
+    # 2w(j1) - w(j1-m1) - w(j1+m1), and beyond |m1| = r, where w is the step,
+    # the omitted sum is exactly 2 w(j1) T(r+1)
+    r1 = np.arange(-r, r + 1)
+    wj = w.value(j1s)
+    diffs = wj[:, None] - w.value((j1s - r1).reshape(-1, 1)).reshape(3, -1)
+    pair = np.abs(diffs[:, r:] + diffs[:, r::-1])
+    beyond = 2.0 * np.abs(wj) * _tail_1d_raw(s, h, r + 1.0)
 
     table = build_kernel_table(params, r + j2max, tol=1e-9)
-    sup_diff = 2.0 * (1.0 + abs(a))
-    tail_tol = sup_diff * kernel_tail_bound_ell1(params, r - j2max)
-    quad_tol = sup_diff * float(table.err.max()) * (2 * r + 1) ** 2
-    cert_tol = tail_tol + quad_tol if tol is None else tol
-
-    step_target = -float(_kernel_1d_raw(params.s, params.h, np.arange(1, 3)).sum())
-
-    # column sums of the kernel over m2 in [-r, r] for each r1 and each j2
+    # column sums of the kernel over m2 in [j2 - r, j2 + r] for m1 = 0..r,
+    # and of their certified errors; both are even in m1
     rad = table.radius
-    r1 = np.arange(-r, r + 1)
-    out = {}
-    for j2 in j2s:
-        cols = table.values[:, j2 - r + rad:j2 + r + rad + 1].sum(axis=1)[r1 + rad]
-        for j1 in (-1, 0, 1):
-            out[(j1, j2)] = float((w(j1) - w((j1 - r1)[:, None])) @ cols)
-
-    resid = max(abs(v) for v in out.values())
-    spread = max(abs(out[(1, j2)] - out[(1, j2s[0])]) for j2 in j2s)
-    spread = max(spread, max(abs(out[(-1, j2)] - out[(-1, j2s[0])]) for j2 in j2s))
+    vals = np.empty((3, len(j2s)))
+    omitted = 0.0
+    for k, j2 in enumerate(j2s):
+        box = (slice(rad, rad + r + 1), slice(j2 - r + rad, j2 + r + rad + 1))
+        cols, errs = table.values[box].sum(axis=1), table.err[box].sum(axis=1)
+        deficit = k1 - cols
+        if np.any(deficit[1:] < -errs[1:]):
+            raise CertificateError(
+                f"slab-2d quadrature column exceeds the closed-form K_1 at j2 = {j2}:"
+                f" by {-deficit[1:].min():.3e}, certified error {errs[1:].max():.3e}")
+        terms = diffs * cols[np.abs(r1)]
+        vals[:, k] = terms.sum(axis=1)
+        # each sum of 2r+1 terms rounds by at most (2r+1) eps of its absolute sum
+        floor = 2.0 * (2 * r + 1) * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+        bound = exact + pair @ (np.abs(deficit) + errs) + beyond + floor
+        omitted = max(omitted, float(bound.max()))
+    resid = float(np.abs(vals).max())
+    spread = float(np.abs(vals - vals[:, :1]).max())
 
     # uncorrected step value at (1, 0): 1D reduction oracle target
     cols0 = table.values[:, -r + rad:r + rad + 1].sum(axis=1)[r1 + rad]
@@ -311,19 +335,20 @@ def slab_counterexample_2d(params, j2_samples=(0, 1, 5, 25, 100),
     cert = Certificate(
         residual_sup=resid,
         u_norm=1.0 + abs(a),
-        tolerance=cert_tol,
+        tolerance=omitted,
         paper_claim="weak-ucp-failure-slab-2d",
-        parameters={"s": params.s, "h": params.h, "a": a,
+        parameters={"s": s, "h": h, "a": a,
                     "trunc_radius": r, "j2_samples": j2s},
-        details={"values": {f"{k[0]},{k[1]}": v for k, v in out.items()},
+        details={"values": {f"{j1},{j2}": float(vals[i, k]) for i, j1 in enumerate((-1, 0, 1))
+                            for k, j2 in enumerate(j2s)},
                  "j2_spread": spread,
                  "step_value_at_1_0": step_only,
-                 "step_target": step_target,
-                 "tail_bound": tail_tol},
+                 "step_target": -float(k1[1:3].sum()),
+                 "omitted_bound": omitted},
     )
     if not cert.passed:
         raise CertificateError(
-            f"slab-2d residual {resid:.3e} above certificate tolerance {cert_tol:.3e}")
+            f"slab-2d residual {resid:.3e} above certificate tolerance {omitted:.3e}")
     return cert
 
 

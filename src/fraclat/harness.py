@@ -225,11 +225,10 @@ def run(config):
 
             u = LatticeFunction.from_json(doc)
             radius = int(p.get("radius", 10))
-            tol = float(p.get("tol", 1e-10))
             d = u.params.d
             # the (2r+1)^d grid in lexicographic order, in one operator call
             pts = np.indices((2 * radius + 1,) * d).reshape(d, -1).T - radius
-            vals = apply_frac_lattice(u, pts, tol=tol)
+            vals = apply_frac_lattice(u, pts)
             lines = [",".join([f"j_{i + 1}" for i in range(d)] + ["value"])]
             for j, val in zip(pts.tolist(), vals.tolist()):
                 lines.append(",".join([str(c) for c in j] + [fmt(val)]))

@@ -131,9 +131,42 @@ def kernel_nd_bound(params, m):
     n1 = float(sum(abs(int(x)) for x in np.atleast_1d(m)))
     if n1 < 1:
         raise ValueError("bound requires a nonzero offset")
-    lg = (d * (d + 2.0 * s - 1.0) * math.log(2.0) + s * _LOG4
-          + log_gamma(0.5 * d + s) - 0.5 * d * _LOG_PI + _log_pref(s, h))
-    return math.exp(lg) * gamma_ratio(n1 - s, n1 + d + s)
+    return math.exp(_log_bound_pref(s, h, d)) * gamma_ratio(n1 - s, n1 + d + s)
+
+
+def _log_bound_pref(s, h, d):
+    # log of h^{-2s} 2^{d(d+2s-1)} 4^s Gamma(d/2+s) / (pi^{d/2} |Gamma(-s)|)
+    return (d * (d + 2.0 * s - 1.0) * math.log(2.0) + s * _LOG4
+            + log_gamma(0.5 * d + s) - 0.5 * d * _LOG_PI + _log_pref(s, h))
+
+
+def kernel_tail_bound_ell1(params, radius):
+    """Upper bound for sum_{|m|_1 > radius} K(m), d <= 3.
+
+    d = 1: the exact tail 2 T(radius + 1).  d = 2, 3: the ell^1-shell sum
+    of kernel_nd_bound, sum_{rho > radius} n_d(rho) Gamma(rho-s)/Gamma(rho+d+s),
+    in closed form.  With x = rho - s the shell counts are n_2 = 4 rho =
+    4x + 4s and n_3 = 4 rho^2 + 2 = 4x(x+1) + 4(2s-1)x + 4s^2 + 2, so the
+    summand is a sum of c_k Gamma(rho-s+k)/Gamma(rho+d+s), k < d, and each
+    of those sums by
+
+        sum_{rho >= R} Gamma(rho+a)/Gamma(rho+b) = Gamma(R+a)/((b-a-1) Gamma(R+b-1)).
+    """
+    s, h, d = params.s, params.h, params.d
+    big_r = int(radius) + 1
+    if big_r < 1:
+        raise ValueError("radius must be >= 0")
+    if d == 1:
+        return 2.0 * _tail_1d_raw(s, h, float(big_r))
+    if d == 2:
+        coefs = (4.0 * s, 4.0)
+    elif d == 3:
+        coefs = (4.0 * s * s + 2.0, 4.0 * (2.0 * s - 1.0), 4.0)
+    else:
+        raise ValueError("the ell^1 tail bound supports d in {1, 2, 3}")
+    k = np.arange(d)
+    sums = gamma_ratio_shifted(big_r, k - s, d + s - 1.0) / (d - 1.0 - k + 2.0 * s)
+    return math.exp(_log_bound_pref(s, h, d)) * float(np.dot(coefs, sums))
 
 
 # --- the heat-semigroup integral on one shared grid ---------------------------
@@ -635,28 +668,18 @@ class KernelTable:
     """Kernel values for all offsets with |m|_inf <= radius.
 
     values has shape (2*radius+1,)**d indexed by offset + radius per axis;
-    the zero offset holds 0.  tail_constant is the coefficient of the
-    |m|^{-d-2s} model used for truncation certificates.
+    the zero offset holds 0; err holds the certified absolute error of each
+    value.
     """
 
     params: FracParams
     radius: int
     values: np.ndarray
     err: np.ndarray
-    tail_constant: float
 
     def value(self, m):
         idx = tuple(int(c) + self.radius for c in np.atleast_1d(m))
         return self.values[idx]
-
-
-def _tail_constant(params):
-    s, h, d = params.s, params.h, params.d
-    if d == 1:
-        return math.exp(_log_c1(s, h))
-    lg = (d * (d + 2.0 * s - 1.0) * math.log(2.0) + s * _LOG4
-          + log_gamma(0.5 * d + s) - 0.5 * d * _LOG_PI + _log_pref(s, h))
-    return math.exp(lg)
 
 
 def build_kernel_table(params, radius, tol=1e-9):
@@ -690,42 +713,4 @@ def build_kernel_table(params, radius, tol=1e-9):
 
 def _kernel_table(params, radius, vals, errs):
     _require_finite(f"kernel table (d={params.d}, radius {radius})", vals, errs)
-    return KernelTable(params, radius, vals, errs, _tail_constant(params))
-
-
-@lru_cache(maxsize=None)
-def _tail_bound_ell1_cached(s, h, d, radius):
-    # certified-flavored bound for sum over |m|_1 > radius of K(m):
-    # Appendix-style pointwise bound summed with exact ell^1 shell counts to
-    # P, integral comparison beyond, then doubled for safety.
-    c = _tail_constant(FracParams(s, h, d))
-    big_p = max(100000, 4 * radius)
-    # Gamma(rho - s) / Gamma(rho + d + s) by the recurrence
-    # ratio(rho + 1) = ratio(rho) (rho - s) / (rho + d + s), as running
-    # products over chunks of shells that carry the last ratio
-    total = 0.0
-    ratio = gamma_ratio(radius + 1.0 - s, radius + 1.0 + d + s)
-    for lo in range(radius + 1, big_p, 1 << 12):
-        rho = np.arange(lo, min(lo + (1 << 12), big_p), dtype=float)
-        run = np.cumprod(np.concatenate(([ratio], (rho - s) / (rho + d + s))))
-        if d == 1:
-            cnt = 2.0
-        elif d == 2:
-            cnt = 4.0 * rho
-        else:
-            cnt = 4.0 * rho * rho + 2.0
-        total += float(np.sum(cnt * run[:-1]))
-        ratio = float(run[-1])
-    # power-law continuation of the last ratio beyond P
-    if d == 1:
-        rem = 2.0 * ratio * big_p / (2.0 * s)
-    elif d == 2:
-        rem = 4.0 * ratio * big_p * big_p / (2.0 * s)
-    else:
-        rem = 4.0 * ratio * big_p ** 3 / (1.0 + 2.0 * s)
-    return 2.0 * c * (total + 1.05 * rem)
-
-
-def kernel_tail_bound_ell1(params, radius):
-    """Upper bound for sum_{|m|_1 > radius} K(m) (safety factor 2 included)."""
-    return _tail_bound_ell1_cached(params.s, params.h, params.d, int(radius))
+    return KernelTable(params, radius, vals, errs)

@@ -1,9 +1,10 @@
 """Functions on the lattice (hZ)^d and the discrete torus, and the operator.
 
 The fractional discrete Laplacian is applied three ways: as a kernel sum on
-the lattice (with exact step-profile tails in d=1 and certified truncation
-in higher dimension), as a kernel sum on the torus through the periodized
-kernel, and spectrally on the torus through its exact Fourier multiplier.
+the lattice (step profiles in every dimension through exact one-dimensional
+half-line tails, by kernel reduction), as a kernel sum on the torus through
+the periodized kernel, and spectrally on the torus through its exact
+Fourier multiplier.
 The pointwise and spectral torus routes are independent implementations
 whose agreement is one of the package's core consistency checks, as is the
 transference identity tying the lattice operator to the torus one.
@@ -20,9 +21,7 @@ from .kernel import (
     ToleranceError,
     _kernel_1d_raw,
     _tail_1d_raw,
-    build_kernel_table,
     kernel_lattice_mass,
-    kernel_tail_bound_ell1,
     kernel_values,
     torus_kernel_table,
 )
@@ -292,69 +291,49 @@ def _kernels_at(params, offsets, tol):
     return out.reshape(offsets.shape[:-1])
 
 
-def apply_frac_lattice(u, j, tol=1e-10):
+def apply_frac_lattice(u, j):
     """Pointwise operator value sum_{m != j} (u_j - u_m) K(j - m).
 
     j is one point, or an integer array of shape (P, d) whose rows are P
     points, which gives an array of shape (P,); one point is the batch of
-    one.  Finitely supported inputs use the exact total kernel mass plus one
-    kernel batch over every (point, support point) pair; d=1 step profiles
-    get exact half-line tails from one array call of the closed-form tail
-    sums; d>=2 step profiles are truncated to a centered box, one kernel
-    table per call, with an ell^1 tail certificate, and raise ToleranceError
-    if tol cannot be certified.  The box sum takes the profile as a 1-D
-    array along its axis against the table summed over the other axes, and
-    gathers the support points inside the box.
+    one.  Write u = b + q with b the step profile along axis a (0 if there
+    is none) and q the finitely supported part, c_p at its points p.  Then
+
+        (Lu)_j = (L_1 b)(j_a) + mass * q_j - sum_p c_p K(j - p),
+
+    exactly, in every dimension: the kernel reduction sum_{m' in Z^{d-1}}
+    K_d(m_a, m') = K_1(m_a) at the same s and h (sum_n e^{-x} I_n(x) = 1 in
+    the heat-semigroup form of K) collapses the profile's sum over the
+    other axes.  (L_1 b) comes from exact half-line tails of the closed form;
+    the rest from the exact total mass and one kernel batch over every
+    (point, support point) pair.  Nothing is truncated.
     """
     params = u.params
     if np.ndim(j) < 2:
-        return float(apply_frac_lattice(u, np.reshape(j, (1, -1)), tol)[0])
+        return float(apply_frac_lattice(u, np.reshape(j, (1, -1)))[0])
     pts = np.asarray(j, dtype=np.int64)
     if pts.shape[1] != params.d:
         raise ValueError("point dimension mismatch")
-    uj = u.value(pts)
     keys, weights = u._support_arrays()
+    qj = (pts[:, None, :] == keys).all(axis=2) @ weights
+    total = qj * kernel_lattice_mass(params) if qj.any() else np.zeros(len(pts))
     # (point, support point) offsets; a point on the support meets K(0) = 0
-    offs = pts[:, None, :] - keys
+    total -= (_kernels_at(params, pts[:, None, :] - keys, 1e-12) * weights).sum(axis=1)
     prof = u.profile
-
-    if prof is None:
-        total = uj * kernel_lattice_mass(params) if uj.any() else 0.0
-        return total - (_kernels_at(params, offs, 1e-12) * weights).sum(axis=1)
-
-    if params.d == 1:
-        # sum_{m <= lo} K(j - m) and sum_{m >= hi} K(j - m) are one-sided
-        # tails when j is off the half-line, the mass minus one when it is on
-        jx = pts[:, 0]
+    if prof is not None:
+        # sum_{m <= lo} K_1(c - m) and sum_{m >= hi} K_1(c - m) are one-sided
+        # tails when c is off the half-line, the mass minus one when it is on
+        c = pts[:, prof.axis]
         lo, hi = min(-prof.cutoff, -1), prof.cutoff
-        below, above = jx > lo, jx < hi
+        below, above = c > lo, c < hi
         tails = _tail_1d_raw(params.s, params.h, np.concatenate((
-            [1], np.where(below, jx - lo, lo - jx + 1), np.where(above, hi - jx, jx - hi + 1))))
+            [1], np.where(below, c - lo, lo - c + 1), np.where(above, hi - c, c - hi + 1))))
         mass = 2.0 * tails[0]
         t_le, t_ge = np.split(tails[1:], 2)
         sum_le = np.where(below, t_le, mass - t_le)
         sum_ge = np.where(above, t_ge, mass - t_ge)
-        total = uj * mass - prof.left_value * sum_le - prof.right_value * sum_ge
-        return total - (_kernels_at(params, offs, 1e-12) * weights).sum(axis=1)
-
-    # d >= 2 step profile: centered-box truncation with a tail certificate
-    sup = u.sup_norm_bound() + float(np.abs(uj).max())
-    radius = 32
-    while kernel_tail_bound_ell1(params, radius) * sup > tol:
-        radius *= 2
-        if radius > 4096:
-            raise ToleranceError(
-                "step-profile truncation certificate exceeds tol",
-                achieved=kernel_tail_bound_ell1(params, radius // 2) * sup,
-                requested=tol)
-    table = build_kernel_table(params, radius, tol=min(1e-9, tol))
-    # the zero-offset slot of the table holds 0, so r = 0 needs no exclusion
-    base = prof.base_values(pts[:, prof.axis, None] - np.arange(-radius, radius + 1))
-    others = tuple(a for a in range(params.d) if a != prof.axis)
-    total = (uj[:, None] - base) @ table.values.sum(axis=others)
-    inside = np.abs(offs).max(axis=2) <= radius
-    gathered = table.values[tuple(np.moveaxis(np.clip(offs, -radius, radius) + radius, -1, 0))]
-    return total - (np.where(inside, gathered, 0.0) * weights).sum(axis=1)
+        total += prof.base_values(c) * mass - prof.left_value * sum_le - prof.right_value * sum_ge
+    return total
 
 
 # --- the operator on the torus --------------------------------------------------
@@ -483,9 +462,11 @@ def transference_check(v, phi, tol=1e-10, method="wrapped", direct_radius=20000)
     the absolutely convergent left side exactly through the periodized
     kernel, as one gather of the torus table over every (support point,
     torus point) pair and one contraction; method='direct' (d=1 only)
-    truncates the lattice sum at direct_radius, as array sums of the
-    closed-form kernel, and adds the measured-decay tail certificate to the
-    returned defect.  Neither left side uses an FFT; only the right side is
+    truncates the lattice sum at |l| <= direct_radius = L, as array sums of
+    the closed-form kernel, and adds to the returned defect the exact bound
+    vmax sum_i |c_i| (T(L+1-p_i) + T(L+1+p_i)) on the omitted terms, T the
+    closed-form tail sum; it raises ValueError for a support point p_i with
+    |p_i| > L.  Neither left side uses an FFT; only the right side is
     spectral.
     """
     if phi.profile is not None:
@@ -514,11 +495,11 @@ def transference_check(v, phi, tol=1e-10, method="wrapped", direct_radius=20000)
     if method != "direct" or d != 1:
         raise ValueError("method must be 'wrapped', or 'direct' with d = 1")
     L = int(direct_radius)
+    keys, weights = phi._support_arrays()
+    p = keys[:, 0]
+    if np.any(np.abs(p) > L):
+        raise ValueError("direct transference needs every support point within direct_radius")
     lhs = _transference_direct_1d(v, phi, L)
-    # measured decay constant of (op phi), inflated x4, integral-compared tail
-    probe = np.array([2 * L // 3, 3 * L // 4, L])
-    cdec = 4.0 * float(np.max(np.abs(apply_frac_lattice(phi, probe[:, None]))
-                              * (1.0 + probe) ** (1.0 + 2.0 * s)))
-    vmax = float(np.abs(v.values).max())
-    tail = vmax * cdec * (L ** (-2.0 * s)) / s
-    return abs(lhs - rhs) + tail
+    # beyond |l| = L, (op phi)_l = -sum_i c_i K(l - p_i)
+    tails = _tail_1d_raw(s, params.h, np.stack((L + 1 - p, L + 1 + p))).sum(axis=0)
+    return abs(lhs - rhs) + float(np.abs(v.values).max()) * float(np.abs(weights) @ tails)

@@ -162,7 +162,7 @@ def test_c06_slab_counterexamples():
                          f"slab residual {cert1.residual_sup:.2e} (<=1e-10), "
                          f"V scaling err {scale_err:.2e} (<=1e-10), "
                          f"2D spread {cert2.details['j2_spread']:.2e} "
-                         f"(<=2x tail {2.0 * cert2.tolerance:.2e}), {elapsed:.1f}s (<60s)")
+                         f"(<=2x omitted mass {2.0 * cert2.tolerance:.2e}), {elapsed:.1f}s (<60s)")
 
 
 def test_c07_torus_ucp_failure():

@@ -157,6 +157,39 @@ class TestSlab2D:
             target, abs=cert.tolerance)
 
 
+    @pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.85])
+    def test_tolerance_is_the_omitted_mass(self, s):
+        # the omitted column mass bounds each truncated value sharply: the
+        # tolerance stays within 3x the residual, and below |u| by far
+        cert = slab_counterexample_2d(FracParams(s, 1.0, 2), j2_samples=(0, 1, 5, 15, 30),
+                                      trunc_radius=60)
+        assert cert.passed
+        assert cert.tolerance == cert.details["omitted_bound"]
+        assert cert.tolerance <= 3.0 * cert.residual_sup
+        assert cert.tolerance < 1e-2 * cert.u_norm
+        assert abs(cert.details["step_value_at_1_0"]
+                   - cert.details["step_target"]) <= cert.tolerance
+        assert cert.details["j2_spread"] <= 2.0 * cert.tolerance
+
+    def test_scaled_table_raises(self, monkeypatch):
+        # kernel values 0.1% too large make a quadrature column exceed the
+        # closed-form K_1: the independent reduction check must catch it
+        import dataclasses
+
+        import fraclat.counterexamples as counterexamples
+        from fraclat.counterexamples import CertificateError
+
+        real = counterexamples.build_kernel_table
+
+        def scaled(*args, **kwargs):
+            table = real(*args, **kwargs)
+            return dataclasses.replace(table, values=1.001 * table.values)
+
+        monkeypatch.setattr(counterexamples, "build_kernel_table", scaled)
+        with pytest.raises(CertificateError):
+            slab_counterexample_2d(FracParams(0.5, 1.0, 2), j2_samples=(0, 1, 5, 15, 30),
+                                   trunc_radius=60)
+
 class TestPotentialFromPair:
     def test_simple_ratio(self):
         V = potential_from_pair([2.0, 0.0], [1.0, 0.0])

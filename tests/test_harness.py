@@ -162,22 +162,26 @@ class TestExperiments:
         assert (tmp_path / "applied.json").read_text() == expected
 
     def test_apply_lattice_step_profile_d2(self, tmp_path):
-        # a d = 2 step profile is certified at the tol the experiment is given
+        # a d = 2 step profile is exact by kernel reduction: the values are
+        # the one-dimensional step operator along its axis
         from fraclat.kernel import FracParams
-        from fraclat.lattice import LatticeFunction, StepProfile
+        from fraclat.lattice import LatticeFunction, StepProfile, apply_frac_lattice
 
         u = LatticeFunction(FracParams(0.5, 1.0, 2), {}, StepProfile(0, 2, -1.0, 1.0))
         src = tmp_path / "u.json"
         src.write_text(u.to_json())
         cfg = ExperimentConfig(experiment="apply",
-                               params={"s": 0.5, "file": str(src), "radius": 1,
-                                       "tol": 0.05},
+                               params={"s": 0.5, "file": str(src), "radius": 1},
                                output_dir=str(tmp_path))
         report = run(cfg)
         assert report.all_passed
         assert [c.name for c in report.checks] == ["row_count"]
         lines = (tmp_path / "applied.csv").read_text().strip().split("\n")
         assert lines[0] == "j_1,j_2,value" and len(lines) == 10
+        step1 = LatticeFunction(FracParams(0.5), {}, StepProfile(0, 2, -1.0, 1.0))
+        for line in lines[1:]:
+            j1, _, val = line.split(",")
+            assert float(val) == pytest.approx(apply_frac_lattice(step1, int(j1)), rel=1e-15)
 
     def test_carleman_probe_experiment(self, tmp_path):
         cfg = ExperimentConfig(experiment="carleman-probe",

@@ -23,7 +23,7 @@ from fraclat.kernel import (
     torus_kernel,
     torus_kernel_table,
 )
-from fraclat.specfun import bessel_i_scaled_row, gamma_ratio
+from fraclat.specfun import bessel_i_scaled_row
 
 
 def _quad_oracle(s, m):
@@ -489,37 +489,54 @@ class TestTailBound:
         assert vals[0] > vals[1] > vals[2] > 0.0
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("s", [0.3, 0.9])
+    @pytest.mark.parametrize("s", [0.01, 0.3, 0.9])
     def test_matches_scalar_loop(self, s, d):
-        from fraclat.kernel import _tail_constant
+        # the closed form against mpmath's Levin-u sum of the shell series
+        # C sum_{rho > R} n_d(rho) Gamma(rho - s) / Gamma(rho + d + s), with
+        # n_1 = 2, n_2 = 4 rho, n_3 = 4 rho^2 + 2, and C the prefactor of
+        # the exact kernel in d = 1 and of kernel_nd_bound otherwise
+        import mpmath as mp
 
-        def loop_bound(radius):
-            # the bound as first written: one ratio update per ell^1 shell
-            big_p = max(100000, 4 * radius)
-            total = 0.0
-            ratio = gamma_ratio(radius + 1.0 - s, radius + 1.0 + d + s)
-            m = radius + 1
-            for rho in range(radius + 1, big_p):
-                if d == 1:
-                    cnt = 2.0
-                elif d == 2:
-                    cnt = 4.0 * rho
-                else:
-                    cnt = 4.0 * rho * rho + 2.0
-                total += cnt * ratio
-                ratio *= (m - s) / (m + d + s)
-                m += 1
+        with mp.workdps(30):
+            ms = mp.mpf(s)
+            count = {1: lambda r: 2, 2: lambda r: 4 * r, 3: lambda r: 4 * r * r + 2}[d]
+
+            def term(r):
+                return count(r) * mp.gamma(r - ms) / mp.gamma(r + d + ms)
+
             if d == 1:
-                rem = 2.0 * ratio * big_p / (2.0 * s)
-            elif d == 2:
-                rem = 4.0 * ratio * big_p * big_p / (2.0 * s)
+                pref = 4 ** ms * mp.gamma(0.5 + ms) / (mp.sqrt(mp.pi) * abs(mp.gamma(-ms)))
             else:
-                rem = 4.0 * ratio * big_p ** 3 / (1.0 + 2.0 * s)
-            return 2.0 * _tail_constant(FracParams(s, 1.0, d)) * (total + 1.05 * rem)
+                pref = (2 ** (d * (d + 2 * ms - 1)) * 4 ** ms * mp.gamma(d / mp.mpf(2) + ms)
+                        / (mp.pi ** (d / mp.mpf(2)) * abs(mp.gamma(-ms))))
+            # one Levin-u sum from rho = 6; larger radii subtract whole shells
+            beyond_5 = mp.nsum(term, [6, mp.inf], method="levin", levin_variant="u")
+            for radius in (5, 30, 200):
+                ref = pref * (beyond_5 - mp.fsum(term(r) for r in range(6, radius + 1)))
+                assert kernel_tail_bound_ell1(FracParams(s, 1.0, d), radius) == pytest.approx(
+                    float(ref), rel=1e-12)
 
-        for radius in (5, 30, 200):
-            assert kernel_tail_bound_ell1(FracParams(s, 1.0, d), radius) == pytest.approx(
-                loop_bound(radius), rel=1e-12)
+
+class TestKernelReduction:
+    """sum_{m' in Z^{d-1}} K_d(m1, m') = K_1(m1) at the same s and h, from
+    sum_n e^{-x} I_n(x) = 1 in the heat-semigroup form of the kernel."""
+
+    @pytest.mark.parametrize("d, windows", [(2, (8, 32, 128)), (3, (4, 8, 16))])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.85])
+    def test_partial_sums_approach_kernel_1d(self, s, d, windows):
+        tol = 1e-12
+        p = FracParams(s, 1.0, d)
+        for m1 in (1, 3, 10):
+            k1 = kernel_1d(FracParams(s), m1)
+            gaps = []
+            for w in windows:
+                others = np.indices((2 * w + 1,) * (d - 1)).reshape(d - 1, -1).T - w
+                offs = np.column_stack((np.full(len(others), m1), others))
+                partial = float(kernel_values(p, offs, tol)[0].sum())
+                assert partial <= k1 * (1.0 + tol)
+                gaps.append(k1 - partial)
+            assert gaps[0] > gaps[1] > gaps[2] > 0.0
+            assert gaps[2] < 0.5 * gaps[0]
 
 
 class TestKernelTable:

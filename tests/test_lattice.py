@@ -12,6 +12,7 @@ from fraclat.kernel import (
     kernel_1d,
     kernel_lattice_mass,
     kernel_tail_bound_ell1,
+    kernel_tail_sum_1d,
     torus_kernel_table,
 )
 from fraclat.lattice import (
@@ -177,27 +178,70 @@ class TestApplyLattice:
     def test_step_profile_2d_truncated(self):
         p = FracParams(0.5, 1.0, 2)
         step = LatticeFunction(p, {}, StepProfile(0, 2, -1.0, 1.0))
-        val = apply_frac_lattice(step, (0, 3), tol=0.05)
+        val = apply_frac_lattice(step, (0, 3))
         assert abs(val) < 1e-10  # odd symmetry in the step axis
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_step_profile_2d_box_loop_oracle(self, axis):
+        # the box loop at radius 32 omits only offsets with |r|_1 > 32, each
+        # weighted by |u_j - u_m| <= sup
         p = FracParams(0.5, 1.0, 2)
         u = LatticeFunction(p, {(1, 2): 0.7, (-3, 5): -1.2, (0, 3): 0.5, (40, 0): 2.0},
                             StepProfile(axis, 2, -1.0, 1.5))
+        table = build_kernel_table(p, 32, tol=1e-9)
+        tail = kernel_tail_bound_ell1(p, 32)
         for j in [(0, 3), (4, -1), (-2, 7), (30, -30)]:
             sup = u.sup_norm_bound() + abs(u.value(j))
-            tol = 1.01 * kernel_tail_bound_ell1(p, 32) * sup  # radius 32
-            ref = _box_loop_apply(u, j, 32, build_kernel_table(p, 32, tol=1e-9))
-            assert apply_frac_lattice(u, j, tol=tol) == pytest.approx(ref, abs=1e-12)
+            ref = _box_loop_apply(u, j, 32, table)
+            assert abs(apply_frac_lattice(u, j) - ref) <= sup * tail
 
     def test_step_profile_2d_unreachable_tolerance(self):
-        from fraclat.kernel import ToleranceError
+        # at s = 0.25 no truncated box certifies even tol = 0.05; by kernel
+        # reduction a pure step is the one-dimensional operator along its axis
+        p, p1 = FracParams(0.25, 1.0, 2), FracParams(0.25)
+        k = [kernel_1d(p1, m) for m in range(8)]
+        # (L_1 b)(5) = K(4) + K(5) + K(6) + 2 T(7); (L_1 b)(+-1) = -+(K(1) + K(2))
+        ref5 = k[4] + k[5] + k[6] + 2.0 * kernel_tail_sum_1d(p1, 7)
+        step1 = LatticeFunction(p1, {}, StepProfile(0, 2, -1.0, 1.0))
+        along = np.tile([-6, -1, 0, 1, 2, 5], 3)
+        other = np.repeat([-3, 0, 11], 6)
+        for axis in (0, 1):
+            step = LatticeFunction(p, {}, StepProfile(axis, 2, -1.0, 1.0))
+            pts = np.column_stack((along, other) if axis == 0 else (other, along))
+            got = apply_frac_lattice(step, pts)
+            assert np.isfinite(got).all()
+            assert got == pytest.approx(apply_frac_lattice(step1, along[:, None]), rel=1e-13)
+            assert got[along == 5] == pytest.approx(ref5, rel=1e-13)
+            assert got[along == 1] == pytest.approx(-(k[1] + k[2]), rel=1e-13)
+            assert got[along == -1] == pytest.approx(k[1] + k[2], rel=1e-13)
 
-        p = FracParams(0.5, 1.0, 2)
-        step = LatticeFunction(p, {}, StepProfile(0, 2, -1.0, 1.0))
-        with pytest.raises(ToleranceError):
-            apply_frac_lattice(step, (1, 0), tol=1e-12)
+    @pytest.mark.parametrize("s", [0.3, 0.7])
+    def test_step_profile_3d(self, s):
+        # a box sum omits the kernel mass outside the box, each offset
+        # weighted by |u_j - u_m| <= sup: mass - box sum bounds the gap, and
+        # the gap shrinks as the box grows
+        p = FracParams(s, 1.0, 3)
+        u = LatticeFunction(p, {(1, 0, 2): 0.7, (-2, 3, 0): -1.2, (0, 0, 0): 0.5},
+                            StepProfile(1, 2, -1.0, 1.5))
+        pts = np.array([(0, 3, 0), (2, -1, 1), (-1, 0, 4)])
+        got = apply_frac_lattice(u, pts)
+        mass = kernel_lattice_mass(p)
+        gaps = []
+        for radius in (6, 12):
+            table = build_kernel_table(p, radius, tol=1e-9)
+            offs = np.indices(table.values.shape).reshape(3, -1).T - radius
+            box = np.array([((u.value(j) - u.value(j - offs)) * table.values.ravel()).sum()
+                            for j in pts])
+            sup = u.sup_norm_bound() + np.abs(u.value(pts))
+            outside = mass - table.values.sum() + table.err.sum()
+            assert (np.abs(got - box) <= sup * outside).all()
+            gaps.append(np.abs(got - box))
+        assert (gaps[1] < gaps[0]).all()
+        # the pure step is the one-dimensional operator along its axis
+        step = LatticeFunction(p, {}, u.profile)
+        step1 = LatticeFunction(FracParams(s), {}, StepProfile(0, 2, -1.0, 1.5))
+        assert apply_frac_lattice(step, pts) == pytest.approx(
+            apply_frac_lattice(step1, pts[:, 1, None]), rel=1e-13)
 
 
 class TestApplyLatticeBatch:
@@ -226,21 +270,20 @@ class TestApplyLatticeBatch:
         assert batch == pytest.approx(single, rel=1e-10, abs=1e-12)
 
     def test_d2_step_profile_builds_one_table(self, monkeypatch):
-        import fraclat.lattice as lattice
+        # the step part is exact by kernel reduction: no dense table, and
+        # the batch gives the single-point values
+        import fraclat.kernel as kernel
 
         p = FracParams(0.65, 1.0, 2)
         u = LatticeFunction(p, {(1, 0): 0.5, (-2, 3): -0.25}, StepProfile(0, 2, -1.0, 1.0))
-        # |u_j| = 1 at every point, so each single call truncates at the
-        # batch's radius (256) and reads the same table
         pts = np.array([(j1, j2) for j1 in (-4, -3, 2, 4) for j2 in (-2, 0, 3)])
         calls = []
-        real = lattice.build_kernel_table
-        monkeypatch.setattr(lattice, "build_kernel_table",
+        real = kernel.build_kernel_table
+        monkeypatch.setattr(kernel, "build_kernel_table",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
-        batch = apply_frac_lattice(u, pts, tol=0.05)
-        assert len(calls) == 1
-        single = [apply_frac_lattice(u, tuple(j), tol=0.05) for j in pts]
-        assert len(calls) == 1 + len(pts)
+        batch = apply_frac_lattice(u, pts)
+        single = [apply_frac_lattice(u, tuple(j)) for j in pts]
+        assert calls == []
         assert batch == pytest.approx(single, rel=1e-13, abs=1e-15)
 
     def test_one_point_is_the_batch_of_one(self):
@@ -429,6 +472,34 @@ class TestTransference:
                                       direct_radius=60000)
         assert d_direct < 2e-3
         assert transference_check(v, phi, tol=1e-8) < d_direct
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_direct_tail_bounds_the_omitted_terms(self, s):
+        # the returned defect adds the exact bound on the terms beyond L, of
+        # which the terms between L and 16 L are a part
+        from fraclat.lattice import _transference_direct_1d
+
+        N, L = 8, 500
+        n = 2 * N + 1
+        params = FracParams(s, 2.0 * math.pi / n, 1)
+        rng = np.random.default_rng(9)
+        v = TorusFunction(N, 1, rng.standard_normal(n))
+        phi = LatticeFunction(params, {(k,): float(rng.standard_normal())
+                                       for k in (-40, -1, 0, 3, 400)})
+        rhs = float(np.sum(v.values * apply_frac_torus_spectral(periodize(phi, N), s).values))
+        lhs = _transference_direct_1d(v, phi, L)
+        tail = transference_check(v, phi, method="direct", direct_radius=L) - abs(lhs - rhs)
+        omitted = _transference_direct_1d(v, phi, 16 * L) - lhs
+        assert abs(omitted) <= tail
+        # with v = 1 and every c_i > 0 the bound is attained: the right side
+        # is 0 and the truncated left side is minus the omitted terms
+        ones = TorusFunction(N, 1, np.ones(n))
+        positive = LatticeFunction(params, {k: abs(c) for k, c in phi.support.items()})
+        lhs = _transference_direct_1d(ones, positive, L)
+        assert transference_check(ones, positive, method="direct", direct_radius=L) == (
+            pytest.approx(2.0 * lhs, rel=1e-6))
+        with pytest.raises(ValueError):
+            transference_check(v, phi, method="direct", direct_radius=399)
 
     @pytest.mark.parametrize("d,N", [(1, 6), (2, 4)])
     def test_wrapped_lhs_loop_oracle(self, d, N):

@@ -48,3 +48,12 @@ def test_heat_tables_on_the_shared_grid():
     # heat-route torus tables integrate on the shared [t0, T] grid for every
     # s in (0,1): no deep left panels down to -700/s and no heat s-range
     assert _hits(r"700\.0 / s|heat-route torus tables support s", "fraclat/kernel.py") == []
+
+
+def test_step_profiles_and_slab_2d_by_kernel_reduction():
+    # step profiles in every d and the slab-2d certificate use the exact
+    # one-dimensional tails: no truncated table in lattice.py, no ell^1
+    # appendix tail in either, and the old loop machinery is gone
+    assert _hits(r"build_kernel_table|kernel_tail_bound_ell1", "fraclat/lattice.py") == []
+    assert _hits(r"kernel_tail_bound_ell1", "fraclat/counterexamples.py") == []
+    assert _hits(r"_tail_bound_ell1_cached|_tail_constant") == []
