@@ -31,6 +31,7 @@ from .specfun import (
     WG7,
     WGK15,
     XGK15,
+    _bessel_sweep,
     bessel_i_scaled,
     bessel_i_scaled_row,
     gamma_ratio,
@@ -81,6 +82,11 @@ class FracParams:
 def _log_pref(s, h):
     # log of h^{-2s} / |Gamma(-s)|
     return -2.0 * s * math.log(h) - log_abs_gamma_neg(s)
+
+
+def _pref(s, h):
+    # h^{-2s} / |Gamma(-s)| as a product; exp(_log_pref) carries ~|log s| ulps
+    return h ** (-2.0 * s) * math.sin(math.pi * min(s, 1.0 - s)) * math.gamma(1.0 + s) / math.pi
 
 
 def _log_c1(s, h):
@@ -265,7 +271,7 @@ def _kernel_finish(params, m, T, q15, q7, tol):
     tail_err = 2.0 * c * big_a ** 2 * T ** (-a - 2.0) / (a + 2.0)
     total = head + q15 + tail
     err = np.abs(q15 - q7) + 2.0 * d * _T0 * head + tail_err + _ROUNDING * total
-    pref = math.exp(_log_pref(s, params.h))
+    pref = _pref(s, params.h)
     return _certified("kernel quadrature", pref * total, pref * err, tol), pref * err
 
 
@@ -318,7 +324,7 @@ def _kernel_mass_cached(s, h, d, tol):
     g0_tail, g0_tail_err = _g0d_tail(d, s, T)
     total = head + q15 + T ** -s / s - g0_tail
     err = abs(q15 - q7) + 2.0 * d * _T0 * head + g0_tail_err + _ROUNDING * total
-    pref = math.exp(_log_pref(s, h))
+    pref = _pref(s, h)
     return float(_certified("kernel mass quadrature", pref * total, pref * err, tol)[0])
 
 
@@ -346,23 +352,27 @@ def _wrap_order(n, x):
     return np.sqrt(90.0 * np.asarray(x)).astype(np.int64) + 2 * n + 2
 
 
+def _wrap_fold(n, m):
+    """fold[|k|, k mod n] counts the orders k in [-m, m] that wrap onto each
+    torus coordinate j in [0, n-1]."""
+    k = np.arange(-m, m + 1)
+    fold = np.zeros((m + 1, n))
+    np.add.at(fold, (np.abs(k), k % n), 1.0)
+    return fold
+
+
 def _wrap_sums(n, x):
     """Rows e^{-x} I_k(x), k = 0..m, and their wrap sums
     sum_l e^{-x} I_{|j + l n|}(x) for every torus coordinate j in [0, n-1].
 
     x is a scalar, giving one row and one wrap vector, or a 1-d array of
-    arguments, giving one of each per argument from a single broadcast Bessel
-    call; the fold onto the torus is a matmul.  The rows stop at the
-    cut-off of the largest argument, past which orders are dropped."""
+    arguments, giving one of each per argument from a single Bessel sweep;
+    the fold onto the torus is a matmul.  Each row starts from its own wrap
+    order and runs to the largest argument's, past which orders are dropped."""
     x = np.asarray(x, dtype=float)
-    m = int(_wrap_order(n, x.max()))
-    rows = np.empty(x.shape + (m + 1,))
-    bessel_i_scaled_row(m, x[..., None], rows)
-    # fold[|k|, k mod n] counts the orders k in [-m, m] that wrap onto each j
-    k = np.arange(-m, m + 1)
-    fold = np.zeros((m + 1, n))
-    np.add.at(fold, (np.abs(k), k % n), 1.0)
-    return rows, rows @ fold
+    y, scale = _bessel_sweep(_wrap_order(n, x.ravel()), x.ravel())
+    rows = (y * scale).T.reshape(x.shape + (-1,))
+    return rows, rows @ _wrap_fold(n, len(y) - 1)
 
 
 def torus_heat_kernel(N, h, j, t, tol=1e-14, spectral=False):
@@ -493,6 +503,24 @@ class _TorusKernelData:
         return out
 
 
+def _heat_wraps(n, N, x):
+    """Wrap sums j = 0..N, the ring 2 sum_{l >= 1} e^{-x} I_{ln}(x) and
+    e^{-x} I_0(x) at ascending arguments x, as (x.size, N + 3) columns.  Each
+    row starts at its own wrap order; chunks of at most _BATCH entries are
+    swept from the largest argument down, and folded before they are scaled."""
+    m = _wrap_order(n, x)
+    k = np.arange(m[-1] + 1)
+    fold = np.column_stack((_wrap_fold(n, k[-1])[:, :N + 1], 2.0 * (k % n == 0) * (k > 0), k == 0))
+    out = np.empty((x.size, N + 3))
+    hi = x.size
+    while hi:
+        lo = max(0, hi - max(1, _BATCH // int(m[hi - 1] + 1)))
+        y, scale = _bessel_sweep(m[lo:hi], x[lo:hi])
+        np.multiply(y.T @ fold[:len(y)], scale[:, None], out=out[lo:hi])
+        hi = lo
+    return out
+
+
 def _torus_table_heat(s, N, d, tol_abs, need_diag):
     """Heat-route torus table, d <= 3: the semigroup integral of the wrap
     sums on the shared grid [t0, T] of kernel_values, the analytic head of
@@ -501,50 +529,31 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
     T is the first doubling from 256 whose wrap row is flat to within the
     plateau bound.  Only the diagonal wrap value needs the g_0^d tail, so
     only a table with need_diag first doubles until that analytic bound
-    passes.  The leading Fourier term of the row's deviation, (2/n)
-    e^{-2T(1 - cos 2pi/n)}, picks how many doublings share one Bessel call;
-    the rows alone decide T."""
+    passes.  The leading Fourier term (2/n) e^{-2T(1 - cos 2pi/n)} bounds the
+    row's deviation below, so no doubling it fails is swept; the row at 2T,
+    the table's largest argument, joins the nodes' sweep, and if it fails T
+    doubles and the sweep is redone."""
     if d not in (1, 2, 3):
         raise ValueError("torus kernel tables support d in {1, 2, 3}")
     n = 2 * N + 1
-    pref = math.exp(_log_pref(s, 2.0 * math.pi / n))
+    pref = _pref(s, 2.0 * math.pi / n)
     goal = 0.05 * tol_abs / pref
     resid_per_dev = d * n ** (1.0 - d) / s  # plateau residual / (row deviation T^{-s})
     T = 256.0
     while True:
-        # the g_0^d tail bound is analytic: no wrap row until it passes
-        if not need_diag or _g0d_tail(d, s, T)[1] <= goal:
-            Ts = [T]
-            while (2.0 * Ts[-1] <= 1e8 and goal < resid_per_dev * Ts[-1] ** -s * (2.0 / n)
-                   * math.exp(-4.0 * Ts[-1] * math.sin(math.pi / n) ** 2)):
-                Ts.append(2.0 * Ts[-1])
-            Ts = np.array(Ts)
-            dev = np.abs(_wrap_sums(n, 2.0 * Ts)[1][:, :N + 1] - 1.0 / n).max(axis=1)
-            resid = resid_per_dev * dev * Ts ** -s
-            passed = np.flatnonzero(resid <= goal)
-            if passed.size:
-                T, plateau_resid = float(Ts[passed[0]]), float(resid[passed[0]])
-                break
-            T = float(Ts[-1])
-        T *= 2.0
         if T > 1e8:
             raise ToleranceError("torus kernel plateau did not converge")
-    ts, w15, w7 = _grid_nodes_weights(_log_grid(math.log(T)), s)
-    W = np.empty((ts.size, N + 1))
-    ring0 = np.empty(ts.size)
-    g0row = np.empty(ts.size)
-    # chunks of consecutive nodes with at most _BATCH Bessel entries; the
-    # nodes ascend, so each chunk's rows are as long as its last node's
-    entries = _wrap_order(n, 2.0 * ts) + 1
-    lo = 0
-    while lo < ts.size:
-        fits = np.arange(1, ts.size - lo + 1) * entries[lo:] <= _BATCH
-        hi = lo + max(1, int(np.count_nonzero(fits)))
-        rows, wrap = _wrap_sums(n, 2.0 * ts[lo:hi])
-        W[lo:hi] = wrap[:, :N + 1]
-        ring0[lo:hi] = 2.0 * rows[:, n::n].sum(axis=1)
-        g0row[lo:hi] = rows[:, 0]
-        lo = hi
+        lead = resid_per_dev * T ** -s * (2.0 / n) * math.exp(-4.0 * T * math.sin(math.pi / n) ** 2)
+        # the g_0^d tail bound and the leading term are analytic: no sweep until both pass
+        if lead <= goal and not (need_diag and _g0d_tail(d, s, T)[1] > goal):
+            ts, w15, w7 = _grid_nodes_weights(_log_grid(math.log(T)), s)
+            cols = _heat_wraps(n, N, 2.0 * np.append(ts, T))
+            dev = float(np.abs(cols[-1, :N + 1] - 1.0 / n).max())
+            plateau_resid = resid_per_dev * dev * T ** -s
+            if plateau_resid <= goal:
+                break
+        T *= 2.0
+    W, ring0, g0row = cols[:-1, :N + 1], cols[:-1, N + 1], cols[:-1, N + 2]
     plateau = n ** (-d) * T ** (-s) / s
 
     # [0, t0]: the wrap product is t^{|j|_1} / prod_i j_i! (1 + theta), |theta|

@@ -467,7 +467,8 @@ def transference_check(v, phi, tol=1e-10, method="wrapped", direct_radius=20000)
     vmax sum_i |c_i| (T(L+1-p_i) + T(L+1+p_i)) on the omitted terms, T the
     closed-form tail sum; it raises ValueError for a support point p_i with
     |p_i| > L.  Neither left side uses an FFT; only the right side is
-    spectral.
+    spectral.  Either method raises ToleranceError when the returned defect
+    exceeds both tol and tol * max(|lhs|, |rhs|).
     """
     if phi.profile is not None:
         raise ValueError("transference requires finitely supported phi")
@@ -486,20 +487,20 @@ def transference_check(v, phi, tol=1e-10, method="wrapped", direct_radius=20000)
     if method == "wrapped":
         lhs = _wrapped_lhs(v, phi)
         defect = abs(lhs - rhs)
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        if defect > tol * scale and defect > tol:
-            raise ToleranceError("transference defect above tolerance",
-                                 achieved=defect, requested=tol * scale)
-        return defect
-
-    if method != "direct" or d != 1:
+    elif method == "direct" and d == 1:
+        L = int(direct_radius)
+        keys, weights = phi._support_arrays()
+        p = keys[:, 0]
+        if np.any(np.abs(p) > L):
+            raise ValueError("direct transference needs every support point within direct_radius")
+        lhs = _transference_direct_1d(v, phi, L)
+        # beyond |l| = L, (op phi)_l = -sum_i c_i K(l - p_i)
+        tails = _tail_1d_raw(s, params.h, np.stack((L + 1 - p, L + 1 + p))).sum(axis=0)
+        defect = abs(lhs - rhs) + float(np.abs(v.values).max()) * float(np.abs(weights) @ tails)
+    else:
         raise ValueError("method must be 'wrapped', or 'direct' with d = 1")
-    L = int(direct_radius)
-    keys, weights = phi._support_arrays()
-    p = keys[:, 0]
-    if np.any(np.abs(p) > L):
-        raise ValueError("direct transference needs every support point within direct_radius")
-    lhs = _transference_direct_1d(v, phi, L)
-    # beyond |l| = L, (op phi)_l = -sum_i c_i K(l - p_i)
-    tails = _tail_1d_raw(s, params.h, np.stack((L + 1 - p, L + 1 + p))).sum(axis=0)
-    return abs(lhs - rhs) + float(np.abs(v.values).max()) * float(np.abs(weights) @ tails)
+    scale = max(abs(lhs), abs(rhs), 1e-30)
+    if defect > tol * scale and defect > tol:
+        raise ToleranceError("transference defect above tolerance",
+                             achieved=defect, requested=tol * scale)
+    return defect

@@ -207,13 +207,14 @@ def _log_ive_debye(k, x):
 
 def _top_orders(nmax, x):
     """The order in 1..2 nmax at which each row's recurrence starts (see
-    _ROW_MARGIN), by bisection, as the estimate decreases in k.  Arguments
-    below 1e-200 get order 0: their rows are the seeds at orders 0 and 1."""
+    _ROW_MARGIN), by bisection, as the estimate decreases in k.  nmax is a
+    scalar or one order per argument.  Arguments below 1e-200 get order 0:
+    their rows are the seeds at orders 0 and 1."""
     tiny = x < _ROW_TINY
     x = np.where(tiny, 1.0, x)
-    level = np.maximum(_LOG_ROW_FLOOR, _log_ive_debye(float(nmax), x) - _ROW_MARGIN)
+    level = np.maximum(_LOG_ROW_FLOOR, _log_ive_debye(np.asarray(nmax, float), x) - _ROW_MARGIN)
     lo = np.ones(x.shape, dtype=np.int64)
-    hi = np.full(x.shape, 2 * nmax)
+    hi = np.broadcast_to(2 * nmax, x.shape).astype(np.int64)
     while (live := hi > lo).any():
         mid = (lo + hi + 1) // 2
         above = _log_ive_debye(mid.astype(float), x) > level
@@ -222,32 +223,11 @@ def _top_orders(nmax, x):
     return np.where(tiny, 0, lo)
 
 
-def bessel_i_scaled_row(nmax, t, out):
-    """Fill out[..., 0..nmax] with e^{-t} I_n(t), n = 0..nmax.
-
-    t is a scalar, or an array whose trailing axis has length 1: a column
-    ``t[:, None]`` fills one row of ``out`` per argument in one call.
-
-    e^{-t} I_k(t) is the minimal solution of y_{k-1} = y_{k+1} + (2k/t) y_k,
-    so the recurrence is stable run downwards (Gautschi, SIAM Rev. 9, 1967).
-    Each row starts from ``ive`` at its own top order and the next, where
-    its values have fallen by a margin past nmax or reach a floor, and is
-    scaled by ``ive(0, t)``, which cancels the seeds' own error.  The sweep
-    goes one order at a time over every argument of the call, in
-    order-major layout.  Rows with nmax < 8 are direct ``ive`` calls, as
-    are orders 0 and 1 of arguments below 1e-200, where every higher order
-    is 0.  Against 50-digit references (x from 1e-3 to 2e5, up to 4,310
-    orders) the rows stay within 26 ulps wherever they exceed 1e-250; the
-    rounding error grows slowly with the number of orders swept.
-    """
-    t = np.asarray(t, dtype=float)
-    if (t < 0.0).any():
-        raise ValueError("bessel_i_scaled_row requires t >= 0")
-    res = out[..., :nmax + 1]
-    if nmax < 8:
-        res[...] = _ive(np.arange(nmax + 1.0), t)
-        return
-    x = np.broadcast_to(t, res.shape[:-1] + (1,)).ravel()
+def _bessel_sweep(nmax, x):
+    """Unscaled order-major rows y[k], k = 0..max(nmax), of the normalised
+    backward recurrence over the 1-d arguments x, and the scales
+    ``ive(0, x) / y[0]``: y * scale is e^{-x} I_k(x).  nmax is a scalar or
+    one per argument, and each row starts at the top order of its own."""
     top = _top_orders(nmax, x)
     # rows by ascending top order (as they come for ascending arguments), so
     # that the rows still running at each step of the sweep are a trailing
@@ -255,9 +235,9 @@ def bessel_i_scaled_row(nmax, t, out):
     order = None if (np.diff(top) >= 0).all() else np.argsort(top, kind="stable")
     if order is not None:
         x, top = x[order], top[order]
-    kmax = int(top[-1])
+    kmax, nrows = int(top[-1]), int(np.max(nmax)) + 1
     cols = np.arange(x.size)
-    y = np.zeros((max(kmax + 2, nmax + 1), x.size))
+    y = np.zeros((max(kmax + 2, nrows), x.size))
     y[top, cols] = _ive(top, x)
     y[top + 1, cols] = _ive(top + 1, x)
     # the rows whose top order is k or more are the columns first[k]:
@@ -272,12 +252,42 @@ def bessel_i_scaled_row(nmax, t, out):
             ck = cs[k - lo - 1]
             ck *= ys[k]
             np.add(ck, ys[k + 1], out=ys[k - 1])
-    rows, scale = y[:nmax + 1].T, _ive(0, x) / y[0]
+    y, scale = y[:nrows], _ive(0, x) / y[0]
     if order is not None:
         back = np.argsort(order)
-        rows, scale = rows[back], scale[back]
+        y, scale = y[:, back], scale[back]
+    return y, scale
+
+
+def bessel_i_scaled_row(nmax, t, out):
+    """Fill out[..., 0..nmax] with e^{-t} I_n(t), n = 0..nmax.
+
+    t is a scalar, or an array whose trailing axis has length 1: a column
+    ``t[:, None]`` fills one row of ``out`` per argument in one call.
+
+    e^{-t} I_k(t) is the minimal solution of y_{k-1} = y_{k+1} + (2k/t) y_k,
+    so the recurrence is stable run downwards (Gautschi, SIAM Rev. 9, 1967).
+    Each row starts from ``ive`` at its own top order and the next, where
+    its values have fallen by a margin past nmax or reach a floor, and is
+    scaled by ``ive(0, t)``, which cancels the seeds' own error.  The sweep,
+    shared with the heat-route torus tables, goes one order at a time over
+    every argument of the call, in order-major layout.  Rows with nmax < 8
+    are direct ``ive`` calls, as are orders 0 and 1 of arguments below
+    1e-200, where every higher order is 0.  Against 50-digit references (x
+    from 1e-3 to 2e5, up to 4,310 orders) the rows stay within 26 ulps
+    wherever they exceed 1e-250; the rounding error grows slowly with the
+    number of orders swept.
+    """
+    t = np.asarray(t, dtype=float)
+    if (t < 0.0).any():
+        raise ValueError("bessel_i_scaled_row requires t >= 0")
+    res = out[..., :nmax + 1]
+    if nmax < 8:
+        res[...] = _ive(np.arange(nmax + 1.0), t)
+        return
+    y, scale = _bessel_sweep(nmax, np.broadcast_to(t, res.shape[:-1] + (1,)).ravel())
     # res may be a strided view: write through it, never through a reshape
-    np.multiply(rows.reshape(res.shape), scale.reshape(res.shape[:-1] + (1,)), out=res)
+    np.multiply(y.T.reshape(res.shape), scale.reshape(res.shape[:-1] + (1,)), out=res)
 
 
 def bessel_k(s, x):

@@ -218,16 +218,17 @@ def _exact_torus_kernel(s, N, d=1):
 
     K_T(j) = -n^{-d} sum_k mu(k) cos(2 pi k.j / n), and .diag = mass -
     mean(mu) is the operator applied to delta_0, read at 0, both in mpmath
-    at 30 digits.  In d = 1 the mass is 2 c1 Gamma(1-s) / (2s Gamma(1+s)),
-    the telescoping tail at M = 1; in d >= 2 it is kernel_lattice_mass at
-    tol 1e-13, whose error the third value carries."""
+    at 30 digits, and 20 more than the decimal exponent of s below 1e-10,
+    where mu^s is 1 + O(s).  In d = 1 the mass is 2 c1 Gamma(1-s) /
+    (2s Gamma(1+s)), the telescoping tail at M = 1; in d >= 2 it is
+    kernel_lattice_mass at tol 1e-13, whose error the third value carries."""
     import mpmath as mp
 
     n = 2 * N + 1
     k = np.indices((n,) * d).reshape(d, -1).T - N
     # K_T is even in each coordinate: sum over j in {0..N}^d and mirror
     j = np.indices((N + 1,) * d).reshape(d, -1).T
-    with mp.workdps(30):
+    with mp.workdps(max(30, 20 - math.floor(math.log10(s)))):
         S = mp.mpf(s)
         h = 2 * mp.pi / n
         mu = [(4 / h ** 2 * mp.fsum(mp.sin(mp.pi * int(c) / n) ** 2 for c in kk)) ** S
@@ -388,6 +389,62 @@ class TestHeatRouteTable:
         dev = np.abs(K._wrap_sums(n, t.T)[1][:N + 1] - 1.0 / n).max()
         resid = d * n ** (1.0 - d) / s * dev * half ** -s
         assert resid > goal or (need_diag and K._g0d_tail(d, s, half)[1] > goal)
+
+    POOL = (0.25, 0.35, 0.45, 0.55, 0.65, 0.85)
+
+    @pytest.mark.parametrize("N, d, need_diag, pinned", [
+        (16, 1, False, dict.fromkeys(POOL, (1024.0, 600))),
+        (8, 2, True, {0.25: (2048.0, 630), 0.35: (2048.0, 630), 0.45: (2048.0, 630),
+                      0.55: (1024.0, 600), 0.65: (1024.0, 600), 0.85: (512.0, 570)}),
+    ])
+    def test_pool_tables_sweep_at_most_twice(self, N, d, need_diag, pinned, monkeypatch):
+        # the tables of the cold-kernels benchmark pool keep the plateau T and
+        # node count of the search that tried the rows of every candidate
+        # doubling; the row at 2T, the largest argument, rides in the sweep of
+        # the largest nodes, and the deep nodes take one short sweep
+        import fraclat.kernel as K
+
+        real_sweep = K._bessel_sweep
+        swept = []
+
+        def recording_sweep(nmax, x):
+            swept.append(x.copy())
+            return real_sweep(nmax, x)
+
+        monkeypatch.setattr(K, "_bessel_sweep", recording_sweep)
+        for s, (T, nodes) in pinned.items():
+            swept.clear()
+            K._torus_table_cached.cache_clear()
+            t = torus_kernel_table(s, N, d, tol=1e-12, need_diag=need_diag, method="heat")
+            assert (t.T, t.nodes) == (T, nodes)
+            assert 1 <= len(swept) <= 2
+            assert swept[0][-1] == 2.0 * T and swept[0].size > 1
+            assert sum(x.size for x in swept) == nodes + 1
+
+    def test_wraps_match_rows_started_at_the_largest_cut_off(self):
+        # the reference is the wrap route with one row length per call: every
+        # row runs from the largest argument's cut-off and is scaled before
+        # the fold
+        import fraclat.kernel as K
+
+        def reference(n, x):
+            m = int(K._wrap_order(n, x.max()))
+            rows = np.empty((x.size, m + 1))
+            bessel_i_scaled_row(m, x[:, None], rows)
+            k = np.arange(-m, m + 1)
+            fold = np.zeros((m + 1, n))
+            np.add.at(fold, (np.abs(k), k % n), 1.0)
+            return rows, rows @ fold
+
+        x = 2.0 * np.exp(np.linspace(-40.0, 9.0, 200))
+        for n in (3, 17, 33):
+            N = n // 2
+            rows, wraps = reference(n, x)
+            assert np.abs(K._wrap_sums(n, x)[1] - wraps).max() <= 1e-15
+            cols = K._heat_wraps(n, N, x)
+            assert np.abs(cols[:, :N + 1] - wraps[:, :N + 1]).max() <= 1e-15
+            assert np.abs(cols[:, N + 1] - 2.0 * rows[:, n::n].sum(axis=1)).max() <= 1e-15
+            assert np.abs(cols[:, N + 2] - rows[:, 0]).max() <= 1e-15
 
     def test_series_route_records_no_plateau(self):
         table = torus_kernel_table(0.5, 8, 1, method="series")
@@ -616,13 +673,20 @@ class TestNonFiniteCertificates:
         from fraclat.kernel import ToleranceError
 
         real_row = fraclat.kernel.bessel_i_scaled_row
+        real_sweep = fraclat.kernel._bessel_sweep
 
         def row_nan_at_small_t(nmax, t, out):
-            # quadrature nodes only: the heat route's plateau search stays finite
+            # quadrature nodes only: the heat route's plateau row stays finite
             real_row(nmax, t, out)
             out[..., :nmax + 1] = np.where(np.asarray(t) < 1.0, math.nan, out[..., :nmax + 1])
 
+        def sweep_nan_at_small_x(nmax, x):
+            # the heat route's node sweep, which bypasses bessel_i_scaled_row
+            y, scale = real_sweep(nmax, x)
+            return np.where(x < 1.0, math.nan, y), scale
+
         monkeypatch.setattr(fraclat.kernel, "bessel_i_scaled_row", row_nan_at_small_t)
+        monkeypatch.setattr(fraclat.kernel, "_bessel_sweep", sweep_nan_at_small_x)
         for d in (1, 2):
             with pytest.raises(ToleranceError):
                 torus_kernel_table(0.4142, 3, d, method="heat")

@@ -473,6 +473,24 @@ class TestTransference:
         assert d_direct < 2e-3
         assert transference_check(v, phi, tol=1e-8) < d_direct
 
+    def test_direct_mode_honours_tol(self):
+        # the returned defect, tail bound included, is held to tol as in the
+        # wrapped method
+        from fraclat.kernel import ToleranceError
+
+        N = 6
+        n = 2 * N + 1
+        params = FracParams(0.5, 2.0 * math.pi / n, 1)
+        v = TorusFunction(N, 1, np.random.default_rng(4).standard_normal(n))
+        phi = LatticeFunction(params, {(0,): 1.0, (2,): -1.0})
+        defect = transference_check(v, phi, tol=math.inf, method="direct", direct_radius=2000)
+        with pytest.raises(ToleranceError) as info:
+            transference_check(v, phi, tol=1e-17, method="direct", direct_radius=2000)
+        assert info.value.achieved == defect
+        assert 0.0 < info.value.requested < defect
+        assert transference_check(v, phi, tol=defect, method="direct",
+                                  direct_radius=2000) == defect
+
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_direct_tail_bounds_the_omitted_terms(self, s):
         # the returned defect adds the exact bound on the terms beyond L, of
@@ -488,7 +506,8 @@ class TestTransference:
                                        for k in (-40, -1, 0, 3, 400)})
         rhs = float(np.sum(v.values * apply_frac_torus_spectral(periodize(phi, N), s).values))
         lhs = _transference_direct_1d(v, phi, L)
-        tail = transference_check(v, phi, method="direct", direct_radius=L) - abs(lhs - rhs)
+        tail = transference_check(v, phi, tol=math.inf, method="direct",
+                                  direct_radius=L) - abs(lhs - rhs)
         omitted = _transference_direct_1d(v, phi, 16 * L) - lhs
         assert abs(omitted) <= tail
         # with v = 1 and every c_i > 0 the bound is attained: the right side
@@ -496,8 +515,8 @@ class TestTransference:
         ones = TorusFunction(N, 1, np.ones(n))
         positive = LatticeFunction(params, {k: abs(c) for k, c in phi.support.items()})
         lhs = _transference_direct_1d(ones, positive, L)
-        assert transference_check(ones, positive, method="direct", direct_radius=L) == (
-            pytest.approx(2.0 * lhs, rel=1e-6))
+        assert transference_check(ones, positive, tol=math.inf, method="direct",
+                                  direct_radius=L) == pytest.approx(2.0 * lhs, rel=1e-6)
         with pytest.raises(ValueError):
             transference_check(v, phi, method="direct", direct_radius=399)
 
