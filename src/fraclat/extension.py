@@ -24,6 +24,7 @@ from .lattice import (
     LatticeFunction,
     TorusFunction,
     _torus_multiplier,
+    apply_frac_torus_spectral,
     dft,
     idft,
 )
@@ -86,9 +87,6 @@ class ExtensionField:
         if self.values.shape != expect:
             raise ValueError(f"field shape {self.values.shape}, expected {expect}")
 
-    def level(self, it):
-        return self.values[..., it]
-
 
 def cs_extend_torus(v, s, t_grid):
     """Solve the extension problem over the torus per Fourier mode.
@@ -124,8 +122,7 @@ def neumann_trace(field, fit_points=12, check_rtol=1e-3):
     d_s (-Lap)^s u within check_rtol (sup norm, relative to the result
     scale) unless check_rtol is None.
     """
-    s = field.s
-    t = field.t_grid
+    s, t = field.s, field.t_grid
     if t[0] > 1e-4:
         raise GridTooCoarseError("t_grid must start at or below 1e-4")
     k = int(fit_points)
@@ -147,8 +144,6 @@ def neumann_trace(field, fit_points=12, check_rtol=1e-3):
         raise GridTooCoarseError("t^{2s} layer fit residual too large")
     result = field.base.copy_with(est)
     if check_rtol is not None:
-        from .lattice import apply_frac_torus_spectral
-
         ref = apply_frac_torus_spectral(field.base, s).values * neumann_constant(s)
         err = float(np.max(np.abs(est - ref)))
         if err > check_rtol * (float(np.max(np.abs(ref))) + 1e-300):
@@ -191,124 +186,126 @@ def carleman_weight(c0, h, j, t):
     return -float(np.sum((jj * h) ** 2)) + c0 * (0.5 * t * t - t)
 
 
-def _tangential_apply(cfg, func, sym):
-    """Apply the cosh (sym=True) or sinh part of the conjugated Laplacian.
+def _support_box(v, empty_ok=False):
+    """(box, lo): v on its bounding box padded by three, two layers for S(A v)
+    and a zero layer for the shifts; lo is the lattice point at index 0."""
+    if isinstance(v, LatticeFunction):
+        if v.profile is not None:
+            raise ValueError("tangential conjugates need finite support")
+        v = v.support
+    if len({len(p) for p in v}) > 1:
+        raise ValueError("support points of mixed dimension")
+    if not v:
+        if empty_ok:
+            return None
+        raise ValueError("the identity needs a nonempty support")
+    pts = np.array(list(v), dtype=np.int64)
+    lo = pts.min(axis=0) - 3
+    box = np.zeros(tuple(pts.max(axis=0) - lo + 4))
+    box[tuple((pts - lo).T)] = list(v.values())
+    return box, lo
 
-    func is a dict {lattice point: value}; the weight differences are the
-    exact quadratic ones, phi_j - phi_{j +- e_k} = h^2 (+- 2 j_k + 1).
-    """
-    tau, h = cfg.tau, cfg.h
-    fn = math.cosh if sym else math.sinh
-    out = {}
-    pts = set()
-    for p in func:
-        pts.add(p)
-        for k in range(len(p)):
-            for sgn in (1, -1):
-                q = list(p)
-                q[k] += sgn
-                pts.add(tuple(q))
-    h2 = h * h
-    for p in pts:
-        acc = 0.0
-        for k in range(len(p)):
-            up = list(p); up[k] += 1
-            dn = list(p); dn[k] -= 1
-            dplus = tau * h2 * (2.0 * p[k] + 1.0)
-            dminus = tau * h2 * (1.0 - 2.0 * p[k])
-            acc += fn(dplus) * func.get(tuple(up), 0.0)
-            acc += fn(dminus) * func.get(tuple(dn), 0.0)
-            if sym:
-                acc -= 2.0 * func.get(p, 0.0)
-        if acc != 0.0:
-            out[p] = acc / h2
+
+def _coords(lo, shape, k):
+    # lattice coordinate j_k along box axis k, shaped to broadcast
+    return (lo[k] + np.arange(shape[k])).reshape((-1,) + (1,) * (len(shape) - 1 - k))
+
+
+def _shifted(d, k, sl, rest=slice(1, -1)):
+    # box index shifted by ``sl`` along axis k, ``rest`` on the other axes
+    return (rest,) * k + (sl,) + (rest,) * (d - 1 - k)
+
+
+def _stencil(cfg, x, lo, sym):
+    """S x (sym) or A x on the box of x, index 0 at lattice point lo:
+    S x = h^-2 sum_k [cosh(tau h^2 (2 j_k + 1)) x_{j+e_k}
+                      + cosh(tau h^2 (1 - 2 j_k)) x_{j-e_k} - 2 x_j],
+    A x the same with sinh and no -2 x_j, from the exact weight differences
+    phi_j - phi_{j+-e_k} = h^2 (+-2 j_k + 1).  The outer layer of the
+    result stays zero, so x must vanish on its outer two layers."""
+    tau, h2 = cfg.tau, cfg.h * cfg.h
+    fn = np.cosh if sym else np.sinh
+    out = np.zeros_like(x)
+    inner = out[(slice(1, -1),) * x.ndim]
+    for k in range(x.ndim):
+        j = _coords(lo, x.shape, k)[1:-1]
+        inner += fn(tau * h2 * (2.0 * j + 1.0)) * x[_shifted(x.ndim, k, slice(2, None))]
+        inner += fn(tau * h2 * (1.0 - 2.0 * j)) * x[_shifted(x.ndim, k, slice(None, -2))]
+        if sym:
+            inner -= 2.0 * x[(slice(1, -1),) * x.ndim]
+    out /= h2
     return out
 
 
 def tangential_conjugates(cfg, v):
     """Symmetric and antisymmetric parts (S v, A v) of the conjugated
     tangential Laplacian e^{tau phi} Lap_d e^{-tau phi} on a finitely
-    supported v (dict of point: value)."""
-    if isinstance(v, LatticeFunction):
-        if v.profile is not None:
-            raise ValueError("tangential conjugates need finite support")
-        v = v.support
-    return (_tangential_apply(cfg, v, True), _tangential_apply(cfg, v, False))
+    supported v, as dicts of their nonzero entries (on the support +- 1).
+    Cost: the volume of the support's bounding box padded by three."""
+    box = _support_box(v, empty_ok=True)
+    if box is None:
+        return {}, {}
+    x, lo = box
+    out = []
+    for y in (_stencil(cfg, x, lo, True), _stencil(cfg, x, lo, False)):
+        idx = np.argwhere(y != 0.0)
+        out.append(dict(zip(map(tuple, (idx + lo).tolist()), y[tuple(idx.T)].tolist())))
+    return tuple(out)
 
 
 def tangential_commutator_check(cfg, v):
     """Exact commutator identity of the tangential conjugated parts.
 
-    lhs = ([S, A] v, v) by composing the operators; rhs by the closed form
+    lhs = ([S, A] v, v) by composing the stencils; rhs by the closed form
     -4 h^{-4} sinh(2 tau h^2) sum sinh^2(2 tau j_k h^2) |v_j|^2
-    -4 h^{-2} sinh(2 tau h^2) sum |(v_{j+e_k} - v_{j-e_k})/(2h)|^2.
-    Returns (lhs, rhs, defect).
+    -4 h^{-2} sinh(2 tau h^2) sum |(v_{j+e_k} - v_{j-e_k})/(2h)|^2
+    in array sums that never call the stencils, so the sides are
+    independent.  Both run on the support's bounding box padded by three:
+    the cost is the volume of that box.  Returns (lhs, rhs, defect).
     """
-    if isinstance(v, LatticeFunction):
-        v = v.support
-    sv, av = tangential_conjugates(cfg, v)
-    s_of_a = _tangential_apply(cfg, av, True)
-    a_of_s = _tangential_apply(cfg, sv, False)
-    dset = {p for p in v}
-    dim = len(next(iter(dset)))
-    wt = cfg.h ** dim
-    lhs = 0.0
-    for p, val in v.items():
-        lhs += (s_of_a.get(p, 0.0) - a_of_s.get(p, 0.0)) * val
-    lhs *= wt
-    tau, h = cfg.tau, cfg.h
-    h2 = h * h
-    sh = math.sinh(2.0 * tau * h2)
-    rhs = 0.0
-    pts = set(v)
-    for p in v:
-        for k in range(dim):
-            for sgn in (1, -1):
-                q = list(p); q[k] += sgn
-                pts.add(tuple(q))
-    for p in pts:
-        vp = v.get(p, 0.0)
-        for k in range(dim):
-            if vp != 0.0:
-                rhs -= 4.0 / h2 ** 2 * sh * math.sinh(2.0 * tau * p[k] * h2) ** 2 * vp * vp
-            up = list(p); up[k] += 1
-            dn = list(p); dn[k] -= 1
-            grad = (v.get(tuple(up), 0.0) - v.get(tuple(dn), 0.0)) / (2.0 * h)
-            rhs -= 4.0 / h2 * sh * grad * grad
-    rhs *= wt
+    x, lo = _support_box(v)
+    d, tau, h, h2 = x.ndim, cfg.tau, cfg.h, cfg.h * cfg.h
+    comm = _stencil(cfg, _stencil(cfg, x, lo, False), lo, True) \
+        - _stencil(cfg, _stencil(cfg, x, lo, True), lo, False)
+    lhs = h ** d * float(np.sum(comm * x))
+    pot = kin = 0.0
+    for k in range(d):
+        pot += float(np.sum(np.sinh(2.0 * tau * h2 * _coords(lo, x.shape, k)) ** 2 * x * x))
+        grad = (x[_shifted(d, k, slice(2, None), slice(None))]
+                - x[_shifted(d, k, slice(None, -2), slice(None))]) / (2.0 * h)
+        kin += float(np.sum(grad * grad))
+    rhs = -4.0 / h2 * float(np.sinh(2.0 * tau * h2)) * (pot / h2 + kin) * h ** d
     return lhs, rhs, abs(lhs - rhs)
 
 
 def conjugated_laplacian_defect(cfg, v):
-    """Sup defect of e^{tau phi} Lap_d (e^{-tau phi} v) = (S + A) v on the
-    support neighborhood; the identity is exact, so this measures round-off."""
-    if isinstance(v, LatticeFunction):
-        v = v.support
-    tau, h = cfg.tau, cfg.h
-    sv, av = tangential_conjugates(cfg, v)
-    pts = set(sv) | set(av) | set(v)
-    dim = len(next(iter(pts)))
-
-    def phi(p):
-        return -sum((c * h) ** 2 for c in p)
-
-    worst = 0.0
-    for p in pts:
-        lap = 0.0
-        for k in range(dim):
-            up = list(p); up[k] += 1
-            dn = list(p); dn[k] -= 1
-            for q in (tuple(up), tuple(dn)):
-                lap += math.exp(-tau * phi(q)) * v.get(q, 0.0)
-            lap -= 2.0 * math.exp(-tau * phi(p)) * v.get(p, 0.0)
-        lap *= math.exp(tau * phi(p)) / (h * h)
-        ref = sv.get(p, 0.0) + av.get(p, 0.0)
-        worst = max(worst, abs(lap - ref))
-    return worst
+    """Sup defect of e^{tau phi} Lap_d (e^{-tau phi} v) = (S + A) v; the left
+    side is the plain Laplacian of the weighted field by slices, not the
+    stencil.  The identity is exact, so this measures round-off.  Runs on
+    the support's bounding box padded by three: the cost is its volume."""
+    x, lo = _support_box(v)
+    d, inner = x.ndim, (slice(1, -1),) * x.ndim
+    r2 = sum((_coords(lo, x.shape, k) * cfg.h) ** 2 for k in range(d)) + np.zeros(x.shape)
+    nz = x != 0.0
+    u = np.zeros_like(x)
+    u[nz] = np.exp(cfg.tau * r2[nz]) * x[nz]  # exp only where v lives: no inf * 0
+    lap = sum(u[_shifted(d, k, slice(2, None))] + u[_shifted(d, k, slice(None, -2))]
+              - 2.0 * u[inner] for k in range(d))
+    lap *= np.exp(-cfg.tau * r2[inner]) / (cfg.h * cfg.h)
+    ref = _stencil(cfg, x, lo, True) + _stencil(cfg, x, lo, False)
+    return float(np.max(np.abs(lap - ref[inner])))
 
 
 # --- Carleman inequality probe ----------------------------------------------------
 
+
+def _window_r2(R, h, d):
+    # |j h|^2 over the centred window {-R..R}^d
+    ax = np.arange(-R, R + 1) * h
+    r2 = ax ** 2
+    for _ in range(d - 1):
+        r2 = r2[..., None] + ax ** 2
+    return r2
 
 def carleman_probe(cfg, values, details=False):
     """Empirical constant of the weighted inequality for one input field.
@@ -329,13 +326,9 @@ def carleman_probe(cfg, values, details=False):
     if any(sz != nspace for sz in vals.shape[:-1]) or nspace % 2 == 0:
         raise ValueError("spatial window must be an odd cube")
     R = (nspace - 1) // 2
-    nt = vals.shape[-1]
     dt = cfg.dt
-    t = np.arange(nt) * dt
-    ax = np.arange(-R, R + 1) * h
-    r2 = ax ** 2
-    for _ in range(d - 1):
-        r2 = r2[..., None] + ax ** 2
+    t = np.arange(vals.shape[-1]) * dt
+    r2 = _window_r2(R, h, d)
     rad2 = r2[..., None] + t ** 2
     nz = np.abs(vals) > 0.0
     if np.any(nz & (rad2 >= 0.8 ** 2)):
@@ -345,19 +338,14 @@ def carleman_probe(cfg, values, details=False):
     W = np.exp(tau * phi)
 
     dtu = np.gradient(vals, dt, axis=-1)
+    # spatial neighbours are slices of one array padded by a zero layer
+    padded = np.pad(vals, [(1, 1)] * d + [(0, 0)])
     grads = []
-    for k in range(d):
-        up = np.roll(vals, -1, axis=k)
-        dn = np.roll(vals, 1, axis=k)
-        _zero_wrap(up, k, -1)
-        _zero_wrap(dn, k, 0)
-        grads.append((up - dn) / (2.0 * h))
     lap = np.zeros_like(vals)
     for k in range(d):
-        up = np.roll(vals, -1, axis=k)
-        dn = np.roll(vals, 1, axis=k)
-        _zero_wrap(up, k, -1)
-        _zero_wrap(dn, k, 0)
+        up = padded[_shifted(d, k, slice(2, None)) + (slice(None),)]
+        dn = padded[_shifted(d, k, slice(None, -2)) + (slice(None),)]
+        grads.append((up - dn) / (2.0 * h))
         lap += (up + dn - 2.0 * vals) / (h * h)
     dtt = np.zeros_like(vals)
     dtt[..., 1:-1] = (vals[..., 2:] + vals[..., :-2] - 2.0 * vals[..., 1:-1]) / (dt * dt)
@@ -387,12 +375,6 @@ def carleman_probe(cfg, values, details=False):
     return const
 
 
-def _zero_wrap(arr, axis, edge_index):
-    sl = [slice(None)] * arr.ndim
-    sl[axis] = edge_index
-    arr[tuple(sl)] = 0.0
-
-
 # --- boundary-bulk interpolation probe ---------------------------------------------
 
 
@@ -405,10 +387,8 @@ def half_ball_norms(field, center, r):
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    base = field.base
-    h = base.h
-    d = base.d
-    t = field.t_grid
+    base, t = field.base, field.t_grid
+    h, d = base.h, base.d
     c = np.atleast_1d(np.asarray(center, dtype=float))
     ax = np.arange(-base.N, base.N + 1) * h
     dist2 = (ax - c[0]) ** 2
@@ -429,12 +409,9 @@ def half_ball_norms(field, center, r):
 
     tr = base.values[mask]
     trace_l2 = math.sqrt(h ** d * float(np.sum(tr ** 2)))
-    grad_sq = 0.0
-    for k in range(d):
-        up = np.roll(base.values, -1, axis=k)
-        dn = np.roll(base.values, 1, axis=k)
-        g = (up - dn) / (2.0 * h)
-        grad_sq += float(np.sum(g[mask] ** 2))
+    b = base.values
+    grad_sq = sum(float(np.sum(((np.roll(b, -1, axis=k) - np.roll(b, 1, axis=k))
+                                / (2.0 * h))[mask] ** 2)) for k in range(d))
     trace_h1 = trace_l2 + math.sqrt(h ** d * grad_sq)
     dt0 = (field.values[..., 1] - field.values[..., 0]) / (t[1] - t[0])
     trace_dt = math.sqrt(h ** d * float(np.sum(dt0[mask] ** 2)))
@@ -464,7 +441,8 @@ def boundary_bulk_probe(f, r0=0.5, potential=None, t_grid=None, big_c=10.0):
     if not 0.0 < r0 < 1.0:
         raise ValueError("need 0 < r0 < 1")
     h = f.h
-    if np.any((np.abs(f.values) > 0) & (_radius_grid(f) >= 0.5)):
+    rad = np.sqrt(_window_r2(f.N, h, f.d))
+    if np.any((np.abs(f.values) > 0) & (rad >= 0.5)):
         raise ValueError("trace data must be supported in the half ball of radius 1/2")
     if t_grid is None:
         t_grid = make_t_grid(1e-6, 2.5, 1.05)
@@ -475,14 +453,13 @@ def boundary_bulk_probe(f, r0=0.5, potential=None, t_grid=None, big_c=10.0):
     # normal derivative at the boundary, exact per mode for s = 1/2
     lam = _torus_multiplier(f.N, f.d, h, 0.5)
     dt0 = np.real(idft(-lam * dft(f), f.N, f.d))
-    mask = _radius_grid(f) < 1.0
+    mask = rad < 1.0
     trace_dt = math.sqrt(h ** f.d * float(np.sum(dt0[mask] ** 2)))
 
     data = trace_h1 + trace_dt
     big_m = max(bulk_big, data)
     if bulk_small <= 0.0 or big_m <= 0.0:
-        alpha = 0.5
-        holds = True
+        alpha, holds = 0.5, True
     else:
         if data >= big_m:
             alpha = 1.0 - 1e-6
@@ -495,11 +472,3 @@ def boundary_bulk_probe(f, r0=0.5, potential=None, t_grid=None, big_c=10.0):
     norms = {"bulk_small": bulk_small, "bulk_big": bulk_big,
              "trace_l2": trace_l2, "trace_h1": trace_h1, "trace_dt": trace_dt}
     return BoundaryBulkResult(norms=norms, fitted_alpha=alpha, holds=holds)
-
-
-def _radius_grid(f):
-    ax = np.arange(-f.N, f.N + 1) * f.h
-    r2 = ax ** 2
-    for _ in range(f.d - 1):
-        r2 = r2[..., None] + ax ** 2
-    return np.sqrt(r2)

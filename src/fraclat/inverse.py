@@ -148,6 +148,13 @@ def _standard_form(A, P):
     return scipy.linalg.solve_triangular(L, Vt[:sigma.size].T), U, sigma
 
 
+def _discrepancy_residual(log_lam, beta, sigma2, perp2):
+    # ||A f_lam - g|| in standard form, for each log(lambda) in the batch
+    lam = np.exp(log_lam)[..., None]
+    r = lam * beta / (sigma2 + lam)
+    return np.sqrt(np.sum(r * r, axis=-1) + perp2)
+
+
 def discrepancy_lambda(A, g, P, target, lam_lo=None, lam_hi=1e8, iters=120):
     """Bisection on log(lambda) for ||A f_lambda - g|| = target (monotone).
 
@@ -163,6 +170,11 @@ def discrepancy_lambda(A, g, P, target, lam_lo=None, lam_hi=1e8, iters=120):
     ||A f_lam - g||^2 = sum (lam beta_i / (sigma_i^2 + lam))^2 + ||U_perp'g||^2,
     the second term from the complementary columns of U, not from
     ||g||^2 - ||beta||^2, so nothing cancels.
+
+    The loop stops once every midpoint 0.5 (lo + hi) equals lo or hi: a
+    further step sets lo or hi to that midpoint, which leaves 0.5 (lo + hi)
+    where it is, so the returned lambda is bit-identical to the one the
+    full ``iters`` steps give.  ``iters`` is only a cap.
     """
     _, U, sigma = _standard_form(A, P)
     proj = np.asarray(g, dtype=float) @ U
@@ -171,16 +183,11 @@ def discrepancy_lambda(A, g, P, target, lam_lo=None, lam_hi=1e8, iters=120):
     sigma2 = sigma * sigma
     target = np.broadcast_to(np.asarray(target, dtype=float), perp2.shape)
 
-    def resid(log_lam):
-        lam = np.exp(log_lam)[..., None]
-        r = lam * beta / (sigma2 + lam)
-        return np.sqrt(np.sum(r * r, axis=-1) + perp2)
-
     if lam_lo is None:
         lam_lo = 1e-16 * np.linalg.norm(A, 2) ** 2
     lo = np.full(perp2.shape, math.log(lam_lo))
     hi = np.full(perp2.shape, math.log(lam_hi))
-    r_lo, r_hi = resid(lo), resid(hi)
+    r_lo, r_hi = (_discrepancy_residual(x, beta, sigma2, perp2) for x in (lo, hi))
     bad = ~((r_lo <= target) & (target <= r_hi))
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -190,7 +197,9 @@ def discrepancy_lambda(A, g, P, target, lam_lo=None, lam_hi=1e8, iters=120):
             f"[{r_lo[idx]:.3e}, {r_hi[idx]:.3e}]")
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        below = resid(mid) < target
+        if ((mid == lo) | (mid == hi)).all():
+            break
+        below = _discrepancy_residual(mid, beta, sigma2, perp2) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     lam = np.exp(0.5 * (lo + hi))

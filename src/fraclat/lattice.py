@@ -68,7 +68,7 @@ class LatticeFunction:
     def __post_init__(self):
         cleaned = {}
         for k, val in self.support.items():
-            key = tuple(int(c) for c in np.atleast_1d(k))
+            key = tuple(map(int, k if isinstance(k, tuple) else np.atleast_1d(k)))
             if len(key) != self.params.d:
                 raise ValueError(f"support point {k} has wrong dimension")
             cleaned[key] = float(val)

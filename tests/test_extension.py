@@ -262,6 +262,71 @@ class TestTangentialOperators:
         with pytest.raises(ValueError):
             CarlemanConfig(c0=1.0, tau=100.0, h=0.1, delta0=0.5)
 
+    @pytest.mark.parametrize("name", ["off_centre", "two_clusters"])
+    def test_conjugation_identity_3d(self, name):
+        h = 0.05
+        cfg = CarlemanConfig(c0=1.0, tau=9.0, h=h)
+        v = _supports_3d()[name]
+        assert conjugated_laplacian_defect(cfg, v) < 1e-12 * 100 / (h * h)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_conjugates_match_dict_reference(self, d):
+        cfg = CarlemanConfig(c0=2.0, tau=3.0, h=0.1)
+        rng = np.random.default_rng(d)
+        pts = {tuple(int(c) for c in rng.integers(-6, 9, d)) for _ in range(12)}
+        supports = [{p: float(rng.standard_normal()) for p in pts}]
+        if d == 3:
+            supports += list(_supports_3d().values())
+        for v in supports:
+            for got, ref in zip(tangential_conjugates(cfg, v), _conjugates_reference(cfg, v)):
+                assert set(got) == set(ref)
+                scale = max(abs(x) for x in ref.values())
+                assert all(abs(got[p] - ref[p]) <= 1e-14 * scale for p in ref)
+
+    def test_empty_and_mixed_supports(self):
+        cfg = CarlemanConfig(c0=1.0, tau=2.0, h=0.1)
+        assert tangential_conjugates(cfg, {}) == ({}, {})
+        for check in (tangential_commutator_check, conjugated_laplacian_defect):
+            with pytest.raises(ValueError, match="nonempty"):
+                check(cfg, {})
+        for func in (tangential_conjugates, tangential_commutator_check,
+                     conjugated_laplacian_defect):
+            with pytest.raises(ValueError, match="mixed dimension"):
+                func(cfg, {(0,): 1.0, (1, 2): 2.0})
+
+
+def _supports_3d():
+    # an off-centre block, and two 2 x 2 x 2 clusters 40 apart along axis 0
+    rng = np.random.default_rng(3)
+    off = {(i + 5, j - 7, k + 2): float(rng.standard_normal())
+           for i in range(3) for j in range(4) for k in range(3)}
+    two = {(c0 + i, c1 + j, c2 + k): float(rng.standard_normal())
+           for c0, c1, c2 in ((-20, 0, 1), (20, 1, 0))
+           for i in range(2) for j in range(2) for k in range(2)}
+    return {"off_centre": off, "two_clusters": two}
+
+
+def _conjugates_reference(cfg, v):
+    # S v and A v point by point over the support and its neighbours
+    tau, h2 = cfg.tau, cfg.h * cfg.h
+
+    def step(p, k, sgn):
+        return p[:k] + (p[k] + sgn,) + p[k + 1:]
+
+    pts = set(v) | {step(p, k, sgn) for p in v for k in range(len(p)) for sgn in (1, -1)}
+    out = ({}, {})
+    for sym, fn, res in ((True, math.cosh, out[0]), (False, math.sinh, out[1])):
+        for p in pts:
+            acc = 0.0
+            for k in range(len(p)):
+                acc += fn(tau * h2 * (2.0 * p[k] + 1.0)) * v.get(step(p, k, 1), 0.0)
+                acc += fn(tau * h2 * (1.0 - 2.0 * p[k])) * v.get(step(p, k, -1), 0.0)
+                if sym:
+                    acc -= 2.0 * v.get(p, 0.0)
+            if acc != 0.0:
+                res[p] = acc / h2
+    return out
+
 
 class TestCommutator:
     @pytest.mark.parametrize("d,h,tau", [(1, 0.2, 2.0), (1, 0.1, 4.0),
@@ -294,6 +359,14 @@ class TestCommutator:
         assert rhs == pytest.approx(rhs_manual, rel=1e-12)
         assert defect <= 1e-12 * abs(lhs)
 
+    @pytest.mark.parametrize("name", ["off_centre", "two_clusters"])
+    @pytest.mark.parametrize("h,tau", [(0.1, 3.0), (0.05, 9.0)])
+    def test_identity_3d(self, name, h, tau):
+        cfg = CarlemanConfig(c0=4.0, tau=tau, h=h)
+        lhs, rhs, defect = tangential_commutator_check(cfg, _supports_3d()[name])
+        assert lhs < 0.0
+        assert defect <= 1e-10 * abs(lhs)
+
     def test_tau_to_zero(self):
         cfg = CarlemanConfig(c0=1.0, tau=1e-12, h=0.1)
         v = {(0,): 1.0, (1,): -1.0}
@@ -309,6 +382,61 @@ def _probe_bump(h, dt):
     X, T = np.meshgrid(ax, t, indexing="ij")
     return np.where(X ** 2 + T ** 2 < 0.6 ** 2,
                     np.exp(-(X ** 2 + T ** 2) / 0.05) * np.cos(3.0 * X), 0.0)
+
+
+def _window_bump_2d(h, dt):
+    R = int(0.5 / h)
+    nt = int(0.5 / dt)
+    ax = np.arange(-R, R + 1) * h
+    t = np.arange(nt) * dt
+    X, Y, T = np.meshgrid(ax, ax, t, indexing="ij")
+    r2 = X ** 2 + Y ** 2 + T ** 2
+    return np.where(r2 < 0.45 ** 2, np.exp(-r2 / 0.04), 0.0)
+
+
+def _probe_roll_reference(cfg, vals):
+    # the probe's (lhs, rhs, constant) with the spatial neighbours taken by
+    # np.roll and the wrapped edge zeroed, operation for operation
+    tau, h, dt = cfg.tau, cfg.h, cfg.dt
+    d = vals.ndim - 1
+    R = (vals.shape[0] - 1) // 2
+    t = np.arange(vals.shape[-1]) * dt
+    ax = np.arange(-R, R + 1) * h
+    r2 = ax ** 2
+    for _ in range(d - 1):
+        r2 = r2[..., None] + ax ** 2
+    W = np.exp(tau * (-r2[..., None] + cfg.c0 * (0.5 * t * t - t)))
+
+    def rolled(k, step):
+        out = np.roll(vals, step, axis=k)
+        edge = [slice(None)] * vals.ndim
+        edge[k] = -1 if step < 0 else 0
+        out[tuple(edge)] = 0.0
+        return out
+
+    dtu = np.gradient(vals, dt, axis=-1)
+    grads = [(rolled(k, -1) - rolled(k, 1)) / (2.0 * h) for k in range(d)]
+    lap = np.zeros_like(vals)
+    for k in range(d):
+        lap += (rolled(k, -1) + rolled(k, 1) - 2.0 * vals) / (h * h)
+    dtt = np.zeros_like(vals)
+    dtt[..., 1:-1] = (vals[..., 2:] + vals[..., :-2] - 2.0 * vals[..., 1:-1]) / (dt * dt)
+
+    def bulk(f):
+        return math.sqrt(h ** d * dt * float(np.sum((W * f) ** 2)))
+
+    lhs = tau ** 1.5 * bulk(vals) + tau ** 0.5 * bulk(dtu)
+    for g in grads:
+        lhs += tau ** 0.5 * bulk(g)
+    interior = np.zeros_like(vals)
+    interior[..., 1:-1] = 1.0
+    rhs = bulk((lap + dtt) * interior)
+    btrace = np.abs(vals[..., 0])
+    for g in grads:
+        btrace = btrace + np.abs(g[..., 0])
+    btrace = btrace + np.abs(dtu[..., 0])
+    rhs += tau ** 1.5 * math.sqrt(h ** d * float(np.sum((W[..., 0] * btrace) ** 2)))
+    return lhs, rhs, lhs / rhs
 
 
 class TestCarlemanProbe:
@@ -327,17 +455,16 @@ class TestCarlemanProbe:
         assert max(consts) / min(consts) < 10.0
 
     def test_two_dimensional_window(self):
-        h = 0.1
-        cfg = CarlemanConfig(c0=4.0, tau=4.0, h=h)
-        R = int(0.5 / h)
-        nt = int(0.5 / cfg.dt)
-        ax = np.arange(-R, R + 1) * h
-        t = np.arange(nt) * cfg.dt
-        X, Y, T = np.meshgrid(ax, ax, t, indexing="ij")
-        r2 = X ** 2 + Y ** 2 + T ** 2
-        bump = np.where(r2 < 0.45 ** 2, np.exp(-r2 / 0.04), 0.0)
-        c = carleman_probe(cfg, bump)
+        cfg = CarlemanConfig(c0=4.0, tau=4.0, h=0.1)
+        c = carleman_probe(cfg, _window_bump_2d(cfg.h, cfg.dt))
         assert math.isfinite(c) and c > 0.0
+
+    def test_bit_identical_to_roll_reference(self):
+        for cfg, bump in [
+                (CarlemanConfig(c0=4.0, tau=8.0, h=0.05), _probe_bump),
+                (CarlemanConfig(c0=4.0, tau=4.0, h=0.1), _window_bump_2d)]:
+            vals = bump(cfg.h, cfg.dt)
+            assert carleman_probe(cfg, vals, details=True) == _probe_roll_reference(cfg, vals)
 
     def test_support_condition(self):
         cfg = CarlemanConfig(c0=4.0, tau=8.0, h=0.05)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fraclat import inverse
 from fraclat.inverse import (
     InverseSetup,
     LambdaRangeError,
@@ -179,6 +180,24 @@ class TestDiscrepancy:
             discrepancy_lambda(A, g, P, 1e30)
 
 
+def _bisect_120_steps(A, g, P, target):
+    # the bisection run for its full 120 steps, without the fixed-point stop
+    _, U, sigma = inverse._standard_form(A, P)
+    proj = np.asarray(g, dtype=float) @ U
+    beta, perp2 = proj[..., :sigma.size], np.sum(proj[..., sigma.size:] ** 2, axis=-1)
+    lo = np.full(perp2.shape, math.log(1e-16 * np.linalg.norm(A, 2) ** 2))
+    hi = np.full(perp2.shape, math.log(1e8))
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        lam = np.exp(mid)[..., None]
+        r = lam * beta / (sigma * sigma + lam)
+        below = np.sqrt(np.sum(r * r, axis=-1) + perp2) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    lam = np.exp(0.5 * (lo + hi))
+    return float(lam) if lam.ndim == 0 else lam
+
+
 class TestStandardForm:
     """The batched standard-form route against the independent augmented
     least-squares route and a 40-digit oracle."""
@@ -211,6 +230,24 @@ class TestStandardForm:
                 single = discrepancy_lambda(A, g[i, t], P, target[i, t])
                 assert isinstance(single, float)
                 assert batch[i, t] == pytest.approx(single, rel=1e-12)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_fixed_point_stop_bit_identical(self, batched, monkeypatch):
+        A = forward_matrix(SETUP)
+        P = h1_gram(SETUP.N, SETUP.W)
+        _, _, g = _sweep_data(SETUP, A, P, self.EPS, 10)
+        target = np.array(self.EPS)[:, None] * np.linalg.norm(g, axis=-1)
+        if not batched:
+            g, target = g[2, 4], target[2, 4]
+        ref = _bisect_120_steps(A, g, P, target)
+        calls = []
+        residual = inverse._discrepancy_residual
+        monkeypatch.setattr(inverse, "_discrepancy_residual",
+                            lambda *a: calls.append(1) or residual(*a))
+        lam = discrepancy_lambda(A, g, P, target)
+        assert np.array_equal(lam, ref)
+        assert type(lam) is type(ref)
+        assert len(calls) <= 70
 
     def test_unbracketed_entry_named(self):
         A = forward_matrix(SETUP)

@@ -139,6 +139,28 @@ class TestSymbol:
             symbol(p, [1.1 + 2.0 * math.pi / 0.7]), rel=1e-10)
 
 
+class TestLatticeFunctionKeys:
+    def test_wrong_dimension_raises(self):
+        for key in [(1, 2, 3), (1,), 3, np.int64(3)]:
+            with pytest.raises(ValueError, match="wrong dimension"):
+                LatticeFunction(FracParams(0.5, 1.0, 2), {key: 1.0})
+        with pytest.raises(ValueError, match="wrong dimension"):
+            LatticeFunction(FracParams(0.5), {(1, 2): 1.0})
+
+    def test_numpy_int_keys(self):
+        u = LatticeFunction(FracParams(0.5, 1.0, 2),
+                            {(np.int64(1), np.int32(-2)): np.float32(0.5)})
+        assert u.support == {(1, -2): 0.5}
+        assert all(type(c) is int for c in next(iter(u.support)))
+        v = LatticeFunction(FracParams(0.5), {np.int64(4): 1.0})
+        assert v.support == {(4,): 1.0}
+
+    def test_scalar_keys_in_one_dimension(self):
+        u = LatticeFunction(FracParams(0.5), {3: 1.0, -1: 2.0})
+        assert u.support == {(3,): 1.0, (-1,): 2.0}
+        assert all(type(k[0]) is int for k in u.support)
+
+
 class TestApplyLattice:
     def test_constant_profile_killed(self):
         p = FracParams(0.5)

@@ -57,3 +57,9 @@ def test_step_profiles_and_slab_2d_by_kernel_reduction():
     assert _hits(r"build_kernel_table|kernel_tail_bound_ell1", "fraclat/lattice.py") == []
     assert _hits(r"kernel_tail_bound_ell1", "fraclat/counterexamples.py") == []
     assert _hits(r"_tail_bound_ell1_cached|_tail_constant") == []
+
+
+def test_carleman_block_as_stencils():
+    # the tangential conjugates, their identities and the probe are array
+    # code on a padded box: no dict lookups or scalar hyperbolic loops
+    assert _hits(r"\.get\(|math\.cosh|math\.sinh|_zero_wrap", "fraclat/extension.py") == []
