@@ -3,11 +3,8 @@
 Usage:
     fraclat <experiment> [key=value ...] [--config FILE] [--out DIR] [--seed U64]
 
-Experiments: kernel-dump, apply, ucp-lattice, ucp-torus, slab-1d, slab-2d,
-transference, extension-trace, carleman-commutator, carleman-probe,
-boundary-bulk, inverse-sweep, self-test.
-
-Prints one PASS/FAIL line per check; exit status 0 iff every check passed.
+Prints one PASS/FAIL line per check; exit status 0 iff every check passed,
+2 for an invalid config (an unknown key among them).
 """
 
 import argparse

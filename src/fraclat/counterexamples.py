@@ -132,7 +132,8 @@ def global_ucp_counterexample(params, X, Y=None, tol=1e-9, ktol=1e-12):
 
     X is a finite set of lattice points; Y (|Y| = |X| + 1, disjoint from X)
     defaults to the nearest points outside X.  Returns the function and a
-    certificate whose residual is recomputed by the summation path.
+    certificate whose residual is recomputed by the summation path; its
+    details["residuals"] holds |Lu| at each point of X, in order.
     """
     d = params.d
     Xs = [tuple(int(c) for c in np.atleast_1d(x)) for x in X]
@@ -153,7 +154,8 @@ def global_ucp_counterexample(params, X, Y=None, tol=1e-9, ktol=1e-12):
     multiple = bool(sig.size >= 2 and sig[-2] <= 1e-12 * sig[0])
 
     u = LatticeFunction(params, {y: float(c) for y, c in zip(Ys, coeffs)})
-    residual = float(np.abs(apply_frac_lattice(u, np.array(Xs))).max())
+    residuals = np.abs(apply_frac_lattice(u, np.array(Xs))).tolist()
+    residual = max(residuals)
     u_norm = float(np.abs(coeffs).max())
     cert = Certificate(
         residual_sup=residual,
@@ -163,7 +165,8 @@ def global_ucp_counterexample(params, X, Y=None, tol=1e-9, ktol=1e-12):
         parameters={"s": params.s, "h": params.h, "d": params.d,
                     "X": [list(x) for x in Xs], "Y": [list(y) for y in Ys]},
         details={"singular_values": sig.tolist(),
-                 "multiple_solutions": multiple},
+                 "multiple_solutions": multiple,
+                 "residuals": residuals},
     )
     if not cert.passed:
         raise CertificateError(
@@ -173,7 +176,9 @@ def global_ucp_counterexample(params, X, Y=None, tol=1e-9, ktol=1e-12):
 
 def torus_ucp_counterexample(N, s, X, tol=1e-12):
     """Nonzero torus function vanishing, together with its fractional
-    Laplacian, on a set X of at most N points of {-N..N}."""
+    Laplacian, on a set X of at most N points of {-N..N}.  The
+    certificate's details["residuals"] holds |Lu| at each point of its
+    parameters["X"] (X sorted), by the pointwise route."""
     n = 2 * N + 1
     Xs = sorted({int(np.atleast_1d(x)[0]) for x in X})
     if any(not -N <= x <= N for x in Xs):
@@ -195,7 +200,8 @@ def torus_ucp_counterexample(N, s, X, tol=1e-12):
         vals[(y + N) % n] = c
     u = TorusFunction(N, 1, vals)
     out = apply_frac_torus_pointwise(u, s, tol=min(tol, 1e-12))
-    residual = max(abs(out.value(x)) for x in Xs)
+    residuals = [abs(float(out.value(x))) for x in Xs]
+    residual = max(residuals)
     u_norm = float(np.abs(coeffs).max())
     cert = Certificate(
         residual_sup=residual,
@@ -203,7 +209,7 @@ def torus_ucp_counterexample(N, s, X, tol=1e-12):
         tolerance=tol * u_norm,
         paper_claim="global-ucp-failure-torus",
         parameters={"s": s, "N": N, "X": Xs, "Y": Ys},
-        details={"singular_values": sig.tolist()},
+        details={"singular_values": sig.tolist(), "residuals": residuals},
     )
     if not cert.passed:
         raise CertificateError(

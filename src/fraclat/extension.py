@@ -23,6 +23,7 @@ from scipy import special
 from .lattice import (
     LatticeFunction,
     TorusFunction,
+    _axis_sum,
     _torus_multiplier,
     apply_frac_torus_spectral,
     dft,
@@ -112,22 +113,21 @@ def neumann_constant(s):
     return math.exp(log_gamma(1.0 - s) - (s - 0.5) * math.log(4.0) - log_gamma(s))
 
 
-def neumann_trace(field, fit_points=12, check_rtol=1e-3):
+def neumann_trace(field, check_rtol=1e-3):
     """Estimate -lim_{t->0} t^{1-2s} d_t u~ from the boundary layer.
 
-    Fits u~_j(t) = u_j + beta_j t^{2s} over the first ``fit_points`` grid
-    levels and returns -2s beta as a torus function.  Raises
-    GridTooCoarseError if the grid starts above 1e-4 or the fit does not
-    represent the layer; asserts agreement with the spectral value
-    d_s (-Lap)^s u within check_rtol (sup norm, relative to the result
-    scale) unless check_rtol is None.
+    Fits u~_j(t) = u_j + beta_j t^{2s} over the first 12 grid levels and
+    returns -2s beta as a torus function.  Raises GridTooCoarseError if the
+    grid starts above 1e-4 or the fit does not represent the layer; asserts
+    agreement with the spectral value d_s (-Lap)^s u within check_rtol (sup
+    norm, relative to the result scale) unless check_rtol is None.
     """
     s, t = field.s, field.t_grid
     if t[0] > 1e-4:
         raise GridTooCoarseError("t_grid must start at or below 1e-4")
-    k = int(fit_points)
-    if not 2 <= k <= t.size:
-        raise ValueError("fit_points out of range")
+    k = 12
+    if t.size < k:
+        raise ValueError(f"t_grid needs at least {k} levels for the layer fit")
     x = t[:k] ** (2.0 * s)
     diff = field.values[..., :k] - field.base.values[..., None]
     denom = float(np.sum(x * x))
@@ -285,7 +285,7 @@ def conjugated_laplacian_defect(cfg, v):
     the support's bounding box padded by three: the cost is its volume."""
     x, lo = _support_box(v)
     d, inner = x.ndim, (slice(1, -1),) * x.ndim
-    r2 = sum((_coords(lo, x.shape, k) * cfg.h) ** 2 for k in range(d)) + np.zeros(x.shape)
+    r2 = _axis_sum([((lo[k] + np.arange(x.shape[k])) * cfg.h) ** 2 for k in range(d)])
     nz = x != 0.0
     u = np.zeros_like(x)
     u[nz] = np.exp(cfg.tau * r2[nz]) * x[nz]  # exp only where v lives: no inf * 0
@@ -301,11 +301,8 @@ def conjugated_laplacian_defect(cfg, v):
 
 def _window_r2(R, h, d):
     # |j h|^2 over the centred window {-R..R}^d
-    ax = np.arange(-R, R + 1) * h
-    r2 = ax ** 2
-    for _ in range(d - 1):
-        r2 = r2[..., None] + ax ** 2
-    return r2
+    return _axis_sum([(np.arange(-R, R + 1) * h) ** 2] * d)
+
 
 def carleman_probe(cfg, values, details=False):
     """Empirical constant of the weighted inequality for one input field.
@@ -391,9 +388,7 @@ def half_ball_norms(field, center, r):
     h, d = base.h, base.d
     c = np.atleast_1d(np.asarray(center, dtype=float))
     ax = np.arange(-base.N, base.N + 1) * h
-    dist2 = (ax - c[0]) ** 2
-    for k in range(1, d):
-        dist2 = dist2[..., None] + (ax - c[k]) ** 2
+    dist2 = _axis_sum([(ax - c[k]) ** 2 for k in range(d)])
 
     # per column: trapezoid over grid nodes up to the last one inside the
     # ball, plus the initial [0, t_0] sliver closed with the trace value
@@ -425,7 +420,7 @@ class BoundaryBulkResult:
     holds: bool
 
 
-def boundary_bulk_probe(f, r0=0.5, potential=None, t_grid=None, big_c=10.0):
+def boundary_bulk_probe(f, r0=0.5, big_c=10.0):
     """Interpolation inequality probe for the harmonic extension (s = 1/2).
 
     f: torus trace data supported in the half ball of radius 1/2.  Builds
@@ -434,19 +429,13 @@ def boundary_bulk_probe(f, r0=0.5, potential=None, t_grid=None, big_c=10.0):
     the saturated inequality, and reports whether the inequality holds with
     constant ``big_c`` and correction big_c * exp(-big_c/h) * bulk.
     """
-    if potential is not None:
-        raise NotImplementedError(
-            "nonzero bulk potentials have no forward solver here; "
-            "the weighted-inequality probe covers them as inhomogeneities")
     if not 0.0 < r0 < 1.0:
         raise ValueError("need 0 < r0 < 1")
     h = f.h
     rad = np.sqrt(_window_r2(f.N, h, f.d))
     if np.any((np.abs(f.values) > 0) & (rad >= 0.5)):
         raise ValueError("trace data must be supported in the half ball of radius 1/2")
-    if t_grid is None:
-        t_grid = make_t_grid(1e-6, 2.5, 1.05)
-    field = cs_extend_torus(f, 0.5, t_grid)
+    field = cs_extend_torus(f, 0.5, make_t_grid(1e-6, 2.5, 1.05))
 
     bulk_small = half_ball_norms(field, (0.0,) * f.d, r0)[0]
     bulk_big, trace_l2, trace_h1, _ = half_ball_norms(field, (0.0,) * f.d, 1.0)

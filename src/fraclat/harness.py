@@ -1,13 +1,17 @@
-"""Experiment orchestration: validated configs, dispatch, artifacts, reports.
+"""Experiment orchestration: validated configs, the experiment table,
+artifacts, reports.
 
-Every experiment takes a flat key=value parameter table, runs one of the
-library's constructions or probes, writes CSV/JSON artifacts with a content
-hash manifest, and returns a report with one PASS/FAIL line per check.
+Every experiment is one function ``fn(config, **params)`` in
+``_EXPERIMENTS`` whose keyword defaults are its parameter schema.  It runs
+one of the library's constructions or probes, writes CSV/JSON artifacts
+with a content hash manifest, and returns (checks, artifacts): one
+PASS/FAIL line per check.
 Floating output uses round-trip (shortest exact) decimal formatting so that
 artifacts are stable golden files.
 """
 
 import hashlib
+import inspect
 import json
 import math
 import time
@@ -26,6 +30,7 @@ from .kernel import (
 from .lattice import (
     LatticeFunction,
     TorusFunction,
+    apply_frac_lattice,
     apply_frac_torus_pointwise,
     apply_frac_torus_spectral,
     transference_check,
@@ -48,13 +53,6 @@ from .extension import (
 )
 from .inverse import InverseSetup, noiseless_recovery_error, stability_sweep
 from .specfun import bessel_i_scaled, log_gamma
-
-EXPERIMENTS = (
-    "kernel-dump", "apply", "ucp-lattice", "ucp-torus", "slab-1d", "slab-2d",
-    "transference", "extension-trace", "carleman-commutator", "carleman-probe",
-    "boundary-bulk", "inverse-sweep", "self-test",
-)
-
 
 def fmt(x):
     """Round-trip decimal formatting for floats; plain str otherwise."""
@@ -127,32 +125,45 @@ class ExperimentReport:
         }, sort_keys=True)
 
 
-def _validate(config):
-    errors = []
-    p = config.params
-    if config.experiment not in EXPERIMENTS:
-        errors.append(f"experiment: unknown name {config.experiment!r}")
-    s = p.get("s")
-    if s is not None and not 0.0 < float(s) < 1.0:
-        errors.append(f"s: must lie in (0,1), got {s}")
-    h = p.get("h")
-    if h is not None and float(h) <= 0.0:
-        errors.append(f"h: must be positive, got {h}")
-    d = p.get("d")
-    if d is not None and int(d) < 1:
-        errors.append(f"d: must be a positive integer, got {d}")
-    N = p.get("N")
-    if N is not None and int(N) < 1:
-        errors.append(f"N: must be a positive integer, got {N}")
-    tau = p.get("tau")
-    if tau is not None and h is not None:
-        delta0 = float(p.get("delta0", 0.5))
-        if float(tau) * float(h) > delta0:
-            errors.append(f"tau: tau*h = {float(tau) * float(h)} exceeds delta0 = {delta0}")
-    if config.experiment == "apply" and "file" not in p:
-        errors.append("file: required for the apply experiment")
+def _validate(params):
+    # range checks on the named fields, wherever an experiment takes them
+    ranges = {"s": (lambda v: 0.0 < v < 1.0, "must lie in (0,1)"),
+              "h": (lambda v: v > 0.0, "must be positive"),
+              "d": (lambda v: v >= 1, "must be a positive integer"),
+              "N": (lambda v: v >= 1, "must be a positive integer")}
+    errors = [f"{key}: {msg}, got {params[key]}"
+              for key, (ok, msg) in ranges.items() if key in params and not ok(params[key])]
     if errors:
         raise ValueError("invalid config: " + "; ".join(errors))
+
+
+def _bind(config):
+    """The experiment's function and its keyword arguments: each value takes
+    the type of its key's default (list-valued keys have str defaults), a
+    key without a default is required, and an unknown key is an error."""
+    fn = _EXPERIMENTS.get(config.experiment)
+    if fn is None:
+        raise ValueError(f"invalid config: experiment: unknown name {config.experiment!r}")
+    schema = dict(inspect.signature(fn).parameters)
+    del schema["config"]
+    unknown = [key for key in config.params if key not in schema]
+    if unknown:
+        raise ValueError(f"invalid config: unknown key {', '.join(map(repr, unknown))} for "
+                         f"{config.experiment} (keys: {', '.join(schema) or 'none'})")
+    params = {}
+    for key, par in schema.items():
+        if key in config.params:
+            value = config.params[key]
+            if isinstance(par.default, int) and isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"invalid config: {key}: must be an integer, got {value}")
+            try:
+                params[key] = value if par.default is par.empty else type(par.default)(value)
+            except ValueError as exc:
+                raise ValueError(f"invalid config: {key}: {exc}") from None
+        elif par.default is par.empty:
+            raise ValueError(f"invalid config: {key}: required by {config.experiment}")
+    _validate(params)
+    return fn, params
 
 
 def _write_artifact(outdir, name, text):
@@ -166,243 +177,212 @@ def _write_artifact(outdir, name, text):
     return {"path": str(path), "sha256": digest}
 
 
+def _write_csv(out, name, header, rows):
+    lines = [header] + [",".join(fmt(x) for x in row) for row in rows]
+    return _write_artifact(out, name, "\n".join(lines) + "\n")
+
+
+def _box(radius, d):
+    """The (2r+1)^d lattice box, one point per row, in lexicographic order."""
+    return np.indices((2 * radius + 1,) * d).reshape(d, -1).T - radius
+
+
+def _write_box(out, name, coord, pts, columns):
+    """One CSV row per box point: coordinates coord_1..coord_d, then the
+    named columns (arrays in the box's order); returns the artifact and the
+    row-count check."""
+    header = ",".join([f"{coord}_{i + 1}" for i in range(pts.shape[1])] + list(columns))
+    cols = zip(*(np.ravel(c).tolist() for c in columns.values()))
+    rows = [j + list(vals) for j, vals in zip(pts.tolist(), cols)]
+    return (_write_csv(out, name, header, rows),
+            Check("row_count", len(rows) == len(pts), len(rows), len(pts)))
+
+
 def _parse_points(text, d):
     """Parse '0;1,2;-3,4' into a list of d-tuples."""
-    pts = []
-    for tok in str(text).split(";"):
-        tok = tok.strip()
-        if not tok:
-            continue
-        comps = tuple(int(c) for c in tok.split(","))
-        if len(comps) != d:
-            raise ValueError(f"point {tok!r} is not {d}-dimensional")
-        pts.append(comps)
+    pts = [tuple(int(c) for c in tok.split(",")) for tok in text.split(";") if tok.strip()]
+    for p in pts:
+        if len(p) != d:
+            raise ValueError(f"point {p} is not {d}-dimensional")
     return pts
 
 
+def _split(text, cast=int):
+    """Parse '1;2;3' into a list."""
+    return [cast(x) for x in text.split(";")]
+
+
 def run(config):
-    """Validate, dispatch, write artifacts, and report."""
-    _validate(config)
+    """Bind the parameters, run the experiment, and report."""
+    fn, params = _bind(config)
     t0 = time.perf_counter()
-    name = config.experiment
-    p = dict(config.params)
-    checks = []
-    artifacts = []
+    checks, artifacts = fn(config, **params)
+    return ExperimentReport(config=config, checks=checks, artifacts=artifacts,
+                            wall_time=time.perf_counter() - t0)
+
+
+def _kernel_dump(config, s=0.5, h=1.0, d=1, radius=10):
+    params = FracParams(s, h, d)
+    table = build_kernel_table(params, radius)
+    art, rows = _write_box(config.output_dir, "kernel.csv", "m", _box(radius, d),
+                           {"value": table.values, "abs_err_est": table.err})
+    checks = [rows]
+    if d == 1:
+        v1 = table.value(1)
+        ref = kernel_1d(params, 1)
+        checks.append(Check("closed_form_m1", abs(v1 - ref) <= 1e-13 * ref,
+                            abs(v1 - ref), 1e-13 * ref))
+    return checks, [art]
+
+
+def _apply(config, file, s=0.5, radius=10):
+    doc = json.loads(Path(file).read_text())
+    if "values" in doc:
+        v = TorusFunction.from_json(doc)
+        spec_out = apply_frac_torus_spectral(v, s)
+        pw = apply_frac_torus_pointwise(v, s, tol=1e-10)
+        defect = float(np.abs(pw.values - spec_out.values).max())
+        return ([Check("pointwise_vs_spectral", defect <= 1e-9, defect, 1e-9)],
+                [_write_artifact(config.output_dir, "applied.json", spec_out.to_json())])
+    u = LatticeFunction.from_json(doc)
+    pts = _box(radius, u.params.d)  # the whole box in one operator call
+    art, rows = _write_box(config.output_dir, "applied.csv", "j", pts,
+                           {"value": apply_frac_lattice(u, pts)})
+    return [rows], [art]
+
+
+def _ucp_lattice(config, s=0.5, h=1.0, d=1, tol=1e-9, X="0"):
+    X = _parse_points(X, d)
+    _, cert = global_ucp_counterexample(FracParams(s, h, d), X, tol=tol)
+    return ([Check(f"residual_at_{x}", r <= cert.tolerance, r, cert.tolerance)
+             for x, r in zip(X, cert.details["residuals"])],
+            [_write_artifact(config.output_dir, "certificate.json", cert.to_json())])
+
+
+def _ucp_torus(config, s=0.5, N=8, tol=1e-10, X="0"):
+    X = [x[0] for x in _parse_points(X, 1)]
+    _, cert = torus_ucp_counterexample(N, s, X, tol=tol)
+    return ([Check(f"residual_at_{x}", r <= cert.tolerance, r, cert.tolerance)
+             for x, r in zip(cert.parameters["X"], cert.details["residuals"])],
+            [_write_artifact(config.output_dir, "certificate.json", cert.to_json())])
+
+
+def _slab_1d(config, s=0.5, h=1.0, tol=1e-10):
+    _, V, cert = slab_counterexample_1d(FracParams(s, h, 1), tol=tol)
+    return ([Check(f"residual_at_{j}", abs(r) <= tol, abs(r), tol)
+             for j, r in cert.details["slab_residuals"].items()],
+            [_write_artifact(config.output_dir, "certificate.json", cert.to_json()),
+             _write_artifact(config.output_dir, "potential.json", V.to_json())])
+
+
+def _slab_2d(config, s=0.5, h=1.0, trunc_radius=200, j2_samples="0;1;5;25;100"):
+    cert = slab_counterexample_2d(FracParams(s, h, 2), j2_samples=_split(j2_samples),
+                                  trunc_radius=trunc_radius)
+    spread = cert.details["j2_spread"]
+    return ([Check("residual_sup", cert.residual_sup <= cert.tolerance,
+                   cert.residual_sup, cert.tolerance),
+             Check("j2_independence", spread <= 2.0 * cert.tolerance,
+                   spread, 2.0 * cert.tolerance)],
+            [_write_artifact(config.output_dir, "certificate.json", cert.to_json())])
+
+
+def _transference(config, s=0.5, N=6, d=1, tol=1e-8, pairs=5):
+    rng = np.random.default_rng(config.seed)
+    n = 2 * N + 1
+    params = FracParams(s, 2.0 * math.pi / n, d)
+    worst = 0.0
+    for _ in range(pairs):
+        v = TorusFunction(N, d, rng.standard_normal((n,) * d))
+        phi = LatticeFunction(params, {tuple(int(c) - 1 for c in idx): float(rng.standard_normal())
+                                       for idx in np.ndindex(*(3,) * d)})
+        worst = max(worst, transference_check(v, phi, tol=tol))
+    return [Check("transference_defect", worst <= tol, worst, tol)], []
+
+
+def _extension_trace(config, s=0.5, N=6, rtol=1e-4):
+    rng = np.random.default_rng(config.seed)
+    v = TorusFunction(N, 1, rng.standard_normal(2 * N + 1))
+    field_ = cs_extend_torus(v, s, make_t_grid(1e-8, 4.0, 1.05))
+    tr = neumann_trace(field_, check_rtol=None)
+    ref = apply_frac_torus_spectral(v, s).values * neumann_constant(s)
+    err = float(np.abs(tr.values - ref).max() / np.abs(ref).max())
+    return [Check("neumann_vs_spectral", err <= rtol, err, rtol)], []
+
+
+def _carleman_commutator(config, h=0.1, tau=3.0, c0=4.0, d=2, tol=1e-10):
+    cfg = CarlemanConfig(c0=c0, tau=tau, h=h)
+    rng = np.random.default_rng(config.seed)
+    half = 6 if d == 1 else 4
+    v = {tuple(int(c) - half for c in idx): float(rng.standard_normal())
+         for idx in np.ndindex(*(2 * half + 1,) * d)}
+    lhs, rhs, defect = tangential_commutator_check(cfg, v)
+    rel = defect / abs(lhs)
+    return ([Check("commutator_identity", rel <= tol, rel, tol)],
+            [_write_csv(config.output_dir, "commutator.csv", "h,tau,c0,lhs,rhs,defect",
+                        [(h, tau, c0, lhs, rhs, defect)])])
+
+
+def _carleman_probe(config, h=0.05, tau=8.0, c0=4.0):
+    cfg = CarlemanConfig(c0=c0, tau=tau, h=h)
+    R = int(0.7 / h)
+    nt = int(0.7 / cfg.dt)
+    ax = np.arange(-R, R + 1) * h
+    t = np.arange(nt) * cfg.dt
+    X, T = np.meshgrid(ax, t, indexing="ij")
+    bump = np.where(X ** 2 + T ** 2 < 0.6 ** 2,
+                    np.exp(-(X ** 2 + T ** 2) / 0.05) * np.cos(3.0 * X), 0.0)
+    lhs, rhs, cval = carleman_probe(cfg, bump, details=True)
+    return ([Check("empirical_constant_finite", math.isfinite(cval) and cval >= 0.0,
+                   cval, math.inf)],
+            [_write_csv(config.output_dir, "carleman_probe.csv",
+                        "h,tau,c0,lhs,rhs,empirical_C", [(h, tau, c0, lhs, rhs, cval)])])
+
+
+def _boundary_bulk(config, N=31, r0=0.5):
+    rng = np.random.default_rng(config.seed)
+    n = 2 * N + 1
+    h = 2.0 * math.pi / n
+    x = np.arange(-N, N + 1) * h
+    vals = np.zeros(n)
+    for _ in range(4):
+        c = rng.uniform(-0.3, 0.3)
+        w = rng.uniform(0.08, 0.2)
+        vals += rng.standard_normal() * np.exp(-((x - c) / w) ** 2 / 2.0)
+    vals[np.abs(x) >= 0.5] = 0.0
+    res = boundary_bulk_probe(TorusFunction(N, 1, vals), r0=r0)
+    nm = res.norms
+    row = (h, r0, nm["bulk_small"], nm["bulk_big"], nm["trace_h1"] + nm["trace_dt"],
+           res.fitted_alpha, res.holds)
+    return ([Check("inequality_holds", res.holds, float(res.holds), 1.0),
+             Check("alpha_in_unit_interval", 0.0 < res.fitted_alpha < 1.0,
+                   res.fitted_alpha, 1.0)],
+            [_write_csv(config.output_dir, "boundary_bulk.csv",
+                        "h,r0,bulk_small,bulk_big,trace_data,fitted_alpha,holds", [row])])
+
+
+def _inverse_sweep(config, N=16, W="-3;-2;-1;0;1;2", Omega="5;6;7;8;9;10;11;12;13",
+                   trials=10, eps="1e-1;1e-2;1e-3;1e-4;1e-5;1e-6"):
     out = config.output_dir
-
-    if name == "kernel-dump":
-        s = float(p.get("s", 0.5)); h = float(p.get("h", 1.0))
-        d = int(p.get("d", 1)); radius = int(p.get("radius", 10))
-        params = FracParams(s, h, d)
-        table = build_kernel_table(params, radius)
-        lines = [",".join([f"m_{i + 1}" for i in range(d)] + ["value", "abs_err_est"])]
-        for off in sorted(np.ndindex(*(2 * radius + 1,) * d)):
-            m = tuple(o - radius for o in off)
-            lines.append(",".join([str(c) for c in m]
-                                  + [fmt(float(table.values[off])),
-                                     fmt(float(table.err[off]))]))
-        artifacts.append(_write_artifact(out, "kernel.csv", "\n".join(lines) + "\n"))
-        checks.append(Check("row_count", len(lines) - 1 == (2 * radius + 1) ** d,
-                            len(lines) - 1, (2 * radius + 1) ** d))
-        if d == 1:
-            v1 = table.value(1)
-            ref = kernel_1d(params, 1)
-            checks.append(Check("closed_form_m1", abs(v1 - ref) <= 1e-13 * ref,
-                                abs(v1 - ref), 1e-13 * ref))
-
-    elif name == "apply":
-        s = float(p.get("s", 0.5))
-        doc = json.loads(Path(p["file"]).read_text())
-        if "values" in doc:
-            v = TorusFunction.from_json(doc)
-            spec_out = apply_frac_torus_spectral(v, s)
-            artifacts.append(_write_artifact(out, "applied.json", spec_out.to_json()))
-            pw = apply_frac_torus_pointwise(v, s, tol=1e-10)
-            defect = float(np.abs(pw.values - spec_out.values).max())
-            checks.append(Check("pointwise_vs_spectral", defect <= 1e-9, defect, 1e-9))
-        else:
-            from .lattice import apply_frac_lattice
-
-            u = LatticeFunction.from_json(doc)
-            radius = int(p.get("radius", 10))
-            d = u.params.d
-            # the (2r+1)^d grid in lexicographic order, in one operator call
-            pts = np.indices((2 * radius + 1,) * d).reshape(d, -1).T - radius
-            vals = apply_frac_lattice(u, pts)
-            lines = [",".join([f"j_{i + 1}" for i in range(d)] + ["value"])]
-            for j, val in zip(pts.tolist(), vals.tolist()):
-                lines.append(",".join([str(c) for c in j] + [fmt(val)]))
-            artifacts.append(_write_artifact(out, "applied.csv",
-                                             "\n".join(lines) + "\n"))
-            checks.append(Check("row_count",
-                                len(lines) - 1 == (2 * radius + 1) ** d,
-                                len(lines) - 1, (2 * radius + 1) ** d))
-
-    elif name == "ucp-lattice":
-        s = float(p.get("s", 0.5)); h = float(p.get("h", 1.0)); d = int(p.get("d", 1))
-        tol = float(p.get("tol", 1e-9))
-        X = _parse_points(p.get("X", "0"), d)
-        u, cert = global_ucp_counterexample(FracParams(s, h, d), X, tol=tol)
-        artifacts.append(_write_artifact(out, "certificate.json", cert.to_json()))
-        from .lattice import apply_frac_lattice
-        for x, r in zip(X, np.abs(apply_frac_lattice(u, np.array(X))).tolist()):
-            checks.append(Check(f"residual_at_{x}", r <= cert.tolerance, r, cert.tolerance))
-
-    elif name == "ucp-torus":
-        s = float(p.get("s", 0.5)); N = int(p.get("N", 8))
-        tol = float(p.get("tol", 1e-10))
-        X = [x[0] for x in _parse_points(p.get("X", "0"), 1)]
-        u, cert = torus_ucp_counterexample(N, s, X, tol=tol)
-        artifacts.append(_write_artifact(out, "certificate.json", cert.to_json()))
-        outv = apply_frac_torus_pointwise(u, s)
-        for x in X:
-            r = abs(outv.value(x))
-            checks.append(Check(f"residual_at_{x}", r <= cert.tolerance, r, cert.tolerance))
-
-    elif name == "slab-1d":
-        s = float(p.get("s", 0.5)); h = float(p.get("h", 1.0))
-        tol = float(p.get("tol", 1e-10))
-        u, V, cert = slab_counterexample_1d(FracParams(s, h, 1), tol=tol)
-        artifacts.append(_write_artifact(out, "certificate.json", cert.to_json()))
-        artifacts.append(_write_artifact(out, "potential.json", V.to_json()))
-        for j, r in cert.details["slab_residuals"].items():
-            checks.append(Check(f"residual_at_{j}", abs(r) <= tol, abs(r), tol))
-
-    elif name == "slab-2d":
-        s = float(p.get("s", 0.5)); h = float(p.get("h", 1.0))
-        radius = int(p.get("trunc_radius", 200))
-        j2s = [int(x) for x in str(p.get("j2_samples", "0;1;5;25;100")).split(";")]
-        cert = slab_counterexample_2d(FracParams(s, h, 2), j2_samples=j2s,
-                                      trunc_radius=radius)
-        artifacts.append(_write_artifact(out, "certificate.json", cert.to_json()))
-        checks.append(Check("residual_sup", cert.residual_sup <= cert.tolerance,
-                            cert.residual_sup, cert.tolerance))
-        checks.append(Check("j2_independence",
-                            cert.details["j2_spread"] <= 2.0 * cert.tolerance,
-                            cert.details["j2_spread"], 2.0 * cert.tolerance))
-
-    elif name == "transference":
-        s = float(p.get("s", 0.5)); N = int(p.get("N", 6)); d = int(p.get("d", 1))
-        tol = float(p.get("tol", 1e-8)); npairs = int(p.get("pairs", 5))
-        rng = np.random.default_rng(config.seed)
-        n = 2 * N + 1
-        h = 2.0 * math.pi / n
-        params = FracParams(s, h, d)
-        worst = 0.0
-        for _ in range(npairs):
-            v = TorusFunction(N, d, rng.standard_normal((n,) * d))
-            supp = {tuple(int(c) for c in idx): float(rng.standard_normal())
-                    for idx in np.ndindex(*(3,) * d)}
-            phi = LatticeFunction(params, {tuple(c - 1 for c in k): val
-                                           for k, val in supp.items()})
-            worst = max(worst, transference_check(v, phi, tol=tol))
-        checks.append(Check("transference_defect", worst <= tol, worst, tol))
-
-    elif name == "extension-trace":
-        s = float(p.get("s", 0.5)); N = int(p.get("N", 6))
-        rtol = float(p.get("rtol", 1e-4))
-        rng = np.random.default_rng(config.seed)
-        v = TorusFunction(N, 1, rng.standard_normal(2 * N + 1))
-        field_ = cs_extend_torus(v, s, make_t_grid(1e-8, 4.0, 1.05))
-        tr = neumann_trace(field_, check_rtol=None)
-        ref = apply_frac_torus_spectral(v, s).values * neumann_constant(s)
-        err = float(np.abs(tr.values - ref).max() / np.abs(ref).max())
-        checks.append(Check("neumann_vs_spectral", err <= rtol, err, rtol))
-
-    elif name == "carleman-commutator":
-        h = float(p.get("h", 0.1)); tau = float(p.get("tau", 3.0))
-        c0 = float(p.get("c0", 4.0)); d = int(p.get("d", 2))
-        tol = float(p.get("tol", 1e-10))
-        cfg = CarlemanConfig(c0=c0, tau=tau, h=h)
-        rng = np.random.default_rng(config.seed)
-        if d == 1:
-            v = {(j,): float(rng.standard_normal()) for j in range(-6, 7)}
-        else:
-            v = {(i, j): float(rng.standard_normal())
-                 for i in range(-4, 5) for j in range(-4, 5)}
-        lhs, rhs, defect = tangential_commutator_check(cfg, v)
-        rel = defect / abs(lhs)
-        lines = ["h,tau,c0,lhs,rhs,defect",
-                 ",".join(fmt(x) for x in (h, tau, c0, lhs, rhs, defect))]
-        artifacts.append(_write_artifact(out, "commutator.csv", "\n".join(lines) + "\n"))
-        checks.append(Check("commutator_identity", rel <= tol, rel, tol))
-
-    elif name == "carleman-probe":
-        h = float(p.get("h", 0.05)); tau = float(p.get("tau", 8.0))
-        c0 = float(p.get("c0", 4.0))
-        cfg = CarlemanConfig(c0=c0, tau=tau, h=h)
-        R = int(0.7 / h)
-        nt = int(0.7 / cfg.dt)
-        ax = np.arange(-R, R + 1) * h
-        t = np.arange(nt) * cfg.dt
-        X, T = np.meshgrid(ax, t, indexing="ij")
-        bump = np.where(X ** 2 + T ** 2 < 0.6 ** 2,
-                        np.exp(-(X ** 2 + T ** 2) / 0.05) * np.cos(3.0 * X), 0.0)
-        lhs, rhs, cval = carleman_probe(cfg, bump, details=True)
-        lines = ["h,tau,c0,lhs,rhs,empirical_C",
-                 ",".join(fmt(x) for x in (h, tau, c0, lhs, rhs, cval))]
-        artifacts.append(_write_artifact(out, "carleman_probe.csv", "\n".join(lines) + "\n"))
-        checks.append(Check("empirical_constant_finite",
-                            math.isfinite(cval) and cval >= 0.0, cval, math.inf))
-
-    elif name == "boundary-bulk":
-        N = int(p.get("N", 31)); r0 = float(p.get("r0", 0.5))
-        rng = np.random.default_rng(config.seed)
-        n = 2 * N + 1
-        h = 2.0 * math.pi / n
-        x = np.arange(-N, N + 1) * h
-        vals = np.zeros(n)
-        for _ in range(4):
-            c = rng.uniform(-0.3, 0.3)
-            w = rng.uniform(0.08, 0.2)
-            vals += rng.standard_normal() * np.exp(-((x - c) / w) ** 2 / 2.0)
-        vals[np.abs(x) >= 0.5] = 0.0
-        f = TorusFunction(N, 1, vals)
-        res = boundary_bulk_probe(f, r0=r0)
-        data = res.norms["trace_h1"] + res.norms["trace_dt"]
-        lines = ["h,r0,bulk_small,bulk_big,trace_data,fitted_alpha,holds",
-                 ",".join(fmt(x) for x in (h, r0, res.norms["bulk_small"],
-                                           res.norms["bulk_big"], data,
-                                           res.fitted_alpha, res.holds))]
-        artifacts.append(_write_artifact(out, "boundary_bulk.csv", "\n".join(lines) + "\n"))
-        checks.append(Check("inequality_holds", res.holds, float(res.holds), 1.0))
-        checks.append(Check("alpha_in_unit_interval",
-                            0.0 < res.fitted_alpha < 1.0, res.fitted_alpha, 1.0))
-
-    elif name == "inverse-sweep":
-        N = int(p.get("N", 16))
-        W = tuple(int(x) for x in str(p.get("W", "-3;-2;-1;0;1;2")).split(";"))
-        Om = tuple(int(x) for x in str(p.get("Omega", "5;6;7;8;9;10;11;12;13")).split(";"))
-        trials = int(p.get("trials", 10))
-        eps_list = [float(x) for x in
-                    str(p.get("eps", "1e-1;1e-2;1e-3;1e-4;1e-5;1e-6")).split(";")]
-        setup = InverseSetup(N=N, W=W, Omega=Om, seed=config.seed)
-        curve = stability_sweep(setup, eps_list, trials=trials)
-        lines = ["eps,error_mean,error_std,data_ratio,lambda_chosen"]
-        for (e, err, ratio), st, lam in zip(curve.points, curve.extras["err_std"],
-                                            curve.extras["lambda_geomean"]):
-            lines.append(",".join(fmt(x) for x in (e, err, st, ratio, lam)))
-        artifacts.append(_write_artifact(out, "stability.csv", "\n".join(lines) + "\n"))
-        artifacts.append(_write_artifact(out, "stability_summary.json",
-                                         curve.to_json(setup)))
+    setup = InverseSetup(N=N, W=tuple(_split(W)), Omega=tuple(_split(Omega)),
+                         seed=config.seed)
+    curve = stability_sweep(setup, _split(eps, float), trials=trials)
+    ex = curve.extras
+    rows = [(e, err, st, ratio, lam) for (e, err, ratio), st, lam
+            in zip(curve.points, ex["err_std"], ex["lambda_geomean"])]
+    artifacts = [
+        _write_csv(out, "stability.csv", "eps,error_mean,error_std,data_ratio,lambda_chosen",
+                   rows),
+        _write_artifact(out, "stability_summary.json", curve.to_json(setup)),
         # the singular values of A L^{-1} (P = L'L): the modal staircase the
         # recovery error follows, which caps the log-log fit's R^2
-        lines = ["index,sigma"] + [f"{i},{fmt(x)}" for i, x in
-                                   enumerate(curve.extras["singular_values"])]
-        artifacts.append(_write_artifact(out, "singular_values.csv", "\n".join(lines) + "\n"))
-        nerr = noiseless_recovery_error(setup)
-        checks.append(Check("noiseless_error", nerr < 1e-3, nerr, 1e-3))
-        checks.append(Check("fitted_nu_positive", curve.fitted_nu > 0.0,
-                            curve.fitted_nu, 0.0))
-        checks.append(Check("log_fit_r2", curve.r_squared >= 0.9,
-                            curve.r_squared, 0.9))
-
-    elif name == "self-test":
-        return self_test(config)
-
-    wall = time.perf_counter() - t0
-    return ExperimentReport(config=config, checks=checks, artifacts=artifacts,
-                            wall_time=wall)
+        _write_csv(out, "singular_values.csv", "index,sigma",
+                   enumerate(ex["singular_values"])),
+    ]
+    nerr = noiseless_recovery_error(setup)
+    return ([Check("noiseless_error", nerr < 1e-3, nerr, 1e-3),
+             Check("fitted_nu_positive", curve.fitted_nu > 0.0, curve.fitted_nu, 0.0),
+             Check("log_fit_r2", curve.r_squared >= 0.9, curve.r_squared, 0.9)],
+            artifacts)
 
 
 def self_test(config=None, corrupt_kernel_constant=False):
@@ -412,8 +392,7 @@ def self_test(config=None, corrupt_kernel_constant=False):
     closed-form values fed to the kernel comparison so the corresponding
     check must FAIL.
     """
-    if config is None:
-        config = ExperimentConfig(experiment="self-test")
+    config = config or ExperimentConfig(experiment="self-test")
     t0 = time.perf_counter()
     checks = []
 
@@ -469,6 +448,23 @@ def self_test(config=None, corrupt_kernel_constant=False):
     checks.append(Check("torus_heat_mass", abs(tot - 1.0) <= 1e-12,
                         abs(tot - 1.0), 1e-12))
 
-    wall = time.perf_counter() - t0
     return ExperimentReport(config=config, checks=checks, artifacts=[],
-                            wall_time=wall)
+                            wall_time=time.perf_counter() - t0)
+
+
+_EXPERIMENTS = {
+    "kernel-dump": _kernel_dump,
+    "apply": _apply,
+    "ucp-lattice": _ucp_lattice,
+    "ucp-torus": _ucp_torus,
+    "slab-1d": _slab_1d,
+    "slab-2d": _slab_2d,
+    "transference": _transference,
+    "extension-trace": _extension_trace,
+    "carleman-commutator": _carleman_commutator,
+    "carleman-probe": _carleman_probe,
+    "boundary-bulk": _boundary_bulk,
+    "inverse-sweep": _inverse_sweep,
+    "self-test": lambda config: (self_test(config).checks, []),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)

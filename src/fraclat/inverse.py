@@ -22,7 +22,7 @@ from .lattice import TorusFunction, _sobolev_multiplier, apply_frac_torus_spectr
 
 @dataclass(frozen=True)
 class InverseSetup:
-    """Torus size, support set W, measurement set Omega, and knobs.
+    """Torus size, support set W, measurement set Omega, and the seed.
 
     The fractional order is pinned to 1/2 (the harmonic-extension regime
     the stability theory covers).
@@ -32,8 +32,6 @@ class InverseSetup:
     W: tuple
     Omega: tuple
     s: float = 0.5
-    reg_lambda: float = 1e-10
-    noise_level: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -155,14 +153,14 @@ def _discrepancy_residual(log_lam, beta, sigma2, perp2):
     return np.sqrt(np.sum(r * r, axis=-1) + perp2)
 
 
-def discrepancy_lambda(A, g, P, target, lam_lo=None, lam_hi=1e8, iters=120):
+def discrepancy_lambda(A, g, P, target):
     """Bisection on log(lambda) for ||A f_lambda - g|| = target (monotone).
 
     g may hold a batch of data vectors, shape (..., m), with target of shape
     (...); every root is bisected at once and an array of lambdas returned
     (a float for a single g).  Raises LambdaRangeError naming the first
-    entry whose target the range does not bracket.  The default floor
-    lam_lo = 1e-16 ||A||_2^2 scales with the problem, as in
+    entry whose target the range [1e-16 ||A||_2^2, 1e8] does not bracket.
+    The floor scales with the problem, as in
     :func:`noiseless_recovery_error`; noise nearly orthogonal to the range
     of A can put the root below a fixed floor.
 
@@ -174,7 +172,7 @@ def discrepancy_lambda(A, g, P, target, lam_lo=None, lam_hi=1e8, iters=120):
     The loop stops once every midpoint 0.5 (lo + hi) equals lo or hi: a
     further step sets lo or hi to that midpoint, which leaves 0.5 (lo + hi)
     where it is, so the returned lambda is bit-identical to the one the
-    full ``iters`` steps give.  ``iters`` is only a cap.
+    full 120 steps give.  The 120 steps are only a cap.
     """
     _, U, sigma = _standard_form(A, P)
     proj = np.asarray(g, dtype=float) @ U
@@ -183,10 +181,8 @@ def discrepancy_lambda(A, g, P, target, lam_lo=None, lam_hi=1e8, iters=120):
     sigma2 = sigma * sigma
     target = np.broadcast_to(np.asarray(target, dtype=float), perp2.shape)
 
-    if lam_lo is None:
-        lam_lo = 1e-16 * np.linalg.norm(A, 2) ** 2
-    lo = np.full(perp2.shape, math.log(lam_lo))
-    hi = np.full(perp2.shape, math.log(lam_hi))
+    lo = np.full(perp2.shape, math.log(1e-16 * np.linalg.norm(A, 2) ** 2))
+    hi = np.full(perp2.shape, math.log(1e8))
     r_lo, r_hi = (_discrepancy_residual(x, beta, sigma2, perp2) for x in (lo, hi))
     bad = ~((r_lo <= target) & (target <= r_hi))
     if bad.any():
@@ -195,7 +191,7 @@ def discrepancy_lambda(A, g, P, target, lam_lo=None, lam_hi=1e8, iters=120):
         raise LambdaRangeError(
             f"target residual {target[idx]:.3e}{where} outside "
             f"[{r_lo[idx]:.3e}, {r_hi[idx]:.3e}]")
-    for _ in range(iters):
+    for _ in range(120):
         mid = 0.5 * (lo + hi)
         if ((mid == lo) | (mid == hi)).all():
             break

@@ -184,10 +184,16 @@ def torus_index(j, N):
 def dft(v):
     """Normalized DFT: u_hat_m = (2N+1)^{-d} sum_j u_j e^{-2 pi i m.j/(2N+1)},
     both indices running over {-N..N}^d."""
-    axes = tuple(range(v.d))
-    rolled = np.roll(v.values, -v.N, axis=axes)
-    hat = np.fft.fftn(rolled) / v.n ** v.d
-    return np.roll(hat, v.N, axis=axes)
+    return _dft_values(v.values)
+
+
+def _dft_values(values):
+    # dft of a value array on the {-N..N}^d grid
+    n, d = values.shape[0], values.ndim
+    N = (n - 1) // 2
+    axes = tuple(range(d))
+    hat = np.fft.fftn(np.roll(values, -N, axis=axes)) / n ** d
+    return np.roll(hat, N, axis=axes)
 
 
 def idft(coeffs, N, d):
@@ -211,36 +217,34 @@ def symbol(params, xi):
     return params.h ** (-2.0 * params.s) * q ** params.s
 
 
+def _axis_sum(vecs):
+    """sum_k vecs[k][j_k] on the grid whose axis k is vecs[k], added in
+    axis order."""
+    acc = vecs[0]
+    for v in vecs[1:]:
+        acc = acc[..., None] + v
+    return acc
+
+
 def _torus_multiplier(N, d, h, s):
     """The operator symbol on the torus frequency grid {-N..N}^d."""
     m = np.arange(-N, N + 1)
     sin2 = (4.0 / (h * h)) * np.sin(math.pi * m / (2 * N + 1)) ** 2
-    acc = sin2
-    for _ in range(d - 1):
-        acc = acc[..., None] + sin2
-    return acc ** s
+    return _axis_sum([sin2] * d) ** s
 
 
 def _sobolev_multiplier(N, d, h):
     """Base multiplier 1 + h^{-2} sum_k sin^2(h xi_k) on the frequency grid."""
     m = np.arange(-N, N + 1)
     sin2 = np.sin(2.0 * math.pi * m / (2 * N + 1)) ** 2 / (h * h)
-    acc = sin2
-    for _ in range(d - 1):
-        acc = acc[..., None] + sin2
-    return 1.0 + acc
+    return 1.0 + _axis_sum([sin2] * d)
 
 
 def _sobolev_sq_grid(values, h, r):
     """Squared H^r norm of a value array regarded as one period of mesh-h data."""
-    d = values.ndim
-    n = values.shape[0]
-    N = (n - 1) // 2
-    axes = tuple(range(d))
-    hat = np.fft.fftn(np.roll(values, -N, axis=axes)) / n ** d
-    hat = np.roll(hat, N, axis=axes)
-    mult = _sobolev_multiplier(N, d, h)
-    return (h * n) ** d * float(np.sum(mult ** r * np.abs(hat) ** 2))
+    d, n = values.ndim, values.shape[0]
+    mult = _sobolev_multiplier((n - 1) // 2, d, h)
+    return (h * n) ** d * float(np.sum(mult ** r * np.abs(_dft_values(values)) ** 2))
 
 
 def sobolev_norm(u, r):

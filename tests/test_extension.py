@@ -574,8 +574,3 @@ class TestBoundaryBulkProbe:
         f = bump_trace(31, 1)
         with pytest.raises(ValueError):
             boundary_bulk_probe(f, r0=1.5)
-
-    def test_potential_out_of_scope(self):
-        f = bump_trace(31, 1)
-        with pytest.raises(NotImplementedError):
-            boundary_bulk_probe(f, r0=0.5, potential=np.ones(63))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fraclat.cli import build_config, main
-from fraclat.harness import ExperimentConfig, fmt, run, self_test
+from fraclat.harness import EXPERIMENTS, ExperimentConfig, fmt, run, self_test
 
 
 class TestConfig:
@@ -33,6 +33,43 @@ class TestConfig:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError):
             run(ExperimentConfig(experiment="nonsense"))
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_misspelt_key_rejected(self, name, tmp_path, capsys):
+        # a misspelt key is an error before anything is written, not a
+        # silently ignored setting
+        cfg = ExperimentConfig(experiment=name, params={"trunc_radus": 20},
+                               output_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="trunc_radus"):
+            run(cfg)
+        assert main([name, "trunc_radus=20", "--out", str(tmp_path)]) == 2
+        assert "trunc_radus" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_required_key(self, tmp_path):
+        with pytest.raises(ValueError, match="file"):
+            run(ExperimentConfig(experiment="apply", params={"s": 0.5},
+                                 output_dir=str(tmp_path)))
+
+    def test_values_take_the_type_of_the_default(self, tmp_path):
+        cfg = ExperimentConfig(experiment="kernel-dump",
+                               params={"s": "0.5", "h": 1, "radius": "3"},
+                               output_dir=str(tmp_path))
+        assert run(cfg).all_passed
+        for bad in ("x", 2.5):
+            with pytest.raises(ValueError, match="radius"):
+                run(ExperimentConfig(experiment="kernel-dump", params={"radius": bad},
+                                     output_dir=str(tmp_path)))
+
+    def test_carleman_admissibility_reported_once(self, tmp_path, capsys):
+        # delta0 is no key of the experiment; tau*h > 1/2 is reported by
+        # CarlemanConfig's own message alone
+        assert main(["carleman-commutator", "h=0.1", "tau=6", "delta0=1.0",
+                     "--out", str(tmp_path)]) == 2
+        assert "delta0" in capsys.readouterr().err
+        assert main(["carleman-commutator", "h=0.1", "tau=6", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("tau*h") == 1 and "admissibility violated" in err
 
 
 class TestKernelDump:
@@ -92,6 +129,32 @@ class TestExperiments:
         cert = json.loads((tmp_path / "certificate.json").read_text())
         assert cert["passed"] is True
         assert cert["paper_claim"] == "global-ucp-failure-lattice"
+
+    @pytest.mark.parametrize("name, fn_name, params", [
+        ("ucp-lattice", "apply_frac_lattice", {"X": "0;3"}),
+        ("ucp-torus", "apply_frac_torus_pointwise", {"N": 16, "X": "0;1;2"}),
+    ])
+    def test_ucp_applies_operator_once(self, name, fn_name, params, tmp_path, monkeypatch):
+        # the checks read the certificate's per-point residuals; the
+        # harness does not apply the operator a second time
+        import fraclat.lattice
+
+        calls = []
+        real = getattr(fraclat.lattice, fn_name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for mod in ("lattice", "counterexamples", "harness"):
+            monkeypatch.setattr(f"fraclat.{mod}.{fn_name}", counting, raising=False)
+        report = run(ExperimentConfig(experiment=name, params=params,
+                                      output_dir=str(tmp_path)))
+        assert report.all_passed
+        assert len(calls) == 1
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        assert [c.measured for c in report.checks] == cert["details"]["residuals"]
+        assert max(cert["details"]["residuals"]) == cert["residual_sup"]
 
     def test_ucp_lattice_2d_points(self, tmp_path):
         cfg = ExperimentConfig(experiment="ucp-lattice",
@@ -244,6 +307,24 @@ class TestExperiments:
         assert report.all_passed
         csv = (tmp_path / "commutator.csv").read_text()
         assert csv.startswith("h,tau,c0,lhs,rhs,defect")
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_carleman_commutator_support_has_dimension_d(self, d, tmp_path, monkeypatch):
+        # every d gets a d-dimensional support; d = 3 is not the 2-D box
+        import fraclat.harness
+
+        seen = []
+        real = fraclat.harness.tangential_commutator_check
+
+        def spy(cfg, v):
+            seen.append({len(k) for k in v})
+            return real(cfg, v)
+
+        monkeypatch.setattr(fraclat.harness, "tangential_commutator_check", spy)
+        cfg = ExperimentConfig(experiment="carleman-commutator", params={"d": d},
+                               output_dir=str(tmp_path))
+        assert run(cfg).all_passed
+        assert seen == [{d}]
 
 
 class TestSelfTest:

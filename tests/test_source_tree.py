@@ -63,3 +63,9 @@ def test_carleman_block_as_stencils():
     # the tangential conjugates, their identities and the probe are array
     # code on a padded box: no dict lookups or scalar hyperbolic loops
     assert _hits(r"\.get\(|math\.cosh|math\.sinh|_zero_wrap", "fraclat/extension.py") == []
+
+
+def test_experiments_as_one_table():
+    # each experiment is one function in one dict, its keyword defaults its
+    # parameter schema: no dispatch chain on the name, no hand-read keys
+    assert _hits(r"elif name ==|p\.get\(", "fraclat/harness.py") == []
