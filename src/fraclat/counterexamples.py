@@ -1,16 +1,19 @@
 """Constructive failures of unique continuation for the discrete operator.
 
-On the lattice and on the discrete torus, vanishing of u and of its
-fractional Laplacian on a finite set does not force u = 0: prescribing
-u on a disjoint set Y with |Y| = |X| + 1 leaves an underdetermined
-homogeneous system whose null vector is an explicit counterexample.  A
-two-sided step with a single corrective amplitude likewise defeats weak
-unique continuation from a three-point slab for a fractional Schroedinger
-equation, in one and (by kernel reduction) two dimensions.
+On the lattice and on the discrete torus {-N..N}^d, d <= 3, vanishing of
+u and of its fractional Laplacian on a finite set X does not force u = 0:
+prescribing u on a disjoint set Y with |Y| = |X| + 1 (by default the
+points outside X nearest to its centroid) leaves an underdetermined
+homogeneous system whose null vector is an explicit counterexample; one
+construction serves both.  A two-sided step with a single corrective
+amplitude likewise defeats weak unique continuation from a three-point
+slab for a fractional Schroedinger equation, in one and (by kernel
+reduction) two dimensions.
 
 Every certificate produced here is re-verified through an operator
 application path that is independent of the linear algebra used in the
-construction.
+construction; on the torus, through both the pointwise and the spectral
+route.
 """
 
 import json
@@ -21,6 +24,7 @@ import numpy as np
 from .kernel import (
     FracParams,
     build_kernel_table,
+    torus_kernel_table,
     _kernel_1d_raw,
     _tail_1d_raw,
 )
@@ -31,6 +35,7 @@ from .lattice import (
     _kernels_at,
     apply_frac_lattice,
     apply_frac_torus_pointwise,
+    apply_frac_torus_spectral,
 )
 
 
@@ -79,142 +84,135 @@ class Certificate:
         }, sort_keys=True)
 
 
-def _normalize_null_vector(vec):
-    """Deterministic normalization: sup norm 1, first nonzero entry positive."""
-    v = np.asarray(vec, dtype=float)
-    v = v / np.abs(v).max()
-    for x in v:
-        if abs(x) > 1e-13:
-            if x < 0:
-                v = -v
-            break
-    return v
+def _select_y(X, count, n=None):
+    """The ``count`` points outside X (an integer array (P, d)) nearest to
+    its centroid by sup-norm distance, ties broken lexicographically.
 
-
-def _auto_select_y(points, count, d, exclude, wrap=None):
-    """The ``count`` nearest lattice points outside ``exclude``.
-
-    Nearest-first by sup-norm distance to the centroid of ``points``,
-    lexicographic tie-break; ``wrap`` gives the torus period for wrapped
-    distances.
-    """
-    pts = np.asarray(points, dtype=float).reshape(len(points), d)
-    centroid = pts.mean(axis=0)
-    base = tuple(int(round(c)) for c in centroid)
-    excl = {tuple(int(c) for c in np.atleast_1d(p)) for p in exclude}
-    radius = 1
+    On the torus of period n the candidates are all of {-N..N}^d, at wrapped
+    distance.  On the lattice they are the box of radius r around the
+    rounded centroid, and r doubles until the count-th point lies within
+    r - 1/2: no point outside the box is nearer."""
+    centroid = X.mean(axis=0)
+    corner, r = (-(n // 2), n // 2) if n else (np.rint(centroid).astype(np.int64) - 1, 1)
     while True:
-        cands = []
-        for off in np.ndindex(*(2 * radius + 1,) * d):
-            pt = tuple(base[i] + off[i] - radius for i in range(d))
-            if wrap is not None:
-                n = wrap
-                pt = tuple(((c + (n // 2)) % n) - n // 2 for c in pt)
-            if pt in excl:
-                continue
-            if wrap is not None:
-                dist = max(min(abs(pt[i] - centroid[i] + k * wrap)
-                               for k in (-1, 0, 1)) for i in range(d))
-            else:
-                dist = max(abs(pt[i] - centroid[i]) for i in range(d))
-            cands.append((dist, pt))
-        cands = sorted(set(cands))
-        inner = [c for c in cands if c[0] <= radius - 0.5]
-        if len(inner) >= count:
-            return [c[1] for c in inner[:count]]
-        if len(cands) >= count and radius > 2 * count + 2:
-            return [c[1] for c in cands[:count]]
-        radius += 1
+        shape = (2 * r + 1,) * X.shape[1]
+        free = np.ones(shape, dtype=bool)
+        off = X - corner  # on the torus every point of X lies in the grid
+        free[tuple((off if n else off[((off >= 0) & (off < shape[0])).all(axis=1)]).T)] = False
+        pts = np.argwhere(free) + corner
+        dist = np.abs(pts - centroid)
+        if n:
+            dist = np.minimum(dist, n - dist)
+        dist = dist.max(axis=1)
+        order = np.argsort(dist, kind="stable")[:count]  # pts are in lexicographic order
+        if n or (order.size == count and dist[order[-1]] <= r - 0.5):
+            return pts[order]
+        corner, r = corner - r, 2 * r
+
+
+def _certify_null_vector(M, measure, tol, paper_claim, parameters):
+    """The null vector of the kernel matrix M (rows X, columns Y) as a
+    verified counterexample.
+
+    The vector is normalised to sup norm 1 with its first nonzero entry
+    positive.  measure(coeffs, sig), given the singular values sig of M,
+    returns (u, routes, details): routes maps detail keys to |Lu| at each
+    point of X by a route independent of M, "residuals" giving residual_sup,
+    and CertificateError is raised if any route exceeds the tolerance."""
+    _, sig, vt = np.linalg.svd(M)
+    coeffs = vt[-1] / np.abs(vt[-1]).max()
+    if coeffs[np.abs(coeffs) > 1e-13][0] < 0:
+        coeffs = -coeffs
+    u, routes, details = measure(coeffs, sig)
+    u_norm = float(np.abs(coeffs).max())
+    cert = Certificate(residual_sup=max(routes["residuals"]), u_norm=u_norm,
+                       tolerance=tol * u_norm, paper_claim=paper_claim, parameters=parameters,
+                       details={"singular_values": sig.tolist(), **details, **routes})
+    worst = max(max(r) for r in routes.values())
+    if not (cert.passed and worst <= cert.tolerance):
+        raise CertificateError(
+            f"{paper_claim}: null-vector residual {worst:.3e} above {cert.tolerance:.3e}")
+    return u, cert
+
+
+def _point_array(points):
+    """Points given as ints (d = 1) or d-tuples, as an integer array (P, d)."""
+    arr = np.array(points, dtype=np.int64)
+    if arr.size == 0 or arr.ndim > 2:
+        raise ValueError("a point set must hold at least one point, all of one dimension")
+    return arr.reshape(len(arr), -1)
 
 
 def global_ucp_counterexample(params, X, Y=None, tol=1e-9, ktol=1e-12):
     """Nonzero u supported on Y with u = 0 = (fractional Laplacian u) on X.
 
-    X is a finite set of lattice points; Y (|Y| = |X| + 1, disjoint from X)
-    defaults to the nearest points outside X.  Returns the function and a
-    certificate whose residual is recomputed by the summation path; its
-    details["residuals"] holds |Lu| at each point of X, in order.
+    X is a finite set of lattice points of dimension params.d; Y (|Y| =
+    |X| + 1, disjoint from X) defaults to the nearest points outside X.
+    Returns the function and a certificate whose residual is recomputed by
+    the summation path; its details["residuals"] holds |Lu| at each point
+    of X, in order.
     """
-    d = params.d
-    Xs = [tuple(int(c) for c in np.atleast_1d(x)) for x in X]
+    Xa = _point_array(X)
+    Xs = list(map(tuple, Xa.tolist()))
+    if Xa.shape[1] != params.d:
+        raise ValueError(f"X holds {Xa.shape[1]}-dimensional points, params.d = {params.d}")
     if len(set(Xs)) != len(Xs):
         raise ValueError("X contains repeated points")
     if Y is None:
-        Ys = _auto_select_y(Xs, len(Xs) + 1, d, Xs)
+        Ya = _select_y(Xa, len(Xs) + 1)
     else:
-        Ys = [tuple(int(c) for c in np.atleast_1d(y)) for y in Y]
-        if set(Ys) & set(Xs):
+        Ya = _point_array(Y)
+        if set(map(tuple, Ya.tolist())) & set(Xs):
             raise ValueError("Y must be disjoint from X")
-        if len(Ys) != len(Xs) + 1:
-            raise ValueError("Y must have |X| + 1 points")
+        if Ya.shape != (len(Xs) + 1, params.d):
+            raise ValueError("Y must have |X| + 1 points of dimension d")
+    Ys = Ya.tolist()
 
-    M = _kernels_at(params, np.array(Xs)[:, None] - np.array(Ys), ktol)
-    _, sig, vt = np.linalg.svd(M)
-    coeffs = _normalize_null_vector(vt[-1])
-    multiple = bool(sig.size >= 2 and sig[-2] <= 1e-12 * sig[0])
+    def measure(coeffs, sig):
+        u = LatticeFunction(params, dict(zip(map(tuple, Ys), coeffs.tolist())))
+        return u, {"residuals": np.abs(apply_frac_lattice(u, Xa)).tolist()}, {
+            "multiple_solutions": bool(sig.size >= 2 and sig[-2] <= 1e-12 * sig[0])}
 
-    u = LatticeFunction(params, {y: float(c) for y, c in zip(Ys, coeffs)})
-    residuals = np.abs(apply_frac_lattice(u, np.array(Xs))).tolist()
-    residual = max(residuals)
-    u_norm = float(np.abs(coeffs).max())
-    cert = Certificate(
-        residual_sup=residual,
-        u_norm=u_norm,
-        tolerance=tol * u_norm,
-        paper_claim="global-ucp-failure-lattice",
-        parameters={"s": params.s, "h": params.h, "d": params.d,
-                    "X": [list(x) for x in Xs], "Y": [list(y) for y in Ys]},
-        details={"singular_values": sig.tolist(),
-                 "multiple_solutions": multiple,
-                 "residuals": residuals},
-    )
-    if not cert.passed:
-        raise CertificateError(
-            f"null-vector residual {residual:.3e} above {cert.tolerance:.3e}")
-    return u, cert
+    M = _kernels_at(params, Xa[:, None] - Ya, ktol)
+    return _certify_null_vector(M, measure, tol, "global-ucp-failure-lattice",
+                                {"s": params.s, "h": params.h, "d": params.d,
+                                 "X": Xa.tolist(), "Y": Ys})
 
 
 def torus_ucp_counterexample(N, s, X, tol=1e-12):
     """Nonzero torus function vanishing, together with its fractional
-    Laplacian, on a set X of at most N points of {-N..N}.  The
-    certificate's details["residuals"] holds |Lu| at each point of its
-    parameters["X"] (X sorted), by the pointwise route."""
-    n = 2 * N + 1
-    Xs = sorted({int(np.atleast_1d(x)[0]) for x in X})
-    if any(not -N <= x <= N for x in Xs):
-        raise ValueError("X must lie in {-N..N}")
-    if len(Xs) > N:
-        raise ValueError(
-            f"|X| = {len(Xs)} exceeds N = {N}: the system has at least as many"
-            " equations as unknowns and the construction does not apply")
-    from .kernel import torus_kernel_table
+    Laplacian, on a set X of points of {-N..N}^d, d <= 3: ints (d = 1) or
+    d-tuples, repeats merged, at most (n^d - 1)/2 of them (N in d = 1).
 
-    table = torus_kernel_table(s, N, 1, tol=1e-14)
-    Ys = [y[0] for y in _auto_select_y([(x,) for x in Xs], len(Xs) + 1, 1,
-                                       [(x,) for x in Xs], wrap=n)]
-    M = table.value(np.subtract.outer(Xs, Ys)[..., None])
-    _, sig, vt = np.linalg.svd(M)
-    coeffs = _normalize_null_vector(vt[-1])
-    vals = np.zeros(n)
-    for y, c in zip(Ys, coeffs):
-        vals[(y + N) % n] = c
-    u = TorusFunction(N, 1, vals)
-    out = apply_frac_torus_pointwise(u, s, tol=min(tol, 1e-12))
-    residuals = [abs(float(out.value(x))) for x in Xs]
-    residual = max(residuals)
-    u_norm = float(np.abs(coeffs).max())
-    cert = Certificate(
-        residual_sup=residual,
-        u_norm=u_norm,
-        tolerance=tol * u_norm,
-        paper_claim="global-ucp-failure-torus",
-        parameters={"s": s, "N": N, "X": Xs, "Y": Ys},
-        details={"singular_values": sig.tolist(), "residuals": residuals},
-    )
-    if not cert.passed:
-        raise CertificateError(
-            f"torus null-vector residual {residual:.3e} above {cert.tolerance:.3e}")
-    return u, cert
+    The certificate's parameters["X"] is X sorted; details["residuals"]
+    holds |Lu| at each of its points by the pointwise route, and
+    details["residuals_spectral"] by the spectral route.
+    """
+    n = 2 * N + 1
+    Xa = np.array(sorted(set(map(tuple, _point_array(X).tolist()))))
+    d = Xa.shape[1]
+    if np.abs(Xa).max() > N:
+        raise ValueError("X must lie in {-N..N}^d")
+    if len(Xa) > (n ** d - 1) // 2:
+        raise ValueError(f"|X| = {len(Xa)} exceeds {'N' if d == 1 else f'(n^{d} - 1)/2'} = "
+                         f"{(n ** d - 1) // 2}: the system has at least as many equations as"
+                         " unknowns and the construction does not apply")
+    Ya = _select_y(Xa, len(Xa) + 1, n)
+    at = tuple((Xa + N).T)
+
+    def measure(coeffs, sig):
+        vals = np.zeros((n,) * d)
+        vals[tuple((Ya + N).T)] = coeffs
+        u = TorusFunction(N, d, vals)
+        pointwise = apply_frac_torus_pointwise(u, s, tol=min(tol, 1e-12)).values[at]
+        spectral = apply_frac_torus_spectral(u, s).values[at]
+        return u, {"residuals": np.abs(pointwise).tolist(),
+                   "residuals_spectral": np.abs(spectral).tolist()}, {}
+
+    M = torus_kernel_table(s, N, d, tol=1e-14).value(Xa[:, None] - Ya)
+    Xs, Ys = (a.ravel().tolist() if d == 1 else a.tolist() for a in (Xa, Ya))
+    return _certify_null_vector(M, measure, tol, "global-ucp-failure-torus",
+                                {"s": s, "N": N, "X": Xs, "Y": Ys})
 
 
 def slab_correction_amplitude(params):

@@ -187,23 +187,26 @@ def _box(radius, d):
     return np.indices((2 * radius + 1,) * d).reshape(d, -1).T - radius
 
 
-def _write_box(out, name, coord, pts, columns):
+def _write_box(out, name, coord, radius, pts, columns):
     """One CSV row per box point: coordinates coord_1..coord_d, then the
-    named columns (arrays in the box's order); returns the artifact and the
-    row-count check."""
+    named columns (arrays the library returned, in the box's order); returns
+    the artifact and the check that each column has (2 radius + 1)^d values."""
     header = ",".join([f"{coord}_{i + 1}" for i in range(pts.shape[1])] + list(columns))
     cols = zip(*(np.ravel(c).tolist() for c in columns.values()))
     rows = [j + list(vals) for j, vals in zip(pts.tolist(), cols)]
+    want, sizes = (2 * radius + 1) ** pts.shape[1], {np.size(c) for c in columns.values()}
     return (_write_csv(out, name, header, rows),
-            Check("row_count", len(rows) == len(pts), len(rows), len(pts)))
+            Check("row_count", sizes == {want}, min(sizes), want))
 
 
-def _parse_points(text, d):
-    """Parse '0;1,2;-3,4' into a list of d-tuples."""
+def _parse_points(text):
+    """Parse '0;1,2;-3,4' into a list of d-tuples, d read from the first point."""
     pts = [tuple(int(c) for c in tok.split(",")) for tok in text.split(";") if tok.strip()]
+    if not pts:
+        raise ValueError("X holds no points")
     for p in pts:
-        if len(p) != d:
-            raise ValueError(f"point {p} is not {d}-dimensional")
+        if len(p) != len(pts[0]):
+            raise ValueError(f"point {p} is not {len(pts[0])}-dimensional")
     return pts
 
 
@@ -224,7 +227,7 @@ def run(config):
 def _kernel_dump(config, s=0.5, h=1.0, d=1, radius=10):
     params = FracParams(s, h, d)
     table = build_kernel_table(params, radius)
-    art, rows = _write_box(config.output_dir, "kernel.csv", "m", _box(radius, d),
+    art, rows = _write_box(config.output_dir, "kernel.csv", "m", radius, _box(radius, d),
                            {"value": table.values, "abs_err_est": table.err})
     checks = [rows]
     if d == 1:
@@ -246,23 +249,24 @@ def _apply(config, file, s=0.5, radius=10):
                 [_write_artifact(config.output_dir, "applied.json", spec_out.to_json())])
     u = LatticeFunction.from_json(doc)
     pts = _box(radius, u.params.d)  # the whole box in one operator call
-    art, rows = _write_box(config.output_dir, "applied.csv", "j", pts,
+    art, rows = _write_box(config.output_dir, "applied.csv", "j", radius, pts,
                            {"value": apply_frac_lattice(u, pts)})
     return [rows], [art]
 
 
-def _ucp_lattice(config, s=0.5, h=1.0, d=1, tol=1e-9, X="0"):
-    X = _parse_points(X, d)
-    _, cert = global_ucp_counterexample(FracParams(s, h, d), X, tol=tol)
+def _ucp_lattice(config, s=0.5, h=1.0, tol=1e-9, X="0"):
+    X = _parse_points(X)
+    _, cert = global_ucp_counterexample(FracParams(s, h, len(X[0])), X, tol=tol)
     return ([Check(f"residual_at_{x}", r <= cert.tolerance, r, cert.tolerance)
              for x, r in zip(X, cert.details["residuals"])],
             [_write_artifact(config.output_dir, "certificate.json", cert.to_json())])
 
 
 def _ucp_torus(config, s=0.5, N=8, tol=1e-10, X="0"):
-    X = [x[0] for x in _parse_points(X, 1)]
-    _, cert = torus_ucp_counterexample(N, s, X, tol=tol)
-    return ([Check(f"residual_at_{x}", r <= cert.tolerance, r, cert.tolerance)
+    _, cert = torus_ucp_counterexample(N, s, _parse_points(X), tol=tol)
+    # the certificate's X is sorted and merged: ints in d = 1, lists otherwise
+    return ([Check(f"residual_at_{x if isinstance(x, int) else tuple(x)}",
+                   r <= cert.tolerance, r, cert.tolerance)
              for x, r in zip(cert.parameters["X"], cert.details["residuals"])],
             [_write_artifact(config.output_dir, "certificate.json", cert.to_json())])
 
@@ -363,9 +367,13 @@ def _boundary_bulk(config, N=31, r0=0.5):
 def _inverse_sweep(config, N=16, W="-3;-2;-1;0;1;2", Omega="5;6;7;8;9;10;11;12;13",
                    trials=10, eps="1e-1;1e-2;1e-3;1e-4;1e-5;1e-6"):
     out = config.output_dir
+    eps = _split(eps, float)
+    if len(eps) < 2:
+        raise ValueError(f"invalid config: eps: the stability fit needs at least two values,"
+                         f" got {len(eps)}")
     setup = InverseSetup(N=N, W=tuple(_split(W)), Omega=tuple(_split(Omega)),
                          seed=config.seed)
-    curve = stability_sweep(setup, _split(eps, float), trials=trials)
+    curve = stability_sweep(setup, eps, trials=trials)
     ex = curve.extras
     rows = [(e, err, st, ratio, lam) for (e, err, ratio), st, lam
             in zip(curve.points, ex["err_std"], ex["lambda_geomean"])]

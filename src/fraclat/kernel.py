@@ -42,6 +42,9 @@ from .specfun import (
 
 _LOG_PI = 1.1447298858494001741434273514
 _LOG4 = 1.3862943611198906188344642429
+# entries kept by each memoised mass and torus table: the warm-operator
+# benchmark pool reads about 9 table keys, and a bound caps a long session
+_CACHE_SIZE = 32
 
 
 class ToleranceError(RuntimeError):
@@ -308,7 +311,7 @@ def _one_minus_g0(x, g0):
     return np.where(x < 0.5, -np.expm1(-x) - np.exp(-x) * series, 1.0 - g0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _kernel_mass_cached(s, h, d, tol):
     if d == 1:
         return 2.0 * _tail_1d_raw(s, h, 1.0)
@@ -361,20 +364,6 @@ def _wrap_fold(n, m):
     return fold
 
 
-def _wrap_sums(n, x):
-    """Rows e^{-x} I_k(x), k = 0..m, and their wrap sums
-    sum_l e^{-x} I_{|j + l n|}(x) for every torus coordinate j in [0, n-1].
-
-    x is a scalar, giving one row and one wrap vector, or a 1-d array of
-    arguments, giving one of each per argument from a single Bessel sweep;
-    the fold onto the torus is a matmul.  Each row starts from its own wrap
-    order and runs to the largest argument's, past which orders are dropped."""
-    x = np.asarray(x, dtype=float)
-    y, scale = _bessel_sweep(_wrap_order(n, x.ravel()), x.ravel())
-    rows = (y * scale).T.reshape(x.shape + (-1,))
-    return rows, rows @ _wrap_fold(n, len(y) - 1)
-
-
 def torus_heat_kernel(N, h, j, t, tol=1e-14, spectral=False):
     """Heat kernel of the discrete torus A^N_{h,d} at index offset j, time t > 0.
 
@@ -396,10 +385,10 @@ def torus_heat_kernel(N, h, j, t, tol=1e-14, spectral=False):
                 acc += math.exp(-x * (1.0 - math.cos(ang))) * math.cos(ang * c)
             val *= acc / n
         return val
-    wrap = _wrap_sums(n, x)[1]
+    wrap = _heat_wraps(n, N, np.array([x]))[0]
     val = 1.0
     for c in comps:
-        val *= wrap[c]
+        val *= wrap[min(c, n - c)]
     return val
 
 
@@ -626,7 +615,7 @@ def _torus_table_series(s, N, tol_abs, need_diag):
     return _TorusKernelData(N, 1, s, h, vals, diag, float(errs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _torus_table_cached(s, N, d, tol_abs, need_diag, method):
     if method == "series":
         if d != 1:

@@ -347,14 +347,17 @@ def _apply_pointwise(v, table):
     """sum_r K(r) (v_j - v_{j-r}) over all table offsets r, in any dimension.
 
     A direct kernel sum with no FFT, so it stays independent of the spectral
-    route.  Wrap-padding v by n-1 in front of every axis gives each point j a
-    periodic window whose entry n-1-r is v_{j-r}; the window differences
-    v_j - v_{j-r} of a chunk of output points are gathered into one block
-    of about 2^18 entries and contracted with the flipped table.  The
-    zero-offset slot of the table holds 0, and a constant maps to exactly 0.
+    route.  Two periods of v along every axis, less their first entry, give
+    each point j a periodic window whose entry n-1-r is v_{j-r}; the window
+    differences v_j - v_{j-r} of a chunk of output points are gathered into
+    one block of about 2^18 entries and contracted with the flipped table.
+    The zero-offset slot of the table holds 0, and a constant maps to
+    exactly 0.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.pad(v, [(v.shape[0] - 1, 0)] * v.ndim, mode="wrap"), v.shape)
+    ext = np.tile(v, (2,) * v.ndim)[(slice(1, None),) * v.ndim]
+    # windows[j][k] = ext[j + k] along each axis
+    windows = np.lib.stride_tricks.as_strided(ext, v.shape * 2, ext.strides * 2,
+                                              writeable=False)
     kflip = np.flip(table).ravel()
     flat = v.ravel()
     out = np.empty(flat.size)

@@ -5,6 +5,7 @@ import pytest
 
 from fraclat.counterexamples import (
     InconsistentPotentialError,
+    _select_y,
     global_ucp_counterexample,
     potential_from_pair,
     slab_correction_amplitude,
@@ -13,7 +14,57 @@ from fraclat.counterexamples import (
     torus_ucp_counterexample,
 )
 from fraclat.kernel import FracParams, kernel_1d
-from fraclat.lattice import apply_frac_lattice, apply_frac_torus_pointwise
+from fraclat.lattice import (
+    apply_frac_lattice,
+    apply_frac_torus_pointwise,
+    apply_frac_torus_spectral,
+)
+
+
+def _select_y_loop(points, count, d, wrap=None):
+    """Reference: Y as first chosen, by a growing box of candidate tuples
+    around the rounded centroid, wrapped onto {-N..N}^d on the torus."""
+    centroid = np.asarray(points, dtype=float).reshape(len(points), d).mean(axis=0)
+    base = tuple(int(round(c)) for c in centroid)
+    excl = set(points)
+    radius = 1
+    while True:
+        cands = []
+        for off in np.ndindex(*(2 * radius + 1,) * d):
+            pt = tuple(base[i] + off[i] - radius for i in range(d))
+            if wrap is not None:
+                pt = tuple(((c + wrap // 2) % wrap) - wrap // 2 for c in pt)
+            if pt in excl:
+                continue
+            if wrap is not None:
+                dist = max(min(abs(pt[i] - centroid[i] + k * wrap) for k in (-1, 0, 1))
+                           for i in range(d))
+            else:
+                dist = max(abs(pt[i] - centroid[i]) for i in range(d))
+            cands.append((dist, pt))
+        inner = [c for c in sorted(set(cands)) if c[0] <= radius - 0.5]
+        if len(inner) >= count:
+            return [c[1] for c in inner[:count]]
+        radius += 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("torus", [False, True])
+def test_array_selection_of_y_matches_the_loop(d, torus):
+    rng = np.random.default_rng(10 * d + torus)
+    for _ in range(150):
+        if torus:
+            N = int(rng.integers(1, 12 if d == 1 else 5))
+            n = 2 * N + 1
+            size = int(rng.integers(1, min((n ** d - 1) // 2, 10) + 1))
+            flat = rng.choice(n ** d, size, replace=False)
+            X = np.array(np.unravel_index(flat, (n,) * d)).T - N
+        else:
+            n, span = None, int(rng.integers(1, 10))
+            X = rng.integers(-span, span + 1, (int(rng.integers(1, 8)), d))
+        points = sorted(set(map(tuple, X.tolist())))
+        Y = _select_y(np.array(points), len(points) + 1, n)
+        assert list(map(tuple, Y.tolist())) == _select_y_loop(points, len(points) + 1, d, n)
 
 
 class TestGlobalUCP:
@@ -80,6 +131,52 @@ class TestTorusUCP:
         shifted = u.copy_with(u.values + 3.7)
         b = apply_frac_torus_pointwise(shifted, 0.5)
         assert np.abs(a.values - b.values).max() < 1e-11
+
+    @pytest.mark.parametrize("d, N", [(2, 8), (3, 4)])
+    @pytest.mark.parametrize("s", [0.05, 0.95])
+    def test_certified_in_higher_dimensions_by_both_routes(self, d, N, s):
+        # X is the box {-1..1}^d: 9 and 27 points
+        X = [tuple(p) for p in (np.indices((3,) * d).reshape(d, -1).T - 1).tolist()]
+        u, cert = torus_ucp_counterexample(N, s, X, tol=1e-12)
+        assert cert.passed and u.d == d
+        assert cert.parameters["X"] == [list(x) for x in X]
+        pointwise = apply_frac_torus_pointwise(u, s)
+        spectral = apply_frac_torus_spectral(u, s)
+        for x, rp, rs in zip(X, cert.details["residuals"], cert.details["residuals_spectral"]):
+            assert rp == abs(pointwise.value(x)) and rs == abs(spectral.value(x))
+            assert max(rp, rs) <= 1e-12
+        assert u.values[tuple(np.add(X, N).T)].tolist() == [0.0] * len(X)
+
+    @pytest.mark.parametrize("route", ["apply_frac_torus_pointwise", "apply_frac_torus_spectral"])
+    def test_either_route_off_by_1e_8_fails(self, route, monkeypatch):
+        import fraclat.counterexamples as counterexamples
+        from fraclat.counterexamples import CertificateError
+
+        real = getattr(counterexamples, route)
+
+        def perturbed(u, s, **kwargs):
+            out = real(u, s, **kwargs)
+            return out.copy_with(out.values + 1e-8)
+
+        monkeypatch.setattr(counterexamples, route, perturbed)
+        with pytest.raises(CertificateError, match="1.000e-08"):
+            torus_ucp_counterexample(4, 0.5, [(0, 0), (1, 0)])
+
+    def test_cardinality_bound_in_two_dimensions(self):
+        # n = 5: |X| <= (25 - 1)/2 = 12 points of the 5 x 5 torus
+        grid = [tuple(p) for p in (np.indices((5, 5)).reshape(2, -1).T - 2).tolist()]
+        passed = 0
+        for k in range(1, 26):
+            if k <= 12:
+                passed += torus_ucp_counterexample(2, 0.5, grid[:k])[1].passed
+            else:
+                with pytest.raises(ValueError, match=r"exceeds \(n\^2 - 1\)/2 = 12"):
+                    torus_ucp_counterexample(2, 0.5, grid[:k])
+        assert passed == 12
+
+    def test_points_of_mixed_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            torus_ucp_counterexample(4, 0.5, [(0, 0), (1,)])
 
     def test_residual_verified_by_pointwise_route(self):
         N, X = 8, [-2, 0, 3]

@@ -133,6 +133,7 @@ class TestExperiments:
     @pytest.mark.parametrize("name, fn_name, params", [
         ("ucp-lattice", "apply_frac_lattice", {"X": "0;3"}),
         ("ucp-torus", "apply_frac_torus_pointwise", {"N": 16, "X": "0;1;2"}),
+        ("ucp-torus", "apply_frac_torus_pointwise", {"N": 6, "X": "0,0;1,0"}),
     ])
     def test_ucp_applies_operator_once(self, name, fn_name, params, tmp_path, monkeypatch):
         # the checks read the certificate's per-point residuals; the
@@ -158,12 +159,59 @@ class TestExperiments:
 
     def test_ucp_lattice_2d_points(self, tmp_path):
         cfg = ExperimentConfig(experiment="ucp-lattice",
-                               params={"s": 0.4, "h": 1.0, "d": 2,
-                                       "X": "0,0;1,-2"},
+                               params={"s": 0.4, "h": 1.0, "X": "0,0;1,-2"},
                                output_dir=str(tmp_path))
         report = run(cfg)
         assert report.all_passed
         assert len(report.checks) == 2
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        assert cert["parameters"]["d"] == 2
+
+    def test_ucp_torus_2d_points(self, tmp_path):
+        # d is read from X; check names carry tuples, as ucp-lattice's do
+        cfg = ExperimentConfig(experiment="ucp-torus", params={"N": 6, "X": "1,0;0,0;1,0"},
+                               output_dir=str(tmp_path))
+        report = run(cfg)
+        assert report.all_passed
+        assert [c.name for c in report.checks] == ["residual_at_(0, 0)", "residual_at_(1, 0)"]
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        assert len(cert["details"]["residuals_spectral"]) == 2
+        assert max(cert["details"]["residuals_spectral"]) <= cert["tolerance"]
+        with pytest.raises(ValueError, match="not 2-dimensional"):
+            run(ExperimentConfig(experiment="ucp-torus", params={"X": "0,0;1"},
+                                 output_dir=str(tmp_path)))
+
+    @pytest.mark.parametrize("name, fn_name", [
+        ("kernel-dump", "build_kernel_table"),
+        ("apply", "apply_frac_lattice"),
+    ])
+    def test_row_count_fails_on_a_short_array(self, name, fn_name, tmp_path, monkeypatch):
+        # the check compares what the library returned with (2r+1)^d
+        import dataclasses
+
+        import fraclat.harness
+        from fraclat.kernel import FracParams
+        from fraclat.lattice import LatticeFunction
+
+        real = getattr(fraclat.harness, fn_name)
+
+        def short(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if fn_name == "build_kernel_table":
+                return dataclasses.replace(out, values=out.values[1:-1], err=out.err[1:-1])
+            return out[1:-1]
+
+        monkeypatch.setattr(fraclat.harness, fn_name, short)
+        params = {"radius": 3}
+        if name == "apply":
+            src = tmp_path / "u.json"
+            src.write_text(LatticeFunction(FracParams(0.5), {(0,): 1.0}).to_json())
+            params["file"] = str(src)
+        report = run(ExperimentConfig(experiment=name, params=params,
+                                      output_dir=str(tmp_path)))
+        row_count = report.checks[0]
+        assert row_count.name == "row_count" and not row_count.passed
+        assert (row_count.measured, row_count.threshold) == (5.0, 7.0)
 
     def test_apply_torus(self, tmp_path):
         from fraclat.lattice import TorusFunction
@@ -359,6 +407,16 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out and "ARTIFACT" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ucp-lattice", "d=2"], "unknown key 'd'"),  # d is read from X
+        (["inverse-sweep", "eps=0.001", "trials=2"], "at least two values"),
+        (["ucp-lattice", "X=0,0;1"], "not 2-dimensional"),
+    ])
+    def test_invalid_configs_exit_2(self, argv, message, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_main_validation_error(self, tmp_path, capsys):
         rc = main(["kernel-dump", "s=1.5", "--out", str(tmp_path)])

@@ -196,6 +196,23 @@ class TestKernelMass:
         assert math.isfinite(mass)
         assert partial < mass < partial + kernel_tail_bound_ell1(p, radius)
 
+    def test_memoised_masses_and_tables_stay_within_their_bound(self):
+        # the warm-operator benchmark pool reads about 9 table keys; more
+        # distinct keys than the bound evict the oldest, and cache_clear empties
+        import fraclat.kernel as K
+
+        size = K._CACHE_SIZE
+        assert size >= 9
+        for k in range(size + 5):
+            s = 0.3 + 0.01 * k
+            kernel_lattice_mass(FracParams(s))
+            torus_kernel_table(s, 2, 1)
+        for cache in (K._kernel_mass_cached, K._torus_table_cached):
+            info = cache.cache_info()
+            assert info.maxsize == size and info.currsize == size
+            cache.cache_clear()
+            assert cache.cache_info().currsize == 0
+
 
 class TestAppendixBound:
     @pytest.mark.parametrize("d", [2, 3])
@@ -386,7 +403,7 @@ class TestHeatRouteTable:
         n = 2 * N + 1
         goal = 0.05 * 1e-12 / math.exp(K._log_pref(s, 2.0 * math.pi / n))
         half = t.T / 2.0
-        dev = np.abs(K._wrap_sums(n, t.T)[1][:N + 1] - 1.0 / n).max()
+        dev = np.abs(K._heat_wraps(n, N, np.array([t.T]))[0, :N + 1] - 1.0 / n).max()
         resid = d * n ** (1.0 - d) / s * dev * half ** -s
         assert resid > goal or (need_diag and K._g0d_tail(d, s, half)[1] > goal)
 
@@ -440,9 +457,10 @@ class TestHeatRouteTable:
         for n in (3, 17, 33):
             N = n // 2
             rows, wraps = reference(n, x)
-            assert np.abs(K._wrap_sums(n, x)[1] - wraps).max() <= 1e-15
             cols = K._heat_wraps(n, N, x)
-            assert np.abs(cols[:, :N + 1] - wraps[:, :N + 1]).max() <= 1e-15
+            # coordinates j > N read the mirror column n - j, as torus_heat_kernel does
+            mirror = np.minimum(np.arange(n), n - np.arange(n))
+            assert np.abs(cols[:, mirror] - wraps).max() <= 1e-15
             assert np.abs(cols[:, N + 1] - 2.0 * rows[:, n::n].sum(axis=1)).max() <= 1e-15
             assert np.abs(cols[:, N + 2] - rows[:, 0]).max() <= 1e-15
 
@@ -495,19 +513,6 @@ class TestTorusHeatKernel:
         assert v == pytest.approx(
             torus_heat_kernel(N, h, 2, 0.7) * torus_heat_kernel(N, h, 3, 0.7),
             rel=1e-13)
-
-    def test_batched_wrap_sums_equal_scalar_rows(self):
-        from fraclat.kernel import _wrap_sums
-
-        x = 2.0 * np.exp(np.linspace(-60.0, 9.0, 40))
-        for n in (3, 17, 33):
-            rows, wraps = _wrap_sums(n, x)
-            for i, xi in enumerate(x):
-                row, wrap = _wrap_sums(n, xi)
-                assert np.abs(rows[i, :row.size] - row).max() <= 1e-15
-                # the batch shares the largest argument's order cut-off
-                assert rows[i, row.size:].max(initial=0.0) <= math.exp(-45.0)
-                assert np.abs(wraps[i] - wrap).max() <= 1e-15
 
     def test_matches_per_argument_bincount_fold(self):
         def wrap_reference(n, x):

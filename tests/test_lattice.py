@@ -460,7 +460,7 @@ class TestPeriodizeRepeat:
 
 
 class TestTransference:
-    @pytest.mark.parametrize("d,N,tol", [(1, 6, 1e-8), (2, 3, 1e-6)])
+    @pytest.mark.parametrize("d,N,tol", [(1, 6, 1e-8), (2, 3, 1e-6), (3, 3, 1e-8)])
     def test_wrapped(self, d, N, tol):
         n = 2 * N + 1
         h = 2.0 * math.pi / n
