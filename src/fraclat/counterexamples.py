@@ -23,9 +23,9 @@ import numpy as np
 
 from .kernel import (
     FracParams,
-    build_kernel_table,
     torus_kernel_table,
     _kernel_1d_raw,
+    _kernel_box,
     _tail_1d_raw,
 )
 from .lattice import (
@@ -309,15 +309,15 @@ def slab_counterexample_2d(params, j2_samples=(0, 1, 5, 25, 100), trunc_radius=2
     pair = np.abs(diffs[:, r:] + diffs[:, r::-1])
     beyond = 2.0 * np.abs(wj) * _tail_1d_raw(s, h, r + 1.0)
 
-    table = build_kernel_table(params, r + j2max, tol=1e-9)
-    # column sums of the kernel over m2 in [j2 - r, j2 + r] for m1 = 0..r,
-    # and of their certified errors; both are even in m1
-    rad = table.radius
+    # the kernel and its errors at |m1| <= r, |m2| <= big_r; the column sums
+    # over m2 in [j2 - r, j2 + r] for m1 = 0..r are even in m1
+    big_r = r + j2max
+    table, table_err = _kernel_box(params, (r, big_r), tol=1e-9)
     vals = np.empty((3, len(j2s)))
     omitted = 0.0
     for k, j2 in enumerate(j2s):
-        box = (slice(rad, rad + r + 1), slice(j2 - r + rad, j2 + r + rad + 1))
-        cols, errs = table.values[box].sum(axis=1), table.err[box].sum(axis=1)
+        box = (slice(r, 2 * r + 1), slice(j2 - r + big_r, j2 + r + big_r + 1))
+        cols, errs = table[box].sum(axis=1), table_err[box].sum(axis=1)
         deficit = k1 - cols
         if np.any(deficit[1:] < -errs[1:]):
             raise CertificateError(
@@ -333,7 +333,7 @@ def slab_counterexample_2d(params, j2_samples=(0, 1, 5, 25, 100), trunc_radius=2
     spread = float(np.abs(vals - vals[:, :1]).max())
 
     # uncorrected step value at (1, 0): 1D reduction oracle target
-    cols0 = table.values[:, -r + rad:r + rad + 1].sum(axis=1)[r1 + rad]
+    cols0 = table[:, big_r - r:big_r + r + 1].sum(axis=1)
     step_only = -float(step.base_values(1 - r1) @ cols0)
 
     cert = Certificate(

@@ -8,13 +8,14 @@ against ``t^{-1-s} dt``.  One evaluator computes that integral for a whole
 batch of offsets (and the total mass) on a single fixed log-t Gauss-Kronrod
 grid, with analytic small-t head and large-t tail and a certified error per
 entry; kernel_nd, the d=2 and d=3 tables, the lattice operator and the UCP
-systems all use it.  Arbitrary offsets gather their products from the grid's
-Bessel matrix; the dense tables cover a full box, whose quadrature is a
-weighted Gram product of that matrix.  The module also holds exact 1D tail
-sums, the periodized kernel of the discrete torus (Gamma-ratio series, and
-heat-route tables that integrate the wrap sums on the same grid up to the
-time T where they have flattened to their plateau) and the semidiscrete
-heat kernels, each with explicit error control.
+systems all use it.  Arbitrary offsets gather their products from the
+grid's Bessel columns at the orders they hold; a dense table covers a box
+(a cube, or a rectangle on its cube's grid) by a weighted Gram product of
+the Bessel matrix.  The module also holds exact 1D tail sums, the
+periodized kernel of the discrete torus (Gamma-ratio series, and heat-route
+tables that integrate the wrap sums on the same grid up to the time T where
+they have flattened to their plateau) and the semidiscrete heat kernels,
+each with explicit error control.
 
 Everything here is immutable after construction and safe to read
 concurrently.
@@ -33,6 +34,7 @@ from .specfun import (
     XGK15,
     _bessel_sweep,
     bessel_i_scaled,
+    bessel_i_scaled_cols,
     bessel_i_scaled_row,
     gamma_ratio,
     gamma_ratio_shifted,
@@ -45,6 +47,8 @@ _LOG4 = 1.3862943611198906188344642429
 # entries kept by each memoised mass and torus table: the warm-operator
 # benchmark pool reads about 9 table keys, and a bound caps a long session
 _CACHE_SIZE = 32
+# the smallest s: for subnormal s the torus plateau n^{-d} T^{-s} / s overflows
+_S_MIN = float(np.finfo(float).tiny)
 
 
 class ToleranceError(RuntimeError):
@@ -71,8 +75,8 @@ class FracParams:
     d: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ValueError(f"s must lie in (0,1), got {self.s}")
+        if not _S_MIN <= self.s < 1.0:
+            raise ValueError(f"s must lie in (0,1) and be a normal float, got {self.s}")
         if self.h <= 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
         if self.d < 1:
@@ -235,26 +239,24 @@ def kernel_values(params, offsets, tol=1e-10):
         raise ValueError("tol must be positive")
     if m.size == 0:
         return np.zeros(0), np.zeros(0)
-    T, w15, w7, G = _kernel_grid(params, float((m * m).sum(axis=1).max()), int(m.max()), tol)
+    T, w15, w7, x = _kernel_grid(params, float((m * m).sum(axis=1).max()), tol)
+    orders, idx = np.unique(m, return_inverse=True)
+    G = bessel_i_scaled_cols(orders, x)  # only the orders the batch reads
     q15 = np.empty(len(m))
     q7 = np.empty(len(m))
     step = max(1, _BATCH // (G.shape[0] * params.d))
     for lo in range(0, len(m), step):
-        F = G[:, m[lo:lo + step]].prod(axis=2)
+        F = G[:, idx.reshape(m.shape)[lo:lo + step]].prod(axis=2)
         q15[lo:lo + step] = w15 @ F
         q7[lo:lo + step] = w7 @ F
     return _kernel_finish(params, m, T, q15, q7, tol)
 
 
-def _kernel_grid(params, msq_max, nmax, tol):
-    """T, the Kronrod and Gauss weights of the shared grid for offsets with
-    |m|^2 <= msq_max, and its Bessel matrix G[q, k] = g_k(2 t_q), k <= nmax,
-    from one vectorised call over nodes x orders."""
+def _kernel_grid(params, msq_max, tol):
+    """T, weights and Bessel arguments 2t of the shared grid for |m|^2 <= msq_max."""
     big_a = (4.0 * msq_max + 9.0 * params.d) / 16.0
     T, ts, w15, w7 = _shared_grid(params.s, params.d, big_a, tol)
-    G = np.empty((ts.size, nmax + 1))
-    bessel_i_scaled_row(nmax, 2.0 * ts[:, None], G)
-    return T, w15, w7, G
+    return T, w15, w7, 2.0 * ts
 
 
 def _kernel_finish(params, m, T, q15, q7, tol):
@@ -278,13 +280,13 @@ def _kernel_finish(params, m, T, q15, q7, tol):
     return _certified("kernel quadrature", pref * total, pref * err, tol), pref * err
 
 
-def _orthant_sums(G, w, d):
-    """sum_q w_q prod_i G[q, m_i] for every m in the box {0..nmax}^d, as a
-    weighted Gram product of the matrix G (a weighted column sum at d = 1)."""
+def _orthant_sums(G, w, shape):
+    """sum_q w_q prod_i G[q, m_i] for every m in the box 0 <= m_i < shape[i],
+    as a weighted Gram product of the leading columns of G."""
     Gw = w[:, None]
-    for _ in range(d - 1):
-        Gw = (Gw[:, :, None] * G[:, None, :]).reshape(len(G), -1)
-    return (Gw.T @ G).reshape((G.shape[1],) * d)
+    for k in shape[:-1]:
+        Gw = (Gw[:, :, None] * G[:, None, :k]).reshape(len(G), -1)
+    return (Gw.T @ G[:, :shape[-1]]).reshape(shape)
 
 
 def kernel_nd(params, m, tol=1e-10):
@@ -550,9 +552,9 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
     j = np.indices((N + 1,) * d)
     n1 = j.sum(axis=0)
     head = np.exp((n1 - s) * _LOG_T0 - gammaln(j + 1.0).sum(axis=0)) / (n1 - s)
-    q15 = _orthant_sums(W, w15, d)
+    q15 = _orthant_sums(W, w15, (N + 1,) * d)
     orth = q15 + head + plateau
-    dq = np.abs(q15 - _orthant_sums(W, w7, d)) + 2.0 * d * _T0 * head + _ROUNDING * orth
+    dq = np.abs(q15 - _orthant_sums(W, w7, (N + 1,) * d)) + 2.0 * d * _T0 * head + _ROUNDING * orth
     # the zero offset is never read; its integral diverges
     err = float(dq.ravel()[1:].max()) + plateau_resid + 1e-18
 
@@ -581,21 +583,35 @@ def _torus_table_series(s, N, tol_abs, need_diag):
     """Gamma-ratio route (d = 1): S(a) = sum_{k >= 0} K(a + k n) for all
     residues a = 1..n at once; entry j is S(j) + S(n - j), ``.diag`` 2 S(n).
 
-    One doubling search finds k_req, after which every residue's remainder
-    band is within tol_abs/4 (residue 1 binds).  K(m), m = 1..k_req n, is a
+    k_req is the first doubling from 4 after which every residue's remainder
+    band is within tol_abs/4 (residue 1 binds), predicted from the band at 4
+    and confirmed one doubling below.  Each entry's error adds the rounding
+    floor _ROUNDING times the entry.  K(m), m = 1..k_req n, is a
     running product of K(m+1)/K(m) = (m-s)/(m+1+s) over chunks of at most
     2^16 entries, each a multiple of n and seeded from the closed form; each
     chunk reshaped to (., n) adds its column sums to every residue."""
     n = 2 * N + 1
     h = 2.0 * math.pi / n
-    k_req = 4
-    while True:
-        est, err = _residue_remainders(s, h, n, np.arange(1, n + 1) + k_req * n)
-        if err.max() <= 0.25 * tol_abs:
-            break
-        k_req *= 2
-        if k_req > 1 << 40:
+    goal = 0.25 * tol_abs
+
+    @lru_cache(maxsize=None)
+    def band(k):
+        if k > 1 << 40:
             raise ToleranceError("torus kernel series remainder failed")
+        return _residue_remainders(s, h, n, np.arange(1, n + 1) + k * n)
+
+    k_req = 4
+    if band(4)[1].max() > goal:
+        # residue 1's band falls like A^{-2-2s}, A = (k - 1) n - (n - 3)/2;
+        # a nan or inf band goes straight to the last doubling, 4 << 38
+        grow = (band(4)[1].max() / goal) ** (1.0 / (2.0 + 2.0 * s))
+        level = min(38.0, math.log2(1.0 + (2.5 * n + 1.5) * (grow - 1.0) / (4.0 * n)))
+        k_req = 4 << math.ceil(max(1.0, level))
+        while band(k_req)[1].max() > goal:
+            k_req *= 2
+        while k_req > 4 and band(k_req // 2)[1].max() <= goal:
+            k_req //= 2
+    est, err = band(k_req)
     chunk = n * max(1, (1 << 16) // n)
     starts = np.arange(1, k_req * n + 1, chunk)
     sums = np.zeros(n)
@@ -607,11 +623,11 @@ def _torus_table_series(s, N, tol_abs, need_diag):
     sums += est
     vals = np.zeros(n)
     vals[1:] = sums[:-1] + sums[-2::-1]
-    errs = np.max(err[:-1] + err[-2::-1], initial=0.0)
+    errs = np.max(err[:-1] + err[-2::-1] + _ROUNDING * vals[1:], initial=0.0)
     diag = 0.0
     if need_diag:
         diag = 2.0 * float(sums[-1])
-        errs = max(errs, 2.0 * err[-1])
+        errs = max(errs, 2.0 * err[-1] + _ROUNDING * diag)
     return _TorusKernelData(N, 1, s, h, vals, diag, float(errs))
 
 
@@ -635,8 +651,8 @@ def torus_kernel_table(s, N, d=1, tol=1e-12, need_diag=False, method="auto"):
     offset entry of ``.full`` is 0; the diagonal wrap sum (all nonzero
     periodic copies of offset 0) is ``.diag`` when requested.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie in (0,1)")
+    if not (_S_MIN <= s < 1.0 and tol > 0.0):
+        raise ValueError(f"s must be a normal float in (0,1) and tol positive, got {s}, {tol}")
     if method == "auto":
         method = "series" if d == 1 else "heat"
     return _torus_table_cached(float(s), int(N), int(d), float(tol),
@@ -683,32 +699,38 @@ class KernelTable:
 def build_kernel_table(params, radius, tol=1e-9):
     """Dense kernel cache up to the given sup-norm radius.
 
-    d=1 uses the closed form; d=2 and 3 integrate the nonnegative orthant,
-    a full box, on the shared grid of kernel_values (same T, nodes, error
-    terms and certificate) by a Gram product of its Bessel matrix, and
-    mirror it.
+    d=1 uses the closed form; d=2 and 3 integrate the box on the shared
+    grid of kernel_values (see _kernel_box).
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    s, h, d = params.s, params.h, params.d
-    r = int(radius)
+    d, r = params.d, int(radius)
     if d == 1:
-        vals = _kernel_1d_raw(s, h, np.arange(-r, r + 1))
-        return _kernel_table(params, r, vals, np.abs(vals) * 1e-14)
-    if d not in (2, 3):
+        vals = _kernel_1d_raw(params.s, params.h, np.arange(-r, r + 1))
+        errs = np.abs(vals) * 1e-14
+    elif d in (2, 3):
+        if tol <= 0.0:
+            raise ValueError("tol must be positive")
+        vals, errs = _kernel_box(params, (r,) * d, tol)
+    else:
         raise ValueError("kernel tables support d in {1, 2, 3}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    T, w15, w7, G = _kernel_grid(params, float(d * r * r), r, tol)
-    vals = np.zeros((r + 1,) * d)
-    errs = np.zeros((r + 1,) * d)
+    _require_finite(f"kernel table (d={d}, radius {r})", vals, errs)
+    return KernelTable(params, r, vals, errs)
+
+
+def _kernel_box(params, radii, tol):
+    """Kernel values and certified errors on the box |m_i| <= radii[i], d = 2
+    or 3, indexed by m + radii (0 at m = 0): the nonnegative orthant by a
+    Gram product of the Bessel matrix on the grid of kernel_values for the
+    cube of radius max(radii) (same T, nodes, errors and certificate)."""
+    R = max(radii)
+    T, w15, w7, x = _kernel_grid(params, float(params.d * R * R), tol)
+    G = np.empty((x.size, R + 1))
+    bessel_i_scaled_row(R, x[:, None], G)
+    shape = tuple(r + 1 for r in radii)
+    vals, errs = np.zeros(shape), np.zeros(shape)
     vals.flat[1:], errs.flat[1:] = _kernel_finish(
-        params, np.indices(vals.shape).reshape(d, -1).T[1:], T,
-        _orthant_sums(G, w15, d).ravel()[1:], _orthant_sums(G, w7, d).ravel()[1:], tol)
-    mirror = np.ix_(*(np.abs(np.arange(-r, r + 1)),) * d)
-    return _kernel_table(params, r, vals[mirror], errs[mirror])
-
-
-def _kernel_table(params, radius, vals, errs):
-    _require_finite(f"kernel table (d={params.d}, radius {radius})", vals, errs)
-    return KernelTable(params, radius, vals, errs)
+        params, np.indices(shape).reshape(params.d, -1).T[1:], T,
+        _orthant_sums(G, w15, shape).ravel()[1:], _orthant_sums(G, w7, shape).ravel()[1:], tol)
+    mirror = np.ix_(*(np.abs(np.arange(-r, r + 1)) for r in radii))
+    return vals[mirror], errs[mirror]

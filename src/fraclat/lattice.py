@@ -374,7 +374,9 @@ def apply_frac_torus_pointwise(v, s, tol=1e-11, method="auto"):
     """Torus operator through the periodized kernel sum (lattice route)."""
     vmax = float(np.abs(v.values).max())
     nterms = v.n ** v.d
-    table_tol = min(1e-12, max(1e-15, 0.25 * tol / (nterms * (2.0 * vmax + 1.0))))
+    # rounded down to a power of two: nearby sup norms share one cached table
+    table_tol = 2.0 ** math.floor(math.log2(
+        min(1e-12, max(1e-15, 0.25 * tol / (nterms * (2.0 * vmax + 1.0))))))
     table = torus_kernel_table(s, v.N, v.d, tol=table_tol, method=method)
     # table.full is indexed by offset mod n with the zero offset at slot 0
     return v.copy_with(_apply_pointwise(v.values, table.full))

@@ -271,18 +271,16 @@ class TestSlab2D:
     def test_scaled_table_raises(self, monkeypatch):
         # kernel values 0.1% too large make a quadrature column exceed the
         # closed-form K_1: the independent reduction check must catch it
-        import dataclasses
-
         import fraclat.counterexamples as counterexamples
         from fraclat.counterexamples import CertificateError
 
-        real = counterexamples.build_kernel_table
+        real = counterexamples._kernel_box
 
         def scaled(*args, **kwargs):
-            table = real(*args, **kwargs)
-            return dataclasses.replace(table, values=1.001 * table.values)
+            vals, errs = real(*args, **kwargs)
+            return 1.001 * vals, errs
 
-        monkeypatch.setattr(counterexamples, "build_kernel_table", scaled)
+        monkeypatch.setattr(counterexamples, "_kernel_box", scaled)
         with pytest.raises(CertificateError):
             slab_counterexample_2d(FracParams(0.5, 1.0, 2), j2_samples=(0, 1, 5, 15, 30),
                                    trunc_radius=60)

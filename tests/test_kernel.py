@@ -9,7 +9,10 @@ import scipy.integrate
 import scipy.special
 
 from fraclat.kernel import (
+    _ROUNDING,
     FracParams,
+    _kernel_1d_raw,
+    _residue_remainders,
     build_kernel_table,
     heat_kernel,
     kernel_1d,
@@ -157,6 +160,29 @@ class TestKernelND:
                 assert v == pytest.approx(ref, rel=1e-10)
                 assert abs(v - ref) <= e
 
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_batches_read_only_their_orders(self, count):
+        # a batch whose offsets hold `count` distinct |m_i| takes its Bessel
+        # columns from one direct call (4) or from one sweep (5): d = 1
+        # matches the closed form, d = 2 and 3 the box table, within the
+        # certified errors
+        rng = np.random.default_rng(count)
+        for d, top in ((1, 40), (2, 12), (3, 6)):
+            p = FracParams(0.43, 1.0, d)
+            table = build_kernel_table(p, top, tol=1e-10) if d > 1 else None
+            for _ in range(3):
+                orders = rng.choice(np.arange(1, top + 1), size=count, replace=False)
+                m = rng.choice(orders, size=(count + 3, d)) * rng.choice([-1, 1], size=(count + 3, d))
+                m[:count, 0] = orders
+                assert np.unique(np.abs(m)).size == count
+                val, err = kernel_values(p, m, tol=1e-10)
+                if d == 1:
+                    ref, ref_err = kernel_1d(p, m[:, 0]), 0.0
+                else:
+                    idx = tuple((m + top).T)
+                    ref, ref_err = table.values[idx], table.err[idx]
+                assert (np.abs(val - ref) <= err + ref_err).all(), (d, m)
+
     def test_large_t_panel_stays_finite(self):
         # the large-t panel evaluates g_m(2t) past scipy's ive argument limit
         assert math.isfinite(kernel_nd(FracParams(0.5, 1.0, 2), (3, 4)))
@@ -264,7 +290,82 @@ def _exact_torus_kernel(s, N, d=1):
     return orth[np.ix_(*(idx,) * d)], float(mass - mean), mass_err
 
 
+def _series_table_by_doubling(s, N, tol_abs):
+    """The series-route table with k_req found by doubling from 4 until every
+    residue's remainder band is within tol_abs/4: k_req, the entries, .diag,
+    and .err without its rounding floor."""
+    n = 2 * N + 1
+    h = 2.0 * math.pi / n
+    k_req = 4
+    while True:
+        est, err = _residue_remainders(s, h, n, np.arange(1, n + 1) + k_req * n)
+        if err.max() <= 0.25 * tol_abs:
+            break
+        k_req *= 2
+    chunk = n * max(1, (1 << 16) // n)
+    starts = np.arange(1, k_req * n + 1, chunk)
+    sums = np.zeros(n)
+    for m0, seed in zip(starts.tolist(), _kernel_1d_raw(s, h, starts).tolist()):
+        q = m0 - 1.0 + np.arange(min(chunk, k_req * n + 1 - m0))
+        q = (q - s) / (q + 1.0 + s)
+        q[0] = seed
+        sums += np.cumprod(q).reshape(-1, n).sum(axis=0)
+    sums += est
+    vals = np.zeros(n)
+    vals[1:] = sums[:-1] + sums[-2::-1]
+    band = max(float(np.max(err[:-1] + err[-2::-1])), 2.0 * err[-1])
+    return k_req, vals, 2.0 * float(sums[-1]), band
+
+
 class TestTorusKernel:
+    @pytest.mark.parametrize("tol", (1e-10, 1e-12, 1e-14))
+    def test_series_truncation_matches_doubling(self, tol, monkeypatch):
+        # the predicted k_req is the doubling's, confirmed by at most three
+        # remainder evaluations, and the table is bit-identical; .err adds
+        # only the rounding floor
+        import fraclat.kernel as K
+
+        starts = []
+
+        def recording(s, h, n, a0):
+            starts.append(int(a0[0]))
+            return _residue_remainders(s, h, n, a0)
+
+        monkeypatch.setattr(K, "_residue_remainders", recording)
+        for s in np.linspace(0.01, 0.99, 13).tolist() + [0.25, 0.35, 0.45, 0.55, 0.65, 0.85]:
+            for N in (3, 8, 16, 32):
+                starts.clear()
+                t = K._torus_table_series(s, N, tol, True)
+                k_req, vals, diag, band = _series_table_by_doubling(s, N, tol)
+                assert len(starts) <= 3 and 1 + k_req * (2 * N + 1) in starts, (s, N)
+                assert np.array_equal(t.full, vals) and t.diag == diag, (s, N)
+                assert band <= t.err <= band + _ROUNDING * max(vals.max(), diag)
+
+    @pytest.mark.parametrize("s", (1e-30, 1e-12))
+    def test_series_certificate_has_rounding_floor(self, s):
+        # at tiny s the remainder band shrinks with s; the rounding floor
+        # keeps .err above the gap to the heat route
+        a = torus_kernel_table(s, 8, 1, tol=1e-12, need_diag=True, method="series")
+        b = torus_kernel_table(s, 8, 1, tol=1e-12, need_diag=True, method="heat")
+        assert a.err >= _ROUNDING * max(a.full.max(), a.diag)
+        assert np.abs(a.full - b.full).max() <= a.err + b.err
+        assert abs(a.diag - b.diag) <= a.err + b.err
+
+    def test_subnormal_order_is_rejected(self):
+        # below the smallest normal float, n1 - s rounds to -s and the
+        # plateau overflows: a ValueError comes before any arithmetic
+        tiny = np.finfo(float).tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                FracParams(5e-324)
+            for method in ("heat", "series"):
+                with pytest.raises(ValueError):
+                    torus_kernel_table(5e-324, 2, 1, need_diag=True, method=method)
+                t = torus_kernel_table(tiny, 2, 1, need_diag=True, method=method)
+                assert np.isfinite(t.full).all() and math.isfinite(t.err)
+            assert kernel_nd(FracParams(tiny, 1.0, 2), (1, 1)) > 0.0
+
     def test_series_matches_heat_route_d1(self):
         for s in (0.25, 0.5, 0.75):
             a = torus_kernel_table(s, 8, 1, tol=1e-12, need_diag=True, method="series")
@@ -656,6 +757,20 @@ class TestKernelTable:
         assert (gap <= 1e-14 * val).all()
         assert (gap <= table.err[idx]).all()
 
+    @pytest.mark.parametrize("s, radii", [(0.25, (60, 90)), (0.85, (60, 90)), (0.5, (2, 5, 3))])
+    def test_rectangular_box_matches_the_cube(self, s, radii):
+        # slab-2d reads only the rows |m1| <= r of the cube of radius
+        # r + max|j2|: the rectangular box shares the cube's grid
+        from fraclat.kernel import _kernel_box
+
+        p = FracParams(s, 1.0, len(radii))
+        vals, errs = _kernel_box(p, radii, 1e-9)
+        R = max(radii)
+        table = build_kernel_table(p, R, tol=1e-9)
+        block = tuple(slice(R - r, R + r + 1) for r in radii)
+        assert vals.shape == tuple(2 * r + 1 for r in radii)
+        assert (np.abs(vals - table.values[block]) <= np.minimum(errs, table.err[block])).all()
+
 
 class TestNonFiniteCertificates:
     """A nan never passes an ``err > tol`` test; every certificate must catch it."""
@@ -664,9 +779,14 @@ class TestNonFiniteCertificates:
         import fraclat.kernel
         from fraclat.kernel import ToleranceError
 
+        def cols_nan(orders, x):
+            return np.full((x.size, len(orders)), math.nan)
+
         def row_nan(nmax, t, out):
             out[..., :nmax + 1] = math.nan
 
+        # kernel_values reads the columns of its orders, the mass the row 0..0
+        monkeypatch.setattr(fraclat.kernel, "bessel_i_scaled_cols", cols_nan)
         monkeypatch.setattr(fraclat.kernel, "bessel_i_scaled_row", row_nan)
         with pytest.raises(ToleranceError):
             kernel_nd(FracParams(0.4142, 1.0, 2), (1, 2))

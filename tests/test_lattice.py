@@ -409,6 +409,22 @@ class TestApplyTorus:
         ref = _roll_loop_apply(v, K)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    def test_pointwise_tables_keyed_by_power_of_two(self):
+        # the table tolerance follows the data's sup norm; rounded down to a
+        # power of two, inputs of nearby sup norms share one table
+        from fraclat.kernel import _torus_table_cached
+
+        N, tol = 6, 1e-11
+        _torus_table_cached.cache_clear()
+        buckets = set()
+        for seed in range(8):
+            v = random_torus(N, 1, seed)
+            bound = 0.25 * tol / ((2 * N + 1) * (2.0 * np.abs(v.values).max() + 1.0))
+            buckets.add(math.floor(math.log2(bound)))
+            a = apply_frac_torus_pointwise(v, 0.45, tol=tol)
+            assert np.abs(a.values - apply_frac_torus_spectral(v, 0.45).values).max() <= tol
+        assert _torus_table_cached.cache_info().misses == len(buckets) < 8
+
     def test_self_adjoint_and_nonnegative(self):
         N = 6
         u = random_torus(N, 1, 1)

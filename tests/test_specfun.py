@@ -11,6 +11,7 @@ from fraclat.specfun import (
     WGK15,
     XGK15,
     bessel_i_scaled,
+    bessel_i_scaled_cols,
     bessel_i_scaled_row,
     bessel_k,
     gamma_ratio,
@@ -300,15 +301,36 @@ class TestBesselIScaled:
                 for n in range(41):
                     ref = bessel_i_scaled(n, t)
                     assert out[n] == pytest.approx(ref, rel=1e-12, abs=1e-280)
-            # direct rows (nmax < 8), the recurrence, x = 0, a subnormal x,
-            # a row that ends at its floor, and x past scipy's argument limit
-            for nmax in (0, 1, 7, 8, 90, 600):
+            # direct rows (at most 4 orders), the recurrence, x = 0, a
+            # subnormal x, a row that ends at its floor, and x past scipy's
+            # argument limit
+            for nmax in (0, 1, 3, 4, 7, 8, 90, 600):
                 for t in (0.0, 1e-310, 1e-180, 20.8, 2.0e3, 1.0e6, 2.0e9):
                     out = np.empty(nmax + 1)
                     bessel_i_scaled_row(nmax, t, out)
                     for n in range(nmax + 1):
                         ref = bessel_i_scaled(n, t)
                         assert out[n] == pytest.approx(ref, rel=1e-12, abs=1e-280)
+
+    def test_cols_direct_match_swept_rows(self):
+        # up to 4 orders are one direct ive call, 5 and more are taken from
+        # one sweep: on both sides of that switch the columns match the
+        # swept row up to the largest order, column by column.  Far below
+        # its order (x < 1e-7 at order 23) ive is off by up to 300 ulps
+        # where the sweep stays within 8, hence 1e-12
+        rng = np.random.default_rng(11)
+        x = np.sort(2.0 * np.exp(rng.uniform(-40.0, 12.0, 300)))
+        for count in (1, 3, 4, 5, 6, 12):
+            for _ in range(4):
+                orders = np.sort(rng.choice(41, size=count, replace=False))
+                cols = bessel_i_scaled_cols(orders, x)
+                assert cols.shape == (x.size, count)
+                top = max(int(orders[-1]), 8)
+                rows = np.empty((x.size, top + 1))
+                bessel_i_scaled_row(top, x[:, None], rows)
+                assert np.allclose(cols, rows[:, orders], rtol=1e-12, atol=1e-280), orders
+        with pytest.raises(ValueError):
+            bessel_i_scaled_cols(np.arange(3), np.array([1.0, -1.0]))
 
     def test_row_into_wider_out_with_2d_leading_shape(self):
         # out[..., :nmax + 1] of a wider array is a strided view: every row
