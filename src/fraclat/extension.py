@@ -23,11 +23,11 @@ from scipy import special
 from .lattice import (
     LatticeFunction,
     TorusFunction,
+    _apply_even,
     _axis_sum,
+    _half_spectrum,
     _torus_multiplier,
     apply_frac_torus_spectral,
-    dft,
-    idft,
 )
 from .specfun import log_abs_gamma_neg, log_gamma
 
@@ -100,12 +100,11 @@ def cs_extend_torus(v, s, t_grid):
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0) or t[0] <= 0:
         raise ValueError("t_grid must be strictly increasing and positive")
-    lam = _torus_multiplier(v.N, v.d, v.h, 1.0)  # Laplacian eigenvalues
-    sq = np.sqrt(lam)
+    # sqrt of the Laplacian eigenvalues, on the half spectrum the real FFT reads
+    sq = np.sqrt(_half_spectrum(_torus_multiplier(v.N, v.d, v.h, 1.0), v.d))
     uniq, inv = np.unique(np.round(sq, 15), return_inverse=True)
     theta = _theta(s, uniq[:, None] * t)[inv].reshape(sq.shape + (t.size,))
-    out = np.real(idft(dft(v)[..., None] * theta, v.N, v.d))
-    return ExtensionField(v, s, t, out)
+    return ExtensionField(v, s, t, _apply_even(v.values[..., None], theta, v.d))
 
 
 def neumann_constant(s):
@@ -382,35 +381,42 @@ def half_ball_norms(field, center, r):
     Lattice sums with trapezoid t-integration; trace quantities use the
     t = 0 data, the normal derivative its first-levels difference quotient.
     """
-    if r <= 0:
+    return _half_ball_norms(field, center, (r,))[0]
+
+
+def _half_ball_norms(field, center, radii):
+    """half_ball_norms at each radius in radii: the field is squared, its
+    trapezoid panels and the trace gradients formed once for all of them."""
+    if min(radii) <= 0:
         raise ValueError("r must be positive")
     base, t = field.base, field.t_grid
     h, d = base.h, base.d
     c = np.atleast_1d(np.asarray(center, dtype=float))
     ax = np.arange(-base.N, base.N + 1) * h
     dist2 = _axis_sum([(ax - c[k]) ** 2 for k in range(d)])
-
-    # per column: trapezoid over grid nodes up to the last one inside the
-    # ball, plus the initial [0, t_0] sliver closed with the trace value
-    rem = r * r - dist2
-    mask = rem > 0
-    n_in = np.searchsorted(t, np.sqrt(np.where(mask, rem, 0.0)), side="right")
-    live = mask & (n_in > 0)
-    sq = np.where(live[..., None], field.values, 0.0) ** 2
-    sliver = 0.5 * t[0] * (np.where(live, base.values, 0.0) ** 2 + sq[..., 0])
-    panels = np.diff(t) * (sq[..., 1:] + sq[..., :-1]) / 2.0
-    panels *= np.arange(t.size - 1) < (n_in - 1)[..., None]
-    bulk_sq = h ** d * float(np.sum(sliver) + np.sum(panels))
-
-    tr = base.values[mask]
-    trace_l2 = math.sqrt(h ** d * float(np.sum(tr ** 2)))
     b = base.values
-    grad_sq = sum(float(np.sum(((np.roll(b, -1, axis=k) - np.roll(b, 1, axis=k))
-                                / (2.0 * h))[mask] ** 2)) for k in range(d))
-    trace_h1 = trace_l2 + math.sqrt(h ** d * grad_sq)
+    sq = field.values ** 2
+    edge = b ** 2 + sq[..., 0]
+    panels = np.diff(t) * (sq[..., 1:] + sq[..., :-1]) / 2.0
+    grads = [(np.roll(b, -1, axis=k) - np.roll(b, 1, axis=k)) / (2.0 * h) for k in range(d)]
     dt0 = (field.values[..., 1] - field.values[..., 0]) / (t[1] - t[0])
-    trace_dt = math.sqrt(h ** d * float(np.sum(dt0[mask] ** 2)))
-    return math.sqrt(bulk_sq), trace_l2, trace_h1, trace_dt
+
+    out = []
+    for r in radii:
+        # per column: trapezoid over grid nodes up to the last one inside the
+        # ball, plus the initial [0, t_0] sliver closed with the trace value
+        rem = r * r - dist2
+        mask = rem > 0
+        n_in = np.searchsorted(t, np.sqrt(np.where(mask, rem, 0.0)), side="right")
+        sliver = 0.5 * t[0] * np.where(n_in > 0, edge, 0.0)
+        inside = panels * (np.arange(t.size - 1) < (n_in - 1)[..., None])
+        bulk_sq = h ** d * float(np.sum(sliver) + np.sum(inside))
+        trace_l2 = math.sqrt(h ** d * float(np.sum(b[mask] ** 2)))
+        grad_sq = sum(float(np.sum(g[mask] ** 2)) for g in grads)
+        trace_h1 = trace_l2 + math.sqrt(h ** d * grad_sq)
+        trace_dt = math.sqrt(h ** d * float(np.sum(dt0[mask] ** 2)))
+        out.append((math.sqrt(bulk_sq), trace_l2, trace_h1, trace_dt))
+    return out
 
 
 @dataclass(frozen=True)
@@ -437,11 +443,11 @@ def boundary_bulk_probe(f, r0=0.5, big_c=10.0):
         raise ValueError("trace data must be supported in the half ball of radius 1/2")
     field = cs_extend_torus(f, 0.5, make_t_grid(1e-6, 2.5, 1.05))
 
-    bulk_small = half_ball_norms(field, (0.0,) * f.d, r0)[0]
-    bulk_big, trace_l2, trace_h1, _ = half_ball_norms(field, (0.0,) * f.d, 1.0)
+    (bulk_small, *_), (bulk_big, trace_l2, trace_h1, _) = _half_ball_norms(
+        field, (0.0,) * f.d, (r0, 1.0))
     # normal derivative at the boundary, exact per mode for s = 1/2
-    lam = _torus_multiplier(f.N, f.d, h, 0.5)
-    dt0 = np.real(idft(-lam * dft(f), f.N, f.d))
+    mu = _half_spectrum(_torus_multiplier(f.N, f.d, h, 0.5), f.d)
+    dt0 = _apply_even(f.values, -mu, f.d)
     mask = rad < 1.0
     trace_dt = math.sqrt(h ** f.d * float(np.sum(dt0[mask] ** 2)))
 

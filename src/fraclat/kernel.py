@@ -96,16 +96,17 @@ def _pref(s, h):
     return h ** (-2.0 * s) * math.sin(math.pi * min(s, 1.0 - s)) * math.gamma(1.0 + s) / math.pi
 
 
-def _log_c1(s, h):
-    # log of 4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)| h^{2s})
-    return s * _LOG4 + log_gamma(0.5 + s) - 0.5 * _LOG_PI + _log_pref(s, h)
+def _c1(s, h):
+    # 4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)| h^{2s}) as a product, like
+    # _pref: the exp of its log would carry ~|log s| ulps into every kernel value
+    return 4.0 ** s * math.gamma(0.5 + s) / math.sqrt(math.pi) * _pref(s, h)
 
 
 def _kernel_1d_raw(s, h, m):
     """K(m) by the closed form c1 Gamma(|m|-s)/Gamma(|m|+1+s) at an integer
     or an integer array m (0 at m = 0); a scalar m is the batch of one."""
     a = np.abs(np.asarray(m, dtype=float))
-    out = math.exp(_log_c1(s, h)) * gamma_ratio_shifted(np.maximum(a, 1.0), -s, 1.0 + s)
+    out = _c1(s, h) * gamma_ratio_shifted(np.maximum(a, 1.0), -s, 1.0 + s)
     out = np.where(a == 0.0, 0.0, out)
     return out if out.ndim else float(out)
 
@@ -114,7 +115,7 @@ def _tail_1d_raw(s, h, big_m):
     """sum_{m >= M} K(m) at an integer or an integer array M >= 1, by the
     telescoping identity Gamma(m-s)/Gamma(m+1+s) = (1/2s)[Gamma(m-s)/Gamma(m+s)
     - the same at m + 1]; a scalar M is the batch of one."""
-    return math.exp(_log_c1(s, h)) * gamma_ratio_shifted(big_m, -s, s) / (2.0 * s)
+    return _c1(s, h) * gamma_ratio_shifted(big_m, -s, s) / (2.0 * s)
 
 
 def kernel_1d(params, m):

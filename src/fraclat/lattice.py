@@ -8,6 +8,12 @@ Fourier multiplier.
 The pointwise and spectral torus routes are independent implementations
 whose agreement is one of the package's core consistency checks, as is the
 transference identity tying the lattice operator to the torus one.
+
+Every torus Fourier multiplier in the package is real and even, so it
+commutes with shifts and keeps the spectrum of real data Hermitian; it is
+applied to the values in storage order by one real FFT over the grid axes,
+on the half spectrum (_apply_even).  dft/idft keep the {-N..N} ordering of
+the coefficients and are the reference route the tests compare against.
 """
 
 import json
@@ -184,16 +190,9 @@ def torus_index(j, N):
 def dft(v):
     """Normalized DFT: u_hat_m = (2N+1)^{-d} sum_j u_j e^{-2 pi i m.j/(2N+1)},
     both indices running over {-N..N}^d."""
-    return _dft_values(v.values)
-
-
-def _dft_values(values):
-    # dft of a value array on the {-N..N}^d grid
-    n, d = values.shape[0], values.ndim
-    N = (n - 1) // 2
-    axes = tuple(range(d))
-    hat = np.fft.fftn(np.roll(values, -N, axis=axes)) / n ** d
-    return np.roll(hat, N, axis=axes)
+    axes = tuple(range(v.d))
+    hat = np.fft.fftn(np.roll(v.values, -v.N, axis=axes)) / v.n ** v.d
+    return np.roll(hat, v.N, axis=axes)
 
 
 def idft(coeffs, N, d):
@@ -240,11 +239,34 @@ def _sobolev_multiplier(N, d, h):
     return 1.0 + _axis_sum([sin2] * d)
 
 
+def _half_spectrum(mult, d):
+    """An even symbol on the {-N..N}^d frequency grid (first d axes of mult)
+    on the half spectrum that rfftn yields: FFT order on axes 0..d-2,
+    frequencies 0..N on axis d-1."""
+    half = np.fft.ifftshift(mult, axes=tuple(range(d)))
+    return half[(slice(None),) * (d - 1) + (slice(0, (mult.shape[0] + 1) // 2),)]
+
+
+def _apply_even(values, half, d):
+    """idft(mult * dft(values)) in storage order, by one real FFT, for a
+    real symbol mult_m = mult_{-m} given by its half spectrum.
+
+    An even multiplier commutes with shifts, so the {-N..N} storage needs no
+    reordering, and it keeps the spectrum of real data Hermitian, so the
+    result is real.  The first d axes are the torus grid; trailing axes of
+    values and half are a batch.
+    """
+    axes = tuple(range(d))
+    return np.fft.irfftn(half * np.fft.rfftn(values, axes=axes),
+                         s=values.shape[:d], axes=axes)
+
+
 def _sobolev_sq_grid(values, h, r):
-    """Squared H^r norm of a value array regarded as one period of mesh-h data."""
+    """Squared H^r norm of a value array regarded as one period of mesh-h data:
+    by Parseval, h^d <u, M^r u> for the Sobolev multiplier M."""
     d, n = values.ndim, values.shape[0]
-    mult = _sobolev_multiplier((n - 1) // 2, d, h)
-    return (h * n) ** d * float(np.sum(mult ** r * np.abs(_dft_values(values)) ** 2))
+    mult = _half_spectrum(_sobolev_multiplier((n - 1) // 2, d, h) ** r, d)
+    return h ** d * float(np.sum(values * _apply_even(values, mult, d)))
 
 
 def sobolev_norm(u, r):
@@ -384,9 +406,8 @@ def apply_frac_torus_pointwise(v, s, tol=1e-11, method="auto"):
 
 def apply_frac_torus_spectral(v, s):
     """Torus operator through its exact Fourier multiplier (spectral route)."""
-    lam = _torus_multiplier(v.N, v.d, v.h, s)
-    out = idft(lam * dft(v), v.N, v.d)
-    return v.copy_with(np.real(out))
+    lam = _half_spectrum(_torus_multiplier(v.N, v.d, v.h, s), v.d)
+    return v.copy_with(_apply_even(v.values, lam, v.d))
 
 
 # --- periodization, repetition, transference ------------------------------------

@@ -123,17 +123,26 @@ class TestArrayProfile:
         with pytest.raises(ValueError):
             _theta(0.5, np.array([1.0, -1e-3]))
 
-    @pytest.mark.parametrize("d,N", [(1, 7), (2, 5)])
-    def test_half_field_mode_by_mode(self, d, N):
-        # s = 1/2: the field's mode k is hat(v)_k exp(-sqrt(lam_k) t)
-        v = random_torus(N, d, 21 + d)
+    @staticmethod
+    def _assert_modes(v, s, profile):
+        # the field's mode k is hat(v)_k profile(sqrt(lam_k) t), read through
+        # the {-N..N} reference dft at every t level
         t = make_t_grid(1e-6, 3.0, 1.3)
-        field = cs_extend_torus(v, 0.5, t)
-        lam = _torus_multiplier(N, d, v.h, 1.0)
-        expect = dft(v)[..., None] * np.exp(-np.sqrt(lam)[..., None] * t)
+        field = cs_extend_torus(v, s, t)
+        lam = _torus_multiplier(v.N, v.d, v.h, 1.0)
+        expect = dft(v)[..., None] * profile(np.sqrt(lam)[..., None] * t)
         got = np.stack([dft(v.copy_with(field.values[..., j])) for j in range(t.size)],
                        axis=-1)
         assert np.abs(got - expect).max() < 1e-14 * np.abs(dft(v)).max()
+
+    @pytest.mark.parametrize("d,N", [(1, 7), (2, 5), (3, 3)])
+    def test_half_field_mode_by_mode(self, d, N):
+        # s = 1/2: the profile is exp(-x)
+        self._assert_modes(random_torus(N, d, 21 + d), 0.5, lambda x: np.exp(-x))
+
+    @pytest.mark.parametrize("d,N", [(1, 7), (2, 5)])
+    def test_field_mode_by_mode(self, d, N):
+        self._assert_modes(random_torus(N, d, 31 + d), 0.3, lambda x: _theta(0.3, x))
 
 
 class TestExtensionField:
@@ -550,6 +559,21 @@ class TestHalfBallNorms:
 
 
 class TestBoundaryBulkProbe:
+    @pytest.mark.parametrize("d,N", [(1, 31), (2, 12)])
+    def test_norms_match_separate_half_ball_calls(self, d, N):
+        # one pass over the field for both radii gives what two calls give
+        v = random_torus(N, d, 17)
+        rad = np.sqrt(sum(np.meshgrid(*[(np.arange(-N, N + 1) * v.h) ** 2] * d,
+                                      indexing="ij")))
+        f = v.copy_with(np.where(rad < 0.45, v.values, 0.0))
+        norms = boundary_bulk_probe(f, r0=0.5).norms
+        field = cs_extend_torus(f, 0.5, make_t_grid(1e-6, 2.5, 1.05))
+        small = half_ball_norms(field, (0.0,) * d, 0.5)
+        big = half_ball_norms(field, (0.0,) * d, 1.0)
+        for got, ref in ((norms["bulk_small"], small[0]), (norms["bulk_big"], big[0]),
+                         (norms["trace_l2"], big[1]), (norms["trace_h1"], big[2])):
+            assert abs(got - ref) <= np.spacing(ref)
+
     def test_zero_trace(self):
         f = TorusFunction(31, 1, np.zeros(63))
         res = boundary_bulk_probe(f, r0=0.5)

@@ -19,6 +19,8 @@ from fraclat.lattice import (
     LatticeFunction,
     StepProfile,
     TorusFunction,
+    _sobolev_multiplier,
+    _torus_multiplier,
     apply_frac_lattice,
     apply_frac_torus_pointwise,
     apply_frac_torus_spectral,
@@ -339,6 +341,15 @@ class TestApplyTorus:
         b = apply_frac_torus_spectral(v, 0.5)
         assert np.abs(a.values - b.values).max() < 1e-12
 
+    @pytest.mark.parametrize("d,N", [(1, 9), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("s", (0.3, 0.75))
+    def test_spectral_matches_dft_route(self, s, d, N):
+        # the real FFT in storage order against the {-N..N} reference route
+        v = random_torus(N, d, 40 + d)
+        ref = np.real(idft(_torus_multiplier(N, d, v.h, s) * dft(v), N, d))
+        got = apply_frac_torus_spectral(v, s).values
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
     @pytest.mark.parametrize("d,N", [(1, 8), (2, 4)])
     def test_pointwise_matches_spectral(self, d, N):
         for s in (0.25, 0.5, 0.75):
@@ -652,6 +663,16 @@ class TestSobolevNorm:
         v = random_torus(5, 1, 8)
         assert sobolev_norm(v, 0.0) == pytest.approx(
             math.sqrt(v.h * float(np.sum(v.values ** 2))), rel=1e-12)
+
+    @pytest.mark.parametrize("d,N", [(1, 9), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("r", (-1.0, 0.5, 2.0))
+    def test_torus_matches_dft_route(self, r, d, N):
+        # Parseval through the real FFT against the weighted sum over the
+        # {-N..N} reference coefficients
+        v = random_torus(N, d, 50 + d)
+        mult = _sobolev_multiplier(N, d, v.h) ** r
+        ref = math.sqrt((v.h * v.n) ** d * float(np.sum(mult * np.abs(dft(v)) ** 2)))
+        assert sobolev_norm(v, r) == pytest.approx(ref, rel=1e-14)
 
     def test_consistency_lattice_vs_periodized(self):
         # support well inside a large torus: same multiplier, same norm
