@@ -101,7 +101,7 @@ def cs_extend_torus(v, s, t_grid):
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0) or t[0] <= 0:
         raise ValueError("t_grid must be strictly increasing and positive")
     # sqrt of the Laplacian eigenvalues, on the half spectrum the real FFT reads
-    sq = np.sqrt(_half_spectrum(_torus_multiplier(v.N, v.d, v.h, 1.0), v.d))
+    sq = np.sqrt(_half_spectrum(_torus_multiplier(v.N, v.d, v.h, 1.0)))
     uniq, inv = np.unique(np.round(sq, 15), return_inverse=True)
     theta = _theta(s, uniq[:, None] * t)[inv].reshape(sq.shape + (t.size,))
     return ExtensionField(v, s, t, _apply_even(v.values[..., None], theta, v.d))
@@ -446,7 +446,7 @@ def boundary_bulk_probe(f, r0=0.5, big_c=10.0):
     (bulk_small, *_), (bulk_big, trace_l2, trace_h1, _) = _half_ball_norms(
         field, (0.0,) * f.d, (r0, 1.0))
     # normal derivative at the boundary, exact per mode for s = 1/2
-    mu = _half_spectrum(_torus_multiplier(f.N, f.d, h, 0.5), f.d)
+    mu = _half_spectrum(_torus_multiplier(f.N, f.d, h, 0.5))
     dt0 = _apply_even(f.values, -mu, f.d)
     mask = rad < 1.0
     trace_dt = math.sqrt(h ** f.d * float(np.sum(dt0[mask] ** 2)))

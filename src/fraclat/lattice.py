@@ -239,12 +239,11 @@ def _sobolev_multiplier(N, d, h):
     return 1.0 + _axis_sum([sin2] * d)
 
 
-def _half_spectrum(mult, d):
-    """An even symbol on the {-N..N}^d frequency grid (first d axes of mult)
-    on the half spectrum that rfftn yields: FFT order on axes 0..d-2,
-    frequencies 0..N on axis d-1."""
-    half = np.fft.ifftshift(mult, axes=tuple(range(d)))
-    return half[(slice(None),) * (d - 1) + (slice(0, (mult.shape[0] + 1) // 2),)]
+def _half_spectrum(mult):
+    """An even symbol on the {-N..N}^d frequency grid on the half spectrum
+    that rfftn yields: FFT order on the first d-1 axes, frequencies 0..N on
+    the last."""
+    return np.fft.ifftshift(mult)[..., :(mult.shape[-1] + 1) // 2]
 
 
 def _apply_even(values, half, d):
@@ -265,7 +264,7 @@ def _sobolev_sq_grid(values, h, r):
     """Squared H^r norm of a value array regarded as one period of mesh-h data:
     by Parseval, h^d <u, M^r u> for the Sobolev multiplier M."""
     d, n = values.ndim, values.shape[0]
-    mult = _half_spectrum(_sobolev_multiplier((n - 1) // 2, d, h) ** r, d)
+    mult = _half_spectrum(_sobolev_multiplier((n - 1) // 2, d, h) ** r)
     return h ** d * float(np.sum(values * _apply_even(values, mult, d)))
 
 
@@ -406,7 +405,7 @@ def apply_frac_torus_pointwise(v, s, tol=1e-11, method="auto"):
 
 def apply_frac_torus_spectral(v, s):
     """Torus operator through its exact Fourier multiplier (spectral route)."""
-    lam = _half_spectrum(_torus_multiplier(v.N, v.d, v.h, s), v.d)
+    lam = _half_spectrum(_torus_multiplier(v.N, v.d, v.h, s))
     return v.copy_with(_apply_even(v.values, lam, v.d))
 
 
