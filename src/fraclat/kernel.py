@@ -15,7 +15,10 @@ the Bessel matrix.  The module also holds exact 1D tail sums, the
 periodized kernel of the discrete torus (Gamma-ratio series, and heat-route
 tables that integrate the wrap sums on the same grid up to the time T where
 they have flattened to their plateau) and the semidiscrete heat kernels,
-each with explicit error control.
+each with explicit error control.  The torus heat kernel's wrap sums come
+from a backward Bessel sweep at small arguments and, from x = n/2 on, from
+the exact finite Fourier sum over the n frequencies of the torus, with a
+bound on its rounding.
 
 Everything here is immutable after construction and safe to read
 concurrently.
@@ -367,30 +370,17 @@ def _wrap_fold(n, m):
     return fold
 
 
-def torus_heat_kernel(N, h, j, t, tol=1e-14, spectral=False):
-    """Heat kernel of the discrete torus A^N_{h,d} at index offset j, time t > 0.
-
-    Bessel wrap-sum form by default; ``spectral=True`` evaluates the
-    equivalent Fourier form (cross-check path).  j may be an int (d=1) or a
-    tuple; each component is reduced into {-N..N}.
+def torus_heat_kernel(N, h, j, t):
+    """Heat kernel of the discrete torus A^N_{h,d} at index offset j, time t > 0,
+    as the product of the wrap sums of _heat_wraps.  j may be an int (d=1) or
+    a tuple; each component is reduced into {-N..N}.
     """
     if t <= 0.0:
         raise ValueError("torus_heat_kernel requires t > 0")
     n = 2 * N + 1
-    x = 2.0 * t / (h * h)
-    comps = [int(c) % n for c in np.atleast_1d(j)]
-    if spectral:
-        val = 1.0
-        for c in comps:
-            acc = 0.0
-            for mm in range(-N, N + 1):
-                ang = 2.0 * math.pi * mm / n
-                acc += math.exp(-x * (1.0 - math.cos(ang))) * math.cos(ang * c)
-            val *= acc / n
-        return val
-    wrap = _heat_wraps(n, N, np.array([x]))[0]
+    wrap = _heat_wraps(n, N, np.array([2.0 * t / (h * h)]))[0]
     val = 1.0
-    for c in comps:
+    for c in np.atleast_1d(j) % n:
         val *= wrap[min(c, n - c)]
     return val
 
@@ -495,20 +485,61 @@ class _TorusKernelData:
         return out
 
 
+def _fourier_wraps(n, N, x):
+    """The columns of _heat_wraps at arguments x from the finite Fourier sum
+
+        W_j(x) = (1/n) [1 + 2 sum_{m=1..N} e^{-a_m} cos(2 pi jm/n)],  a_m = 2x sin^2(pi m/n),
+
+    one exp over (x.size, N + 1) and one (N+1) x (N+1) cosine matmul, with
+    ring = W_0 - e^{-x} I_0(x).  The last column bounds each column's
+    absolute rounding error, the ring's included:
+
+        (N/2 + 11) eps W_0 + 6 eps (2/n) sum_m a_m e^{-a_m}.
+
+    The terms are at most (2/n) e^{-a_m} and add up to W_0, so the sum of
+    N + 1 of them misses by at most (N+1)/2 eps W_0.  Each cosine, at an
+    angle reduced to at most pi, each exp and each product add about 7 eps
+    of their term, and I_0 and the ring's difference 3 eps of W_0.  An
+    exponent carries a relative error of 6 eps, which moves its term by
+    6 eps a_m e^{-a_m}."""
+    m = np.arange(N + 1)
+    a = (2.0 * x[:, None]) * np.sin(math.pi / n * m) ** 2
+    e = np.exp(-a)
+    r = np.outer(m, m) % n
+    cos = np.cos(2.0 * math.pi / n * np.minimum(r, n - r)) * np.where(m == 0, 1.0, 2.0)[:, None] / n
+    out = np.empty((x.size, N + 4))
+    out[:, :N + 1] = e @ cos
+    out[:, N + 2] = bessel_i_scaled_cols(m[:1], x)[:, 0]
+    out[:, N + 1] = out[:, 0] - out[:, N + 2]
+    eps = np.finfo(float).eps
+    out[:, N + 3] = (0.5 * N + 11.0) * eps * out[:, 0] + (12.0 / n) * eps * (a * e).sum(axis=1)
+    return out
+
+
 def _heat_wraps(n, N, x):
-    """Wrap sums j = 0..N, the ring 2 sum_{l >= 1} e^{-x} I_{ln}(x) and
-    e^{-x} I_0(x) at ascending arguments x, as (x.size, N + 3) columns.  Each
-    row starts at its own wrap order; chunks of at most _BATCH entries are
-    swept from the largest argument down, and folded before they are scaled."""
-    m = _wrap_order(n, x)
+    """Wrap sums j = 0..N, the ring 2 sum_{l >= 1} e^{-x} I_{ln}(x),
+    e^{-x} I_0(x) and a bound on the absolute rounding error of the row at
+    ascending arguments x, as (x.size, N + 4) columns.
+
+    The rows at x >= n/2 are the finite Fourier sum of _fourier_wraps, whose
+    error is absolute.  The rows below take the backward Bessel sweep, which
+    is accurate to a few ulps of each entry, and carry the bound 0: each row
+    starts at its own wrap order sqrt(90x) + 2n + 2 < 7 sqrt(n) + 2n + 2,
+    and chunks of at most _BATCH entries are swept from the largest
+    argument down, and folded before they are scaled."""
+    cut = int(np.searchsorted(x, 0.5 * n))
+    out = np.zeros((x.size, N + 4))
+    out[cut:] = _fourier_wraps(n, N, x[cut:])
+    if not cut:
+        return out
+    m = _wrap_order(n, x[:cut])
     k = np.arange(m[-1] + 1)
     fold = np.column_stack((_wrap_fold(n, k[-1])[:, :N + 1], 2.0 * (k % n == 0) * (k > 0), k == 0))
-    out = np.empty((x.size, N + 3))
-    hi = x.size
+    hi = cut
     while hi:
         lo = max(0, hi - max(1, _BATCH // int(m[hi - 1] + 1)))
         y, scale = _bessel_sweep(m[lo:hi], x[lo:hi])
-        np.multiply(y.T @ fold[:len(y)], scale[:, None], out=out[lo:hi])
+        np.multiply(y.T @ fold[:len(y)], scale[:, None], out=out[lo:hi, :N + 3])
         hi = lo
     return out
 
@@ -522,9 +553,13 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
     plateau bound.  Only the diagonal wrap value needs the g_0^d tail, so
     only a table with need_diag first doubles until that analytic bound
     passes.  The leading Fourier term (2/n) e^{-2T(1 - cos 2pi/n)} bounds the
-    row's deviation below, so no doubling it fails is swept; the row at 2T,
-    the table's largest argument, joins the nodes' sweep, and if it fails T
-    doubles and the sweep is redone."""
+    row's deviation below, so no doubling it fails is tried.  The rows at
+    arguments from n/2 up, the row at 2T among them while n <= 1024, are
+    finite Fourier sums, and only the nodes below n/2 take a short Bessel
+    sweep (see _heat_wraps); if the row at 2T fails, T doubles and the rows
+    are built again.  Every entry's error and the diagonal's add the
+    quadrature of the Fourier rows' absolute rounding error (see
+    _fourier_wraps)."""
     if d not in (1, 2, 3):
         raise ValueError("torus kernel tables support d in {1, 2, 3}")
     n = 2 * N + 1
@@ -545,7 +580,7 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
             if plateau_resid <= goal:
                 break
         T *= 2.0
-    W, ring0, g0row = cols[:-1, :N + 1], cols[:-1, N + 1], cols[:-1, N + 2]
+    W, ring0, g0row, werr = cols[:-1, :N + 1], cols[:-1, N + 1], cols[:-1, N + 2], cols[:-1, N + 3]
     plateau = n ** (-d) * T ** (-s) / s
 
     # [0, t0]: the wrap product is t^{|j|_1} / prod_i j_i! (1 + theta), |theta|
@@ -555,7 +590,11 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
     head = np.exp((n1 - s) * _LOG_T0 - gammaln(j + 1.0).sum(axis=0)) / (n1 - s)
     q15 = _orthant_sums(W, w15, (N + 1,) * d)
     orth = q15 + head + plateau
-    dq = np.abs(q15 - _orthant_sums(W, w7, (N + 1,) * d)) + 2.0 * d * _T0 * head + _ROUNDING * orth
+    # a Fourier row's error werr per factor moves a product of d factors, each
+    # at most W_0, by d werr W_0^{d-1}, and W_0^d - g_0^d by as much
+    fourier = d * float(w15 @ (werr * W[:, 0] ** (d - 1)))
+    dq = (np.abs(q15 - _orthant_sums(W, w7, (N + 1,) * d)) + 2.0 * d * _T0 * head
+          + _ROUNDING * orth + fourier)
     # the zero offset is never read; its integral diverges
     err = float(dq.ravel()[1:].max()) + plateau_resid + 1e-18
 
@@ -570,7 +609,7 @@ def _torus_table_heat(s, N, d, tol_abs, need_diag):
         diag_head = 2.0 * d * math.exp((n - s) * _LOG_T0 - math.lgamma(n + 1.0)) / (n - s)
         diag = pref * (d15 + plateau - g0t)
         diag_err = pref * (abs(d15 - d7) + plateau_resid + g0te + diag_head
-                           + _ROUNDING * (d15 + plateau))
+                           + _ROUNDING * (d15 + plateau) + fourier)
 
     # mirror the nonnegative orthant onto the full index cube {-N..N}^d
     idx = np.minimum(np.arange(n), n - np.arange(n))

@@ -473,6 +473,21 @@ class TestTorusKernel:
             torus_kernel(p, 8, 0)
 
 
+def _wrap_reference(n, x):
+    """The wrap route with one row length per call: every row runs from the
+    largest argument's cut-off and is scaled before the fold.  The Bessel
+    rows and the wrap sums of j = 0..n-1."""
+    import fraclat.kernel as K
+
+    m = int(K._wrap_order(n, x.max()))
+    rows = np.empty((x.size, m + 1))
+    bessel_i_scaled_row(m, x[:, None], rows)
+    k = np.arange(-m, m + 1)
+    fold = np.zeros((m + 1, n))
+    np.add.at(fold, (np.abs(k), k % n), 1.0)
+    return rows, rows @ fold
+
+
 class TestHeatRouteTable:
     @pytest.mark.parametrize("N", [8, 16])
     @pytest.mark.parametrize("d", [1, 2])
@@ -519,52 +534,118 @@ class TestHeatRouteTable:
     def test_pool_tables_sweep_at_most_twice(self, N, d, need_diag, pinned, monkeypatch):
         # the tables of the cold-kernels benchmark pool keep the plateau T and
         # node count of the search that tried the rows of every candidate
-        # doubling; the row at 2T, the largest argument, rides in the sweep of
-        # the largest nodes, and the deep nodes take one short sweep
+        # doubling; only the nodes below x = n/2 take the Bessel sweep, in one
+        # short call, and the row at 2T, the largest argument, comes from the
+        # finite Fourier sum with the nodes above
         import fraclat.kernel as K
 
-        real_sweep = K._bessel_sweep
-        swept = []
+        real_sweep, real_fourier = K._bessel_sweep, K._fourier_wraps
+        swept, summed = [], []
 
         def recording_sweep(nmax, x):
             swept.append(x.copy())
             return real_sweep(nmax, x)
 
+        def recording_fourier(n, N, x):
+            summed.append(x.copy())
+            return real_fourier(n, N, x)
+
         monkeypatch.setattr(K, "_bessel_sweep", recording_sweep)
+        monkeypatch.setattr(K, "_fourier_wraps", recording_fourier)
+        n = 2 * N + 1
         for s, (T, nodes) in pinned.items():
             swept.clear()
+            summed.clear()
             K._torus_table_cached.cache_clear()
             t = torus_kernel_table(s, N, d, tol=1e-12, need_diag=need_diag, method="heat")
             assert (t.T, t.nodes) == (T, nodes)
-            assert 1 <= len(swept) <= 2
-            assert swept[0][-1] == 2.0 * T and swept[0].size > 1
-            assert sum(x.size for x in swept) == nodes + 1
+            assert len(swept) == 1 and swept[0].max() < 0.5 * n
+            assert len(summed) == 1 and summed[0].min() >= 0.5 * n
+            assert summed[0][-1] == 2.0 * T and summed[0].size > 1
+            assert swept[0].size + summed[0].size == nodes + 1
 
     def test_wraps_match_rows_started_at_the_largest_cut_off(self):
-        # the reference is the wrap route with one row length per call: every
-        # row runs from the largest argument's cut-off and is scaled before
-        # the fold
         import fraclat.kernel as K
-
-        def reference(n, x):
-            m = int(K._wrap_order(n, x.max()))
-            rows = np.empty((x.size, m + 1))
-            bessel_i_scaled_row(m, x[:, None], rows)
-            k = np.arange(-m, m + 1)
-            fold = np.zeros((m + 1, n))
-            np.add.at(fold, (np.abs(k), k % n), 1.0)
-            return rows, rows @ fold
 
         x = 2.0 * np.exp(np.linspace(-40.0, 9.0, 200))
         for n in (3, 17, 33):
             N = n // 2
-            rows, wraps = reference(n, x)
+            rows, wraps = _wrap_reference(n, x)
             cols = K._heat_wraps(n, N, x)
             # coordinates j > N read the mirror column n - j, as torus_heat_kernel does
             mirror = np.minimum(np.arange(n), n - np.arange(n))
             assert np.abs(cols[:, mirror] - wraps).max() <= 1e-15
             assert np.abs(cols[:, N + 1] - 2.0 * rows[:, n::n].sum(axis=1)).max() <= 1e-15
             assert np.abs(cols[:, N + 2] - rows[:, 0]).max() <= 1e-15
+            # the rows below n/2 are swept and carry no Fourier bound
+            assert (cols[x < 0.5 * n, N + 3] == 0.0).all() and (cols[x >= 0.5 * n, N + 3] > 0.0).all()
+
+    @pytest.mark.parametrize("n", (3, 17, 33, 65))
+    def test_fourier_rows_match_the_bessel_reference(self, n):
+        # every column of the Fourier branch, from x = n/2 to 6.6e4, within
+        # its own rounding bound of the swept Bessel rows
+        import fraclat.kernel as K
+
+        N = n // 2
+        x = np.geomspace(0.5 * n, 6.6e4, 60)
+        rows, wraps = _wrap_reference(n, x)
+        cols = K._fourier_wraps(n, N, x)
+        bound = cols[:, N + 3:]
+        assert (np.abs(cols[:, :N + 1] - wraps[:, :N + 1]) <= bound).all()
+        assert (np.abs(cols[:, N + 1:N + 2] - 2.0 * rows[:, n::n].sum(axis=1, keepdims=True)) <= bound).all()
+        assert (np.abs(cols[:, N + 2:N + 3] - rows[:, :1]) <= bound).all()
+
+    def test_fourier_bound_against_mpmath(self):
+        # the rounding bound of the Fourier rows against 40-digit values of
+        # the same finite sum, and of e^{-x} I_0(x), at the edge x = n/2 and
+        # far beyond it
+        import fraclat.kernel as K
+
+        mp = pytest.importorskip("mpmath")
+        cases = [(3, 1.5), (3, 40.0), (5, 2.5), (9, 4.5), (9, 1e3), (9, 2e8), (17, 8.5),
+                 (17, 300.0), (17, 5e6), (21, 10.5), (33, 16.5), (33, 2e3), (33, 1.1e5),
+                 (41, 20.5), (41, 777.7), (65, 32.5), (65, 700.0), (65, 6.6e4),
+                 (129, 64.5), (129, 1e4)]
+        for n, x in cases:
+            N = n // 2
+            cols = K._fourier_wraps(n, N, np.array([x]))[0]
+            with mp.workdps(40):
+                X = mp.mpf(x)
+                terms = [mp.exp(-2 * X * mp.sin(mp.pi * m / n) ** 2) for m in range(N + 1)]
+                exact = [(2 * mp.fsum(t * mp.cos(2 * mp.pi * j * m / n)
+                                      for m, t in enumerate(terms)) - 1) / n for j in range(N + 1)]
+                g0 = mp.besseli(0, X) * mp.exp(-X)
+                exact += [exact[0] - g0, g0]
+                dev = max(abs(c - e) for c, e in zip(cols[:N + 3], exact))
+            assert dev <= cols[N + 3], (n, x)
+
+    @pytest.mark.parametrize("s", (0.25, 0.5, 0.75))
+    def test_perturbed_fourier_rows_break_the_series_agreement(self, s, monkeypatch):
+        # the Gamma-ratio series and the heat route agree within their
+        # certificates; wrap sums and ring off by 1e-10 of themselves on the
+        # Fourier branch alone move the heat table past them.  The last row,
+        # at 2T, is the plateau test and stays exact, so T does not move.
+        import fraclat.kernel as K
+
+        real_fourier = K._fourier_wraps
+
+        def scaled(n, N, x):
+            cols = real_fourier(n, N, x)
+            cols[:-1, :N + 2] *= 1.0 + 1e-10
+            return cols
+
+        def gap(a, b):
+            return max(np.abs(a.full - b.full).max(), abs(a.diag - b.diag))
+
+        a = torus_kernel_table(s, 16, 1, tol=1e-12, need_diag=True, method="series")
+        b = torus_kernel_table(s, 16, 1, tol=1e-12, need_diag=True, method="heat")
+        assert gap(a, b) <= a.err + b.err
+        monkeypatch.setattr(K, "_fourier_wraps", scaled)
+        K._torus_table_cached.cache_clear()
+        c = torus_kernel_table(s, 16, 1, tol=1e-12, need_diag=True, method="heat")
+        K._torus_table_cached.cache_clear()
+        assert (c.T, c.nodes) == (b.T, b.nodes)
+        assert gap(a, c) > a.err + c.err
 
     def test_series_route_records_no_plateau(self):
         table = torus_kernel_table(0.5, 8, 1, method="series")
@@ -597,11 +678,21 @@ class TestTorusHeatKernel:
         assert abs(tot - 1.0) < 1e-12
 
     def test_spectral_cross_check(self):
+        def spectral(N, h, c, t):
+            # the Fourier form, one scalar term per frequency
+            n = 2 * N + 1
+            x = 2.0 * t / (h * h)
+            acc = 0.0
+            for mm in range(-N, N + 1):
+                ang = 2.0 * math.pi * mm / n
+                acc += math.exp(-x * (1.0 - math.cos(ang))) * math.cos(ang * c)
+            return acc / n
+
         N = 8
         h = 2.0 * math.pi / 17.0
         for t in (0.1, 1.0, 5.0):
             a = torus_heat_kernel(N, h, 3, t)
-            b = torus_heat_kernel(N, h, 3, t, spectral=True)
+            b = spectral(N, h, 3, t)
             assert abs(a - b) < 1e-10
 
     def test_initial_condition(self):
