@@ -76,7 +76,6 @@ from .inverse import (
     forward_matrix,
     h1_gram,
     noiseless_recovery_error,
-    recover_tikhonov,
     stability_bound,
     stability_sweep,
 )

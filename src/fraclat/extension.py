@@ -39,16 +39,29 @@ class GridTooCoarseError(RuntimeError):
 # --- per-mode profile ----------------------------------------------------------
 
 
+# theta_s(x) is exactly 0 above this argument: scipy's kv(s, x) underflows to 0
+# from x ~ 697.87 for every s in (0, 1), and theta_s(697) < 1e-301
+_THETA_ZERO_ABOVE = 697.0
+
+
 def _theta(s, x):
-    # 2^{1-s} x^s K_s(x) / Gamma(s) on an array x >= 0; theta(0) = 1,
-    # decreasing to 0.  Below 1e-5 the two-term series at the origin, above
-    # 700 exactly 0 (the value is below 1e-300 there).
+    """2^{1-s} x^s K_s(x) / Gamma(s) on an array x >= 0; theta(0) = 1,
+    decreasing to 0.
+
+    At s = 1/2 the profile is e^{-x} (K_{1/2}(x) = sqrt(pi / 2x) e^{-x}).
+    For other s: below 1e-5 the two-term series at the origin, the Bessel
+    form up to _THETA_ZERO_ABOVE.  Above _THETA_ZERO_ABOVE the value is
+    exactly 0 for every s.
+    """
     x = np.asarray(x, dtype=float)
     if (x < 0.0).any():
         raise ValueError("theta requires x >= 0")
+    live = x <= _THETA_ZERO_ABOVE
+    if s == 0.5:
+        return np.where(live, np.exp(-x), 0.0)
     out = np.zeros(x.shape)
     small = x < 1e-5
-    mid = ~small & (x <= 700.0)
+    mid = ~small & live
     xs = x[small]
     c1 = -math.exp(log_abs_gamma_neg(s) - log_gamma(s) - s * math.log(4.0))
     x2 = 0.25 * xs * xs
@@ -93,7 +106,9 @@ def cs_extend_torus(v, s, t_grid):
     """Solve the extension problem over the torus per Fourier mode.
 
     Mode k with multiplier lam_k evolves as theta_s(sqrt(lam_k) t); the
-    zero mode is constant in t.  Exact up to the profile evaluation.
+    zero mode is constant in t.  Exact up to the profile evaluation: the
+    closed form e^{-x} at s = 1/2, the Bessel form otherwise, and 0 above
+    _THETA_ZERO_ABOVE (see :func:`_theta`).
     """
     if not 0.0 < s < 1.0:
         raise ValueError("cs_extend_torus requires s in (0,1)")

@@ -109,26 +109,6 @@ def forward_matrix(setup, check_columns=True):
     return A
 
 
-def recover_tikhonov(A, g, lam, P, method="augmented"):
-    """Minimizer of ||A f - g||^2 + lam * f' P f.
-
-    method='augmented' stacks A over sqrt(lam) chol(P) and solves one least
-    squares problem (conditioning kappa, not kappa^2; required for the
-    noiseless regime where lam must sit below sigma_min^2 ~ 1e-13);
-    method='normal' uses the normal equations with a Cholesky factorization.
-    """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    if method == "normal":
-        M = A.T @ A + lam * P
-        c, low = scipy.linalg.cho_factor(M)
-        return scipy.linalg.cho_solve((c, low), A.T @ g)
-    L = np.linalg.cholesky(P).T
-    aug = np.vstack([A, math.sqrt(lam) * L])
-    rhs = np.concatenate([g, np.zeros(A.shape[1])])
-    return np.linalg.lstsq(aug, rhs, rcond=None)[0]
-
-
 class LambdaRangeError(RuntimeError):
     """The discrepancy target is not bracketed by the lambda search range."""
 
@@ -146,35 +126,55 @@ def _standard_form(A, P):
     return scipy.linalg.solve_triangular(L, Vt[:sigma.size].T), U, sigma
 
 
+def _solve(factors, g, lam):
+    """Minimizers f_lam for each data vector in g (..., m) and lambda in lam (...)."""
+    linv_v, U, sigma = factors
+    lam = np.asarray(lam, dtype=float)[..., None]
+    return (sigma / (sigma * sigma + lam) * (g @ U[:, :sigma.size])) @ linv_v.T
+
+
 def _discrepancy_residual(log_lam, beta, sigma2, perp2):
-    # ||A f_lam - g|| in standard form, for each log(lambda) in the batch
+    # R = ||A f_lam - g||^2 in standard form and dR/dlog(lam), for each
+    # log(lambda) in the batch: r_i = q_i beta_i with q_i = lam / (sigma_i^2 + lam),
+    # and dr_i/dlog(lam) = q_i (1 - q_i) beta_i
     lam = np.exp(log_lam)[..., None]
-    r = lam * beta / (sigma2 + lam)
-    return np.sqrt(np.sum(r * r, axis=-1) + perp2)
+    r2 = (lam * beta / (sigma2 + lam)) ** 2
+    return np.sum(r2, axis=-1) + perp2, 2.0 * np.sum(r2 * (sigma2 / (sigma2 + lam)), axis=-1)
 
 
 def discrepancy_lambda(A, g, P, target):
-    """Bisection on log(lambda) for ||A f_lambda - g|| = target (monotone).
+    """Lambda with ||A f_lambda - g|| = target (the residual is monotone in lambda).
 
     g may hold a batch of data vectors, shape (..., m), with target of shape
-    (...); every root is bisected at once and an array of lambdas returned
+    (...); every root is found at once and an array of lambdas returned
     (a float for a single g).  Raises LambdaRangeError naming the first
     entry whose target the range [1e-16 ||A||_2^2, 1e8] does not bracket.
     The floor scales with the problem, as in
     :func:`noiseless_recovery_error`; noise nearly orthogonal to the range
     of A can put the root below a fixed floor.
+    """
+    return _discrepancy_roots(A, _standard_form(A, P), g, target)
 
-    The residual comes from the standard form (:func:`_standard_form`):
-    ||A f_lam - g||^2 = sum (lam beta_i / (sigma_i^2 + lam))^2 + ||U_perp'g||^2,
+
+def _discrepancy_roots(A, factors, g, target):
+    """discrepancy_lambda on the factors of :func:`_standard_form`.
+
+    The residual comes from the standard form:
+    R = ||A f_lam - g||^2 = sum (lam beta_i / (sigma_i^2 + lam))^2 + ||U_perp'g||^2,
     the second term from the complementary columns of U, not from
     ||g||^2 - ||beta||^2, so nothing cancels.
 
-    The loop stops once every midpoint 0.5 (lo + hi) equals lo or hi: a
-    further step sets lo or hi to that midpoint, which leaves 0.5 (lo + hi)
-    where it is, so the returned lambda is bit-identical to the one the
-    full 120 steps give.  The 120 steps are only a cap.
+    Each root is a Newton iteration on F = log R - log target^2 in
+    u = log(lam), with dR/du = 2 sum r_i^2 (1 - q_i), q_i = lam / (sigma_i^2 + lam).
+    It starts at the midpoint of the bracket, which every evaluation narrows.
+    It bisects the bracket whenever a Newton step would leave it, and after
+    an overshoot (F changed sign) that did not halve |F|: there the bracket
+    is the last two iterates, and Newton alone can fall into a 2-cycle.  An
+    entry is frozen once F = 0 or its Newton step is at most 2 ulp of u;
+    later bisection steps would pull it off its converged value.  120 steps
+    are the cap.
     """
-    _, U, sigma = _standard_form(A, P)
+    _, U, sigma = factors
     proj = np.asarray(g, dtype=float) @ U
     beta = proj[..., :sigma.size]
     perp2 = np.sum(proj[..., sigma.size:] ** 2, axis=-1)
@@ -183,7 +183,7 @@ def discrepancy_lambda(A, g, P, target):
 
     lo = np.full(perp2.shape, math.log(1e-16 * np.linalg.norm(A, 2) ** 2))
     hi = np.full(perp2.shape, math.log(1e8))
-    r_lo, r_hi = (_discrepancy_residual(x, beta, sigma2, perp2) for x in (lo, hi))
+    r_lo, r_hi = (np.sqrt(_discrepancy_residual(x, beta, sigma2, perp2)[0]) for x in (lo, hi))
     bad = ~((r_lo <= target) & (target <= r_hi))
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -191,14 +191,32 @@ def discrepancy_lambda(A, g, P, target):
         raise LambdaRangeError(
             f"target residual {target[idx]:.3e}{where} outside "
             f"[{r_lo[idx]:.3e}, {r_hi[idx]:.3e}]")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if ((mid == lo) | (mid == hi)).all():
-            break
-        below = _discrepancy_residual(mid, beta, sigma2, perp2) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    lam = np.exp(0.5 * (lo + hi))
+
+    # iterate on the flat batch, restricted to the entries still moving
+    shape = perp2.shape
+    lo, hi = lo.ravel(), hi.ravel()
+    beta, perp2 = beta.reshape(-1, sigma.size), perp2.ravel()
+    log_t2 = 2.0 * np.log(target.ravel())
+    u = 0.5 * (lo + hi)
+    f_prev = np.full(u.size, np.inf)
+    live = np.arange(u.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(120):
+            if live.size == 0:
+                break
+            x = u[live]
+            R, dR = _discrepancy_residual(x, beta[live], sigma2, perp2[live])
+            f = np.log(R) - log_t2[live]
+            a = np.where(f < 0.0, x, lo[live])
+            b = np.where(f > 0.0, x, hi[live])
+            step = x - f * R / dR
+            moving = (f != 0.0) & (np.abs(step - x) > 2.0 * np.spacing(np.abs(x)))
+            stalled = (f * f_prev[live] < 0.0) & (np.abs(f) > 0.5 * np.abs(f_prev[live]))
+            newton = ~moving | ((a < step) & (step < b) & ~stalled)
+            lo[live], hi[live], f_prev[live] = a, b, f
+            u[live] = np.where(newton, step, 0.5 * (a + b))
+            live = live[moving]
+    lam = np.exp(u).reshape(shape)
     return float(lam) if lam.ndim == 0 else lam
 
 
@@ -211,18 +229,16 @@ def noiseless_recovery_error(setup, trials=5):
     """Mean L2(W) recovery error for exact data at vanishing regularization.
 
     The floor lam = 1e-16 ||A||^2 keeps every singular direction of this
-    finite-dimensional (hence well-posed) section alive.
+    finite-dimensional (hence well-posed) section alive.  Every trial is
+    solved at once in the standard form (:func:`_standard_form`); trial t
+    draws its truth from the generator seeded by ``seed XOR (t + 1)``.
     """
     A = forward_matrix(setup)
     P = h1_gram(setup.N, setup.W)
-    lam = 1e-16 * np.linalg.norm(A, 2) ** 2
-    errs = []
-    for t in range(trials):
-        rng = np.random.default_rng(setup.seed ^ (t + 1))
-        f_true = _draw_f(rng, P)
-        f_hat = recover_tikhonov(A, A @ f_true, lam, P)
-        errs.append(math.sqrt(setup.h) * float(np.linalg.norm(f_hat - f_true)))
-    return float(np.mean(errs))
+    f_true = np.array([_draw_f(np.random.default_rng(setup.seed ^ (t + 1)), P)
+                       for t in range(trials)])
+    f_hat = _solve(_standard_form(A, P), f_true @ A.T, 1e-16 * np.linalg.norm(A, 2) ** 2)
+    return float(np.mean(math.sqrt(setup.h) * np.linalg.norm(f_hat - f_true, axis=-1)))
 
 
 def _sweep_data(setup, A, P, eps, trials):
@@ -249,7 +265,8 @@ def stability_sweep(setup, eps_list, trials=10):
 
     Each trial owns the generator seeded by ``seed XOR trial``, so results
     do not depend on evaluation order.  All (eps, trial) roots are found by
-    one batched bisection in the standard form of the problem.  Returns a
+    one batched Newton iteration in the standard form of the problem, whose
+    factors the roots and the solves share.  Returns a
     StabilityCurve with points (eps, mean L2(W) recovery error, mean data
     ratio); its extras carry the per-eps error spread, the chosen lambdas
     (eps x trial) and the singular values of A L^{-1} (P = L'L), whose
@@ -264,10 +281,10 @@ def stability_sweep(setup, eps_list, trials=10):
     P = h1_gram(setup.N, setup.W)
     f_true, g0, g = _sweep_data(setup, A, P, eps, trials)
     e_col = np.array(eps)[:, None]
-    lambdas = discrepancy_lambda(A, g, P, e_col * np.linalg.norm(g, axis=-1))
-    linv_v, U, sigma = _standard_form(A, P)
-    lam = lambdas[..., None]
-    f_hat = (sigma / (sigma * sigma + lam) * (g @ U[:, :sigma.size])) @ linv_v.T
+    factors = _standard_form(A, P)
+    lambdas = _discrepancy_roots(A, factors, g, e_col * np.linalg.norm(g, axis=-1))
+    f_hat = _solve(factors, g, lambdas)
+    sigma = factors[2]
     errors = math.sqrt(setup.h) * np.linalg.norm(f_hat - f_true, axis=-1)
     ratios = e_col * np.linalg.norm(g0, axis=-1)
     err_mean = errors.mean(axis=1)

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from fraclat.extension import (
+    _THETA_ZERO_ABOVE,
     CarlemanConfig,
     _theta,
     GridTooCoarseError,
@@ -91,29 +93,41 @@ class TestProfile:
 class TestArrayProfile:
     @staticmethod
     def scalar_theta(s, x):
-        # the per-entry formula: series below 1e-5, 0 above 700, Bessel between
+        # the per-entry formula: 0 above the cutoff; e^{-x} at s = 1/2; else
+        # the series below 1e-5 and the Bessel form between
+        if x > _THETA_ZERO_ABOVE:
+            return 0.0
+        if s == 0.5:
+            return math.exp(-x)
         if x < 1e-5:
             c1 = -math.exp(log_abs_gamma_neg(s) - log_gamma(s) - s * math.log(4.0))
             x2 = 0.25 * x * x
             corr = c1 * x ** (2.0 * s) * (1.0 + x2 / (1.0 + s)) if x > 0.0 else 0.0
             return 1.0 + x2 / (1.0 - s) + corr
-        if x > 700.0:
-            return 0.0
         pref = math.exp((1.0 - s) * math.log(2.0) + s * math.log(x) - log_gamma(s))
         return pref * bessel_k(s, x)
 
     def test_half_is_exponential_on_all_branches(self):
         x = np.concatenate([[0.0, 1e-12, 3e-7, 9.99e-6],
-                            np.geomspace(1e-5, 700.0, 200), [700.5, 1e3, 1e5]])
+                            np.geomspace(1e-5, 697.0, 200), [697.5, 700.5, 1e3, 1e5]])
         got = _theta(0.5, x)
-        # above 700 the profile is exactly 0 and e^{-x} < 1e-304
-        assert np.allclose(got, np.exp(-x), rtol=1e-12, atol=1e-300)
-        assert (got[x > 700.0] == 0.0).all()
+        # e^{-x} is exact at s = 1/2; above the cutoff e^{-x} < 1e-302
+        assert np.array_equal(got, np.where(x <= _THETA_ZERO_ABOVE, np.exp(-x), 0.0))
+
+    @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+    def test_zero_rule_shared(self, s):
+        # one cutoff on both branches, at or below the point where kv underflows
+        cut = _THETA_ZERO_ABOVE
+        assert special.kv(s, cut) > 0.0
+        x = np.array([cut - 1.0, np.nextafter(cut, 0.0), cut])
+        assert (_theta(s, x) > 0.0).all()
+        x = np.array([np.nextafter(cut, np.inf), 697.9, 700.0, 1e4, np.inf])
+        assert (_theta(s, x) == 0.0).all()
 
     @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.77, 0.95])
     def test_matches_scalar_formula(self, s):
         x = np.concatenate([[0.0, 1e-9, 9.99e-6, 1e-5],
-                            np.geomspace(1e-5, 700.0, 297), [700.0, 700.1, 1e4]])
+                            np.geomspace(1e-5, 697.0, 297), [697.0, 697.1, 1e4]])
         got = _theta(s, x.reshape(4, -1)).ravel()
         ref = np.array([self.scalar_theta(s, float(v)) for v in x])
         assert np.array_equal(got == 0.0, ref == 0.0)

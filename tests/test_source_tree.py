@@ -69,3 +69,9 @@ def test_experiments_as_one_table():
     # each experiment is one function in one dict, its keyword defaults its
     # parameter schema: no dispatch chain on the name, no hand-read keys
     assert _hits(r"elif name ==|p\.get\(", "fraclat/harness.py") == []
+
+
+def test_one_tikhonov_solver():
+    # the library solves Tikhonov problems in standard form alone; the
+    # augmented least-squares solve is the tests' oracle (tests/oracles.py)
+    assert _hits(r"recover_tikhonov|lstsq|method=\"normal\"") == []
