@@ -11,16 +11,13 @@ from .kernel import (
     KernelTable,
     ToleranceError,
     build_kernel_table,
-    heat_kernel,
     kernel_1d,
     kernel_lattice_mass,
     kernel_nd,
     kernel_nd_bound,
     kernel_tail_bound_ell1,
-    kernel_tail_sum_1d,
     kernel_values,
     torus_heat_kernel,
-    torus_kernel,
     torus_kernel_table,
 )
 from .lattice import (
@@ -30,12 +27,7 @@ from .lattice import (
     apply_frac_lattice,
     apply_frac_torus_pointwise,
     apply_frac_torus_spectral,
-    dft,
-    idft,
     periodize,
-    repeat,
-    sobolev_norm,
-    symbol,
     transference_check,
 )
 from .counterexamples import (
@@ -56,23 +48,18 @@ from .extension import (
     GridTooCoarseError,
     boundary_bulk_probe,
     carleman_probe,
-    carleman_weight,
-    conjugated_laplacian_defect,
     cs_extend_torus,
-    extension_profile,
     half_ball_norms,
     make_t_grid,
     neumann_constant,
     neumann_trace,
     tangential_commutator_check,
-    tangential_conjugates,
 )
 from .inverse import (
     InverseSetup,
     LambdaRangeError,
     StabilityCurve,
     continuum_regime,
-    discrepancy_lambda,
     forward_matrix,
     h1_gram,
     noiseless_recovery_error,

@@ -143,14 +143,14 @@ def _point_array(points):
     return arr.reshape(len(arr), -1)
 
 
-def global_ucp_counterexample(params, X, Y=None, tol=1e-9, ktol=1e-12):
+def global_ucp_counterexample(params, X, Y=None, tol=1e-9):
     """Nonzero u supported on Y with u = 0 = (fractional Laplacian u) on X.
 
     X is a finite set of lattice points of dimension params.d; Y (|Y| =
     |X| + 1, disjoint from X) defaults to the nearest points outside X.
-    Returns the function and a certificate whose residual is recomputed by
-    the summation path; its details["residuals"] holds |Lu| at each point
-    of X, in order.
+    The kernel matrix is certified to 1e-12 relative.  Returns the function
+    and a certificate whose residual is recomputed by the summation path;
+    its details["residuals"] holds |Lu| at each point of X, in order.
     """
     Xa = _point_array(X)
     Xs = list(map(tuple, Xa.tolist()))
@@ -173,7 +173,7 @@ def global_ucp_counterexample(params, X, Y=None, tol=1e-9, ktol=1e-12):
         return u, {"residuals": np.abs(apply_frac_lattice(u, Xa)).tolist()}, {
             "multiple_solutions": bool(sig.size >= 2 and sig[-2] <= 1e-12 * sig[0])}
 
-    M = _kernels_at(params, Xa[:, None] - Ya, ktol)
+    M = _kernels_at(params, Xa[:, None] - Ya, 1e-12)
     return _certify_null_vector(M, measure, tol, "global-ucp-failure-lattice",
                                 {"s": params.s, "h": params.h, "d": params.d,
                                  "X": Xa.tolist(), "Y": Ys})

@@ -8,10 +8,12 @@ The weighted Neumann trace -lim t^{1-2s} d_t u~ then recovers the
 fractional Laplacian of v up to the explicit constant
 Gamma(1-s) / (4^{s-1/2} Gamma(s)).
 
-The Carleman block implements the cosh/sinh conjugated tangential
-operators of the quadratic pseudoconvex weight, the exact commutator
-identity they satisfy, and numerical probes of the weighted inequality and
-of the boundary-bulk interpolation inequality for s = 1/2.
+The Carleman block conjugates the tangential Laplacian by the quadratic
+pseudoconvex weight phi(jh, t) = -|jh|^2 + c0 (t^2/2 - t): its symmetric
+and antisymmetric parts are cosh/sinh stencils on the padded support box,
+and the exact commutator identity they satisfy is checked against a closed
+form.  Numerical probes cover the weighted inequality and the boundary-bulk
+interpolation inequality for s = 1/2.
 """
 
 import math
@@ -70,13 +72,6 @@ def _theta(s, x):
     pref = np.exp((1.0 - s) * math.log(2.0) + s * np.log(xm) - log_gamma(s))
     out[mid] = pref * special.kv(s, xm)
     return out
-
-
-def extension_profile(s, x):
-    """Normalized per-mode extension profile theta_s(x); theta_s(0) = 1."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("extension_profile requires s in (0,1)")
-    return float(_theta(s, float(x)))
 
 
 def make_t_grid(t_min=1e-8, t_max=4.0, ratio=1.05):
@@ -169,38 +164,36 @@ def neumann_trace(field, check_rtol=1e-3):
 # --- Carleman weight machinery ---------------------------------------------------
 
 
+# the admissibility bound tau * h <= delta0 of the weight, and the probe's
+# lower threshold tau0 < tau
+_DELTA0 = 0.5
+_TAU0 = 1.0
+
+
 @dataclass(frozen=True)
 class CarlemanConfig:
-    """Weight convexity c0, semiclassical tau, mesh h, admissibility delta0,
-    lower threshold tau0, and the normal discretization step."""
+    """Weight convexity c0, semiclassical tau and mesh h, with tau * h at
+    most the admissibility bound delta0 = 1/2."""
 
     c0: float
     tau: float
     h: float
-    delta0: float = 0.5
-    tau0: float = 1.0
-    t_step: float | None = None
 
     def __post_init__(self):
         if self.c0 <= 0 or self.tau <= 0 or self.h <= 0:
             raise ValueError("c0, tau, h must be positive")
-        if self.tau * self.h > self.delta0 * (1.0 + 1e-12):
+        if self.tau * self.h > _DELTA0 * (1.0 + 1e-12):
             raise ValueError(
                 f"admissibility violated: tau*h = {self.tau * self.h:.3g} "
-                f"> delta0 = {self.delta0}")
+                f"> delta0 = {_DELTA0}")
 
     @property
     def dt(self):
-        return self.t_step if self.t_step is not None else self.h / 4.0
+        """The normal discretization step of the Carleman probe."""
+        return self.h / 4.0
 
 
-def carleman_weight(c0, h, j, t):
-    """phi(jh, t) = -|jh|^2 + c0 (t^2/2 - t)."""
-    jj = np.atleast_1d(np.asarray(j, dtype=float))
-    return -float(np.sum((jj * h) ** 2)) + c0 * (0.5 * t * t - t)
-
-
-def _support_box(v, empty_ok=False):
+def _support_box(v):
     """(box, lo): v on its bounding box padded by three, two layers for S(A v)
     and a zero layer for the shifts; lo is the lattice point at index 0."""
     if isinstance(v, LatticeFunction):
@@ -210,8 +203,6 @@ def _support_box(v, empty_ok=False):
     if len({len(p) for p in v}) > 1:
         raise ValueError("support points of mixed dimension")
     if not v:
-        if empty_ok:
-            return None
         raise ValueError("the identity needs a nonempty support")
     pts = np.array(list(v), dtype=np.int64)
     lo = pts.min(axis=0) - 3
@@ -251,22 +242,6 @@ def _stencil(cfg, x, lo, sym):
     return out
 
 
-def tangential_conjugates(cfg, v):
-    """Symmetric and antisymmetric parts (S v, A v) of the conjugated
-    tangential Laplacian e^{tau phi} Lap_d e^{-tau phi} on a finitely
-    supported v, as dicts of their nonzero entries (on the support +- 1).
-    Cost: the volume of the support's bounding box padded by three."""
-    box = _support_box(v, empty_ok=True)
-    if box is None:
-        return {}, {}
-    x, lo = box
-    out = []
-    for y in (_stencil(cfg, x, lo, True), _stencil(cfg, x, lo, False)):
-        idx = np.argwhere(y != 0.0)
-        out.append(dict(zip(map(tuple, (idx + lo).tolist()), y[tuple(idx.T)].tolist())))
-    return tuple(out)
-
-
 def tangential_commutator_check(cfg, v):
     """Exact commutator identity of the tangential conjugated parts.
 
@@ -292,24 +267,6 @@ def tangential_commutator_check(cfg, v):
     return lhs, rhs, abs(lhs - rhs)
 
 
-def conjugated_laplacian_defect(cfg, v):
-    """Sup defect of e^{tau phi} Lap_d (e^{-tau phi} v) = (S + A) v; the left
-    side is the plain Laplacian of the weighted field by slices, not the
-    stencil.  The identity is exact, so this measures round-off.  Runs on
-    the support's bounding box padded by three: the cost is its volume."""
-    x, lo = _support_box(v)
-    d, inner = x.ndim, (slice(1, -1),) * x.ndim
-    r2 = _axis_sum([((lo[k] + np.arange(x.shape[k])) * cfg.h) ** 2 for k in range(d)])
-    nz = x != 0.0
-    u = np.zeros_like(x)
-    u[nz] = np.exp(cfg.tau * r2[nz]) * x[nz]  # exp only where v lives: no inf * 0
-    lap = sum(u[_shifted(d, k, slice(2, None))] + u[_shifted(d, k, slice(None, -2))]
-              - 2.0 * u[inner] for k in range(d))
-    lap *= np.exp(-cfg.tau * r2[inner]) / (cfg.h * cfg.h)
-    ref = _stencil(cfg, x, lo, True) + _stencil(cfg, x, lo, False)
-    return float(np.max(np.abs(lap - ref[inner])))
-
-
 # --- Carleman inequality probe ----------------------------------------------------
 
 
@@ -318,19 +275,19 @@ def _window_r2(R, h, d):
     return _axis_sum([(np.arange(-R, R + 1) * h) ** 2] * d)
 
 
-def carleman_probe(cfg, values, details=False):
+def carleman_probe(cfg, values):
     """Empirical constant of the weighted inequality for one input field.
 
     values: array over a centered spatial window times a uniform t-grid
     (spacing cfg.dt, first level t = 0), supported in the upper half ball
     of radius 4/5.  Every norm in the inequality is evaluated and the
-    smallest admissible constant (left side / right side) returned;
-    details=True returns the (lhs, rhs, constant) triple instead.
+    smallest admissible constant (left side / right side) returned with
+    both sides, as the triple (lhs, rhs, constant).
     """
     tau, h, c0 = cfg.tau, cfg.h, cfg.c0
-    if not cfg.tau0 < tau <= cfg.delta0 / h + 1e-12:
+    if not _TAU0 < tau <= _DELTA0 / h + 1e-12:
         raise ValueError(
-            f"tau must lie in (tau0, delta0/h] = ({cfg.tau0}, {cfg.delta0 / h:.3g}]")
+            f"tau must lie in (tau0, delta0/h] = ({_TAU0}, {_DELTA0 / h:.3g}]")
     vals = np.asarray(values, dtype=float)
     d = vals.ndim - 1
     nspace = vals.shape[0]
@@ -380,28 +337,22 @@ def carleman_probe(cfg, values, details=False):
         btrace = btrace + np.abs(g[..., 0])
     btrace = btrace + np.abs(dtu[..., 0])
     rhs += tau ** 1.5 * bdry(btrace)
-    const = 0.0 if lhs == 0.0 else lhs / rhs
-    if details:
-        return lhs, rhs, const
-    return const
+    return lhs, rhs, 0.0 if lhs == 0.0 else lhs / rhs
 
 
 # --- boundary-bulk interpolation probe ---------------------------------------------
 
 
-def half_ball_norms(field, center, r):
+def half_ball_norms(field, center, radii):
     """(bulk_L2, trace_L2, trace_H1, trace_dt_L2) over the half ball of
-    radius r about a boundary point ``center`` (physical coordinates).
+    radius r about a boundary point ``center`` (physical coordinates), one
+    tuple for each r in radii.
 
     Lattice sums with trapezoid t-integration; trace quantities use the
     t = 0 data, the normal derivative its first-levels difference quotient.
+    The field is squared, and its trapezoid panels and the trace gradients
+    formed, once for all radii.
     """
-    return _half_ball_norms(field, center, (r,))[0]
-
-
-def _half_ball_norms(field, center, radii):
-    """half_ball_norms at each radius in radii: the field is squared, its
-    trapezoid panels and the trace gradients formed once for all of them."""
     if min(radii) <= 0:
         raise ValueError("r must be positive")
     base, t = field.base, field.t_grid
@@ -441,14 +392,18 @@ class BoundaryBulkResult:
     holds: bool
 
 
-def boundary_bulk_probe(f, r0=0.5, big_c=10.0):
+# the constant C of the probed inequality and of its correction C e^{-C/h}
+_BIG_C = 10.0
+
+
+def boundary_bulk_probe(f, r0=0.5):
     """Interpolation inequality probe for the harmonic extension (s = 1/2).
 
     f: torus trace data supported in the half ball of radius 1/2.  Builds
     the extension, measures the interior bulk norm over radius r0, the unit
     bulk norm, and the boundary data norms, fits the exponent alpha from
     the saturated inequality, and reports whether the inequality holds with
-    constant ``big_c`` and correction big_c * exp(-big_c/h) * bulk.
+    constant C = 10 and correction C exp(-C/h) * bulk.
     """
     if not 0.0 < r0 < 1.0:
         raise ValueError("need 0 < r0 < 1")
@@ -458,7 +413,7 @@ def boundary_bulk_probe(f, r0=0.5, big_c=10.0):
         raise ValueError("trace data must be supported in the half ball of radius 1/2")
     field = cs_extend_torus(f, 0.5, make_t_grid(1e-6, 2.5, 1.05))
 
-    (bulk_small, *_), (bulk_big, trace_l2, trace_h1, _) = _half_ball_norms(
+    (bulk_small, *_), (bulk_big, trace_l2, trace_h1, _) = half_ball_norms(
         field, (0.0,) * f.d, (r0, 1.0))
     # normal derivative at the boundary, exact per mode for s = 1/2
     mu = _half_spectrum(_torus_multiplier(f.N, f.d, h, 0.5))
@@ -476,8 +431,8 @@ def boundary_bulk_probe(f, r0=0.5, big_c=10.0):
         else:
             alpha = math.log(bulk_small / big_m) / math.log(data / big_m)
             alpha = min(max(alpha, 1e-6), 1.0 - 1e-6)
-        bound = big_c * big_m ** (1.0 - alpha) * data ** alpha \
-            + big_c * math.exp(-big_c / h) * bulk_big
+        bound = _BIG_C * big_m ** (1.0 - alpha) * data ** alpha \
+            + _BIG_C * math.exp(-_BIG_C / h) * bulk_big
         holds = bulk_small <= bound
     norms = {"bulk_small": bulk_small, "bulk_big": bulk_big,
              "trace_l2": trace_l2, "trace_h1": trace_h1, "trace_dt": trace_dt}

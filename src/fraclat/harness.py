@@ -130,7 +130,8 @@ def _validate(params):
     ranges = {"s": (lambda v: 0.0 < v < 1.0, "must lie in (0,1)"),
               "h": (lambda v: v > 0.0, "must be positive"),
               "d": (lambda v: v >= 1, "must be a positive integer"),
-              "N": (lambda v: v >= 1, "must be a positive integer")}
+              "N": (lambda v: v >= 1, "must be a positive integer"),
+              "pairs": (lambda v: v >= 1, "must be a positive integer")}
     errors = [f"{key}: {msg}, got {params[key]}"
               for key, (ok, msg) in ranges.items() if key in params and not ok(params[key])]
     if errors:
@@ -335,7 +336,7 @@ def _carleman_probe(config, h=0.05, tau=8.0, c0=4.0):
     X, T = np.meshgrid(ax, t, indexing="ij")
     bump = np.where(X ** 2 + T ** 2 < 0.6 ** 2,
                     np.exp(-(X ** 2 + T ** 2) / 0.05) * np.cos(3.0 * X), 0.0)
-    lhs, rhs, cval = carleman_probe(cfg, bump, details=True)
+    lhs, rhs, cval = carleman_probe(cfg, bump)
     return ([Check("empirical_constant_finite", math.isfinite(cval) and cval >= 0.0,
                    cval, math.inf)],
             [_write_csv(config.output_dir, "carleman_probe.csv",

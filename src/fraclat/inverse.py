@@ -41,9 +41,11 @@ class InverseSetup:
         Om = tuple(int(o) for o in self.Omega)
         if not W or not Om:
             raise ValueError("W and Omega must be nonempty")
+        for name, pts in (("W", W), ("Omega", Om)):
+            if len(set(pts)) != len(pts):
+                raise ValueError(f"{name} contains repeated points")
         if set(W) & set(Om):
             raise ValueError("W and Omega must be disjoint")
-        n = 2 * self.N + 1
         if any(not -self.N <= x <= self.N for x in W + Om):
             raise ValueError("W and Omega must lie in {-N..N}")
         object.__setattr__(self, "W", W)
@@ -142,8 +144,9 @@ def _discrepancy_residual(log_lam, beta, sigma2, perp2):
     return np.sum(r2, axis=-1) + perp2, 2.0 * np.sum(r2 * (sigma2 / (sigma2 + lam)), axis=-1)
 
 
-def discrepancy_lambda(A, g, P, target):
-    """Lambda with ||A f_lambda - g|| = target (the residual is monotone in lambda).
+def _discrepancy_roots(A, factors, g, target):
+    """Lambda with ||A f_lambda - g|| = target (the residual is monotone in
+    lambda), on the factors of :func:`_standard_form`.
 
     g may hold a batch of data vectors, shape (..., m), with target of shape
     (...); every root is found at once and an array of lambdas returned
@@ -152,12 +155,6 @@ def discrepancy_lambda(A, g, P, target):
     The floor scales with the problem, as in
     :func:`noiseless_recovery_error`; noise nearly orthogonal to the range
     of A can put the root below a fixed floor.
-    """
-    return _discrepancy_roots(A, _standard_form(A, P), g, target)
-
-
-def _discrepancy_roots(A, factors, g, target):
-    """discrepancy_lambda on the factors of :func:`_standard_form`.
 
     The residual comes from the standard form:
     R = ||A f_lam - g||^2 = sum (lam beta_i / (sigma_i^2 + lam))^2 + ||U_perp'g||^2,
@@ -233,6 +230,8 @@ def noiseless_recovery_error(setup, trials=5):
     solved at once in the standard form (:func:`_standard_form`); trial t
     draws its truth from the generator seeded by ``seed XOR (t + 1)``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     A = forward_matrix(setup)
     P = h1_gram(setup.N, setup.W)
     f_true = np.array([_draw_f(np.random.default_rng(setup.seed ^ (t + 1)), P)
@@ -277,6 +276,8 @@ def stability_sweep(setup, eps_list, trials=10):
         raise ValueError("eps values must lie in (0,1)")
     if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
         raise ValueError("eps_list must be strictly decreasing")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     A = forward_matrix(setup)
     P = h1_gram(setup.N, setup.W)
     f_true, g0, g = _sweep_data(setup, A, P, eps, trials)

@@ -11,14 +11,17 @@ entry; kernel_nd, the d=2 and d=3 tables, the lattice operator and the UCP
 systems all use it.  Arbitrary offsets gather their products from the
 grid's Bessel columns at the orders they hold; a dense table covers a box
 (a cube, or a rectangle on its cube's grid) by a weighted Gram product of
-the Bessel matrix.  The module also holds exact 1D tail sums, the
+the Bessel matrix.  The module also holds the exact 1D half-line tail sums
+that the lattice operator and the slab certificates read, and the
 periodized kernel of the discrete torus (Gamma-ratio series, and heat-route
 tables that integrate the wrap sums on the same grid up to the time T where
-they have flattened to their plateau) and the semidiscrete heat kernels,
-each with explicit error control.  The torus heat kernel's wrap sums come
-from a backward Bessel sweep at small arguments and, from x = n/2 on, from
-the exact finite Fourier sum over the n frequencies of the torus, with a
-bound on its rounding.
+they have flattened to their plateau), each with explicit error control,
+as one table per (s, N, d) that callers index.  The heat kernel of the
+torus is the product of those wrap sums, which come from a backward Bessel
+sweep at small arguments and, from x = n/2 on, from the exact finite
+Fourier sum over the n frequencies of the torus, with a bound on its
+rounding.  The semidiscrete heat kernel of the lattice, the integrand that
+the tests' quadrature oracle integrates, lives in tests/oracles.py.
 
 Everything here is immutable after construction and safe to read
 concurrently.
@@ -36,9 +39,7 @@ from .specfun import (
     WGK15,
     XGK15,
     _bessel_sweep,
-    bessel_i_scaled,
     bessel_i_scaled_cols,
-    bessel_i_scaled_row,
     gamma_ratio,
     gamma_ratio_shifted,
     log_abs_gamma_neg,
@@ -127,15 +128,6 @@ def kernel_1d(params, m):
     if params.d != 1:
         raise ValueError("kernel_1d requires d = 1")
     return _kernel_1d_raw(params.s, params.h, np.asarray(m, dtype=np.int64))
-
-
-def kernel_tail_sum_1d(params, big_m):
-    """Exact one-sided tail sum_{m >= M} of the 1D kernel, M >= 1."""
-    if params.d != 1:
-        raise ValueError("kernel_tail_sum_1d requires d = 1")
-    if big_m < 1:
-        raise ValueError("kernel_tail_sum_1d requires M >= 1")
-    return _tail_1d_raw(params.s, params.h, float(big_m))
 
 
 def kernel_nd_bound(params, m):
@@ -322,9 +314,8 @@ def _kernel_mass_cached(s, h, d, tol):
     if d == 1:
         return 2.0 * _tail_1d_raw(s, h, 1.0)
     T, ts, w15, w7 = _shared_grid(s, d, 9.0 * d / 16.0, tol)
-    g0 = np.empty((ts.size, 1))
-    bessel_i_scaled_row(0, 2.0 * ts[:, None], g0)
-    f = -np.expm1(d * np.log1p(-_one_minus_g0(2.0 * ts, g0[:, 0])))  # 1 - g_0(2t)^d
+    g0 = bessel_i_scaled_cols(np.arange(1), 2.0 * ts)[:, 0]
+    f = -np.expm1(d * np.log1p(-_one_minus_g0(2.0 * ts, g0)))  # 1 - g_0(2t)^d
     q15 = float(w15 @ f)
     q7 = float(w7 @ f)
     # [0, t0]: 1 - g_0(2t)^d = 2dt (1 - theta), 0 <= theta <= 2dt;
@@ -342,17 +333,7 @@ def kernel_lattice_mass(params, tol=1e-12):
     return _kernel_mass_cached(params.s, params.h, params.d, tol)
 
 
-# --- heat kernels -------------------------------------------------------------
-
-
-def heat_kernel(m, t):
-    """Semidiscrete heat kernel G(m, t) = e^{-2dt} prod_i I_{m_i}(2t), in [0,1]."""
-    if t < 0.0:
-        raise ValueError("heat_kernel requires t >= 0")
-    val = 1.0
-    for mi in np.atleast_1d(m):
-        val *= bessel_i_scaled(int(mi), 2.0 * t)
-    return val
+# --- the heat kernel of the discrete torus -----------------------------------
 
 
 def _wrap_order(n, x):
@@ -699,21 +680,6 @@ def torus_kernel_table(s, N, d=1, tol=1e-12, need_diag=False, method="auto"):
                                bool(need_diag), method)
 
 
-def torus_kernel(params, N, j, tol=1e-12, method="auto"):
-    """Periodized torus kernel at offset j != 0, mesh h = 2pi/(2N+1)."""
-    n = 2 * N + 1
-    h = 2.0 * math.pi / n
-    if abs(params.h - h) > 1e-12 * h:
-        raise ValueError(f"torus mesh must satisfy h = 2pi/(2N+1) = {h!r}")
-    comps = [int(c) for c in np.atleast_1d(j)]
-    if len(comps) != params.d:
-        raise ValueError("offset dimension mismatch")
-    if all(c % n == 0 for c in comps):
-        raise ValueError("torus_kernel requires a nonzero offset")
-    table = torus_kernel_table(params.s, N, params.d, tol, method=method)
-    return table.value(comps)
-
-
 # --- dense kernel tables on the lattice ---------------------------------------
 
 
@@ -765,8 +731,8 @@ def _kernel_box(params, radii, tol):
     cube of radius max(radii) (same T, nodes, errors and certificate)."""
     R = max(radii)
     T, w15, w7, x = _kernel_grid(params, float(params.d * R * R), tol)
-    G = np.empty((x.size, R + 1))
-    bessel_i_scaled_row(R, x[:, None], G)
+    # C order: how the Gram products' matrix multiplies round depends on it
+    G = np.ascontiguousarray(bessel_i_scaled_cols(np.arange(R + 1), x))
     shape = tuple(r + 1 for r in radii)
     vals, errs = np.zeros(shape), np.zeros(shape)
     vals.flat[1:], errs.flat[1:] = _kernel_finish(

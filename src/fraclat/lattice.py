@@ -12,8 +12,8 @@ transference identity tying the lattice operator to the torus one.
 Every torus Fourier multiplier in the package is real and even, so it
 commutes with shifts and keeps the spectrum of real data Hermitian; it is
 applied to the values in storage order by one real FFT over the grid axes,
-on the half spectrum (_apply_even).  dft/idft keep the {-N..N} ordering of
-the coefficients and are the reference route the tests compare against.
+on the half spectrum (_apply_even).  The DFT in {-N..N} order, which the
+tests compare it against, lives in tests/oracles.py.
 """
 
 import json
@@ -178,44 +178,6 @@ class TorusFunction:
         return TorusFunction(obj["N"], obj["d"], vals)
 
 
-def torus_index(j, N):
-    """Map a lattice index to array position on the {-N..N} grid (wrapping)."""
-    n = 2 * N + 1
-    return tuple(((int(c) + N) % n) for c in np.atleast_1d(j))
-
-
-# --- DFT, symbol, Sobolev norms -----------------------------------------------
-
-
-def dft(v):
-    """Normalized DFT: u_hat_m = (2N+1)^{-d} sum_j u_j e^{-2 pi i m.j/(2N+1)},
-    both indices running over {-N..N}^d."""
-    axes = tuple(range(v.d))
-    hat = np.fft.fftn(np.roll(v.values, -v.N, axis=axes)) / v.n ** v.d
-    return np.roll(hat, v.N, axis=axes)
-
-
-def idft(coeffs, N, d):
-    """Inverse of :func:`dft`; returns the complex value array in {-N..N} order.
-
-    The first d axes are the frequencies; trailing axes are a batch.
-    """
-    n = 2 * N + 1
-    axes = tuple(range(d))
-    rolled = np.roll(coeffs, -N, axis=axes)
-    vals = np.fft.ifftn(rolled, axes=axes) * n ** d
-    return np.roll(vals, N, axis=axes)
-
-
-def symbol(params, xi):
-    """Fourier multiplier h^{-2s} (sum_k 4 sin^2(h xi_k / 2))^s; 2pi/h-periodic."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.size != params.d:
-        raise ValueError("frequency dimension mismatch")
-    q = np.sum(4.0 * np.sin(0.5 * params.h * xi) ** 2)
-    return params.h ** (-2.0 * params.s) * q ** params.s
-
-
 def _axis_sum(vecs):
     """sum_k vecs[k][j_k] on the grid whose axis k is vecs[k], added in
     axis order."""
@@ -258,45 +220,6 @@ def _apply_even(values, half, d):
     axes = tuple(range(d))
     return np.fft.irfftn(half * np.fft.rfftn(values, axes=axes),
                          s=values.shape[:d], axes=axes)
-
-
-def _sobolev_sq_grid(values, h, r):
-    """Squared H^r norm of a value array regarded as one period of mesh-h data:
-    by Parseval, h^d <u, M^r u> for the Sobolev multiplier M."""
-    d, n = values.ndim, values.shape[0]
-    mult = _half_spectrum(_sobolev_multiplier((n - 1) // 2, d, h) ** r)
-    return h ** d * float(np.sum(values * _apply_even(values, mult, d)))
-
-
-def sobolev_norm(u, r):
-    """H^r norm through the lattice Fourier multiplier (1+h^{-2} sum sin^2)^{r/2}.
-
-    Torus functions are evaluated exactly on their frequency grid.  Finitely
-    supported lattice functions are embedded in a grid that doubles until
-    the result is stable to 1e-12 relative (the integrand is analytic and
-    periodic, so the embedded rectangle rule converges geometrically).
-    """
-    if isinstance(u, TorusFunction):
-        return math.sqrt(_sobolev_sq_grid(u.values, u.h, r))
-    if u.profile is not None:
-        raise ValueError("sobolev_norm requires a finitely supported function")
-    if not u.support:
-        return 0.0
-    d, h = u.params.d, u.params.h
-    rad = max(max(abs(c) for c in k) for k in u.support)
-    N = max(2 * rad + 2, 8)
-    prev = None
-    for _ in range(12):
-        n = 2 * N + 1
-        arr = np.zeros((n,) * d)
-        for k, val in u.support.items():
-            arr[tuple((c + N) % n for c in k)] += val
-        cur = _sobolev_sq_grid(arr, h, r)
-        if prev is not None and abs(cur - prev) <= 1e-12 * max(cur, 1e-300):
-            return math.sqrt(cur)
-        prev = cur
-        N *= 2
-    raise ToleranceError("sobolev_norm embedding did not stabilize")
 
 
 # --- the operator on the lattice ----------------------------------------------
@@ -391,14 +314,14 @@ def _apply_pointwise(v, table):
     return out.reshape(v.shape)
 
 
-def apply_frac_torus_pointwise(v, s, tol=1e-11, method="auto"):
+def apply_frac_torus_pointwise(v, s, tol=1e-11):
     """Torus operator through the periodized kernel sum (lattice route)."""
     vmax = float(np.abs(v.values).max())
     nterms = v.n ** v.d
     # rounded down to a power of two: nearby sup norms share one cached table
     table_tol = 2.0 ** math.floor(math.log2(
         min(1e-12, max(1e-15, 0.25 * tol / (nterms * (2.0 * vmax + 1.0))))))
-    table = torus_kernel_table(s, v.N, v.d, tol=table_tol, method=method)
+    table = torus_kernel_table(s, v.N, v.d, tol=table_tol)
     # table.full is indexed by offset mod n with the zero offset at slot 0
     return v.copy_with(_apply_pointwise(v.values, table.full))
 
@@ -409,7 +332,7 @@ def apply_frac_torus_spectral(v, s):
     return v.copy_with(_apply_even(v.values, lam, v.d))
 
 
-# --- periodization, repetition, transference ------------------------------------
+# --- periodization, transference ------------------------------------------------
 
 
 def periodize(u, N):
@@ -420,47 +343,8 @@ def periodize(u, N):
     n = 2 * N + 1
     arr = np.zeros((n,) * d)
     for k, val in u.support.items():
-        arr[torus_index(k, N)] += val
+        arr[tuple((c + N) % n for c in k)] += val
     return TorusFunction(N, d, arr)
-
-
-class RepeatedTorusFunction:
-    """(2N+1)-periodic extension of a torus function to the whole lattice."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base):
-        self.base = base
-
-    def value(self, m):
-        return float(self.base.values[torus_index(m, self.base.N)])
-
-    __call__ = value
-
-
-def repeat(v):
-    """Evaluator of the periodic extension Rv on Z^d."""
-    return RepeatedTorusFunction(v)
-
-
-def _transference_direct_1d(v, phi, L):
-    """sum_{|l| <= L} Rv_l (op phi)_l through the closed-form kernel (d = 1).
-
-    (op phi)_l = mass phi_l - sum_i c_i K(l - p_i): K is evaluated once per
-    distinct |l - p_i| with |l| <= L, gathered into a (support point, l)
-    array and contracted with the weights c_i."""
-    params = phi.params
-    supp_pts = np.array([k[0] for k in phi.support], dtype=np.int64)
-    supp_vals = np.array(list(phi.support.values()))
-    mass = kernel_lattice_mass(params)
-    ls = np.arange(-L, L + 1)
-    dist, where = np.unique(np.abs(ls - supp_pts[:, None]), return_inverse=True)
-    kvals = _kernel_1d_raw(params.s, params.h, dist)
-    op = -(supp_vals @ kvals[where.reshape(supp_pts.size, ls.size)])
-    inside = np.abs(supp_pts) <= L
-    op[supp_pts[inside] + L] += mass * supp_vals[inside]
-    vrep = v.values[(ls + v.N) % v.n]
-    return float(vrep @ op)
 
 
 def _wrapped_lhs(v, phi):
@@ -472,8 +356,7 @@ def _wrapped_lhs(v, phi):
     and one contraction with phi and v sums it; no FFT."""
     params, N, d = phi.params, v.N, v.d
     mass = kernel_lattice_mass(params)
-    table = torus_kernel_table(params.s, N, d, tol=1e-13, need_diag=True,
-                               method="series" if d == 1 else "heat")
+    table = torus_kernel_table(params.s, N, d, tol=1e-13, need_diag=True)
     pts = np.array(list(phi.support), dtype=np.int64).reshape(-1, d)
     weights = np.array(list(phi.support.values()))
     grid = np.indices(v.values.shape).reshape(d, -1).T - N
@@ -482,52 +365,27 @@ def _wrapped_lhs(v, phi):
     return float(weights @ (mass * v_at_pts - K @ v.values.ravel()))
 
 
-def transference_check(v, phi, tol=1e-10, method="wrapped", direct_radius=20000):
+def transference_check(v, phi, tol=1e-10):
     """Defect of the lattice-to-torus transference identity.
 
     Left side: sum over Z^d of (periodic extension of v) times the lattice
-    operator of phi.  Right side: torus inner product of v with the spectral
-    operator applied to the periodization of phi.  method='wrapped' resums
-    the absolutely convergent left side exactly through the periodized
-    kernel, as one gather of the torus table over every (support point,
-    torus point) pair and one contraction; method='direct' (d=1 only)
-    truncates the lattice sum at |l| <= direct_radius = L, as array sums of
-    the closed-form kernel, and adds to the returned defect the exact bound
-    vmax sum_i |c_i| (T(L+1-p_i) + T(L+1+p_i)) on the omitted terms, T the
-    closed-form tail sum; it raises ValueError for a support point p_i with
-    |p_i| > L.  Neither left side uses an FFT; only the right side is
-    spectral.  Either method raises ToleranceError when the returned defect
-    exceeds both tol and tol * max(|lhs|, |rhs|).
+    operator of phi, resummed exactly through the periodized kernel as one
+    gather of the torus table over every (support point, torus point) pair
+    and one contraction (no FFT).  Right side: torus inner product of v with
+    the spectral operator applied to the periodization of phi.  Raises
+    ToleranceError when the defect exceeds both tol and
+    tol * max(|lhs|, |rhs|).
     """
     if phi.profile is not None:
         raise ValueError("transference requires finitely supported phi")
     params = phi.params
-    N, d = v.N, v.d
-    if d != params.d:
+    if v.d != params.d:
         raise ValueError("dimension mismatch")
     if abs(params.h - v.h) > 1e-12 * v.h:
         raise ValueError("transference requires the lattice mesh h = 2pi/(2N+1)")
-    s = params.s
-
-    pphi = periodize(phi, N)
-    rhs_field = apply_frac_torus_spectral(pphi, s)
-    rhs = float(np.sum(v.values * rhs_field.values))
-
-    if method == "wrapped":
-        lhs = _wrapped_lhs(v, phi)
-        defect = abs(lhs - rhs)
-    elif method == "direct" and d == 1:
-        L = int(direct_radius)
-        keys, weights = phi._support_arrays()
-        p = keys[:, 0]
-        if np.any(np.abs(p) > L):
-            raise ValueError("direct transference needs every support point within direct_radius")
-        lhs = _transference_direct_1d(v, phi, L)
-        # beyond |l| = L, (op phi)_l = -sum_i c_i K(l - p_i)
-        tails = _tail_1d_raw(s, params.h, np.stack((L + 1 - p, L + 1 + p))).sum(axis=0)
-        defect = abs(lhs - rhs) + float(np.abs(v.values).max()) * float(np.abs(weights) @ tails)
-    else:
-        raise ValueError("method must be 'wrapped', or 'direct' with d = 1")
+    rhs = float(np.sum(v.values * apply_frac_torus_spectral(periodize(phi, v.N), params.s).values))
+    lhs = _wrapped_lhs(v, phi)
+    defect = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1e-30)
     if defect > tol * scale and defect > tol:
         raise ToleranceError("transference defect above tolerance",

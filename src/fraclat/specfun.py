@@ -284,17 +284,6 @@ def bessel_i_scaled_cols(orders, x):
     return y.T
 
 
-def bessel_i_scaled_row(nmax, t, out):
-    """Fill out[..., 0..nmax] with e^{-t} I_n(t), n = 0..nmax, by
-    ``bessel_i_scaled_cols``.  t is a scalar, or an array whose trailing axis
-    has length 1: a column ``t[:, None]`` fills one row of ``out`` per
-    argument in one call."""
-    res = out[..., :nmax + 1]
-    t = np.broadcast_to(np.asarray(t, dtype=float), res.shape[:-1] + (1,))
-    # res may be a strided view: write through it, never through a reshape
-    res[...] = bessel_i_scaled_cols(np.arange(nmax + 1), t.ravel()).reshape(res.shape)
-
-
 def bessel_k(s, x):
     """Macdonald function K_s(x) for s in (0,1), x > 0; positive and
     decreasing in x."""

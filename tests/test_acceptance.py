@@ -41,7 +41,7 @@ from fraclat import (
     torus_ucp_counterexample,
     transference_check,
 )
-from fraclat.specfun import bessel_i_scaled_row
+from fraclat.specfun import bessel_i_scaled_cols
 
 
 def report(num, ok, detail):
@@ -206,8 +206,7 @@ def test_c08_transference_identity():
 def test_c09_heat_kernel_mass():
     worst_lat = 0.0
     for t in (0.5, 1.0, 2.0):
-        row = np.empty(61)
-        bessel_i_scaled_row(60, 2.0 * t, row)
+        row = bessel_i_scaled_cols(np.arange(61), np.array([2.0 * t]))[0]
         m1 = row[0] + 2.0 * row[1:].sum()
         worst_lat = max(worst_lat, abs(m1 - 1.0), abs(m1 ** 2 - 1.0))
     N = 8

@@ -412,6 +412,12 @@ class TestCLI:
         (["ucp-lattice", "d=2"], "unknown key 'd'"),  # d is read from X
         (["inverse-sweep", "eps=0.001", "trials=2"], "at least two values"),
         (["ucp-lattice", "X=0,0;1"], "not 2-dimensional"),
+        # no pair or trial checks nothing; a repeated point of W or Omega
+        # makes the Gram matrix singular
+        (["transference", "pairs=0"], "pairs: must be a positive integer"),
+        (["inverse-sweep", "trials=0"], "trials must be at least 1"),
+        (["inverse-sweep", "W=-3;-3;0"], "W contains repeated points"),
+        (["inverse-sweep", "Omega=5;6;6"], "Omega contains repeated points"),
     ])
     def test_invalid_configs_exit_2(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -11,17 +11,21 @@ from fraclat.inverse import (
     LambdaRangeError,
     _sweep_data,
     continuum_regime,
-    discrepancy_lambda,
     forward_matrix,
     h1_gram,
     noiseless_recovery_error,
     stability_bound,
     stability_sweep,
 )
-from oracles import recover_tikhonov
+from oracles import dft, recover_tikhonov
 
 SETUP = InverseSetup(N=16, W=tuple(range(-3, 3)), Omega=tuple(range(5, 14)),
                      seed=2024)
+
+
+def discrepancy_roots(A, g, P, target):
+    # the discrepancy-principle lambdas on the standard form of (A, P)
+    return inverse._discrepancy_roots(A, inverse._standard_form(A, P), g, target)
 
 
 class TestSetup:
@@ -126,8 +130,9 @@ class TestGram:
         assert ev.min() > 0.0
 
     def test_h1_norm_consistency(self):
-        # f' P f equals the squared H^1 norm of the embedded torus function
-        from fraclat.lattice import TorusFunction, sobolev_norm
+        # f' P f equals the squared H^1 norm of the embedded torus function,
+        # by Parseval over its {-N..N} Fourier coefficients
+        from fraclat.lattice import TorusFunction, _sobolev_multiplier
 
         N = 16
         W = tuple(range(-3, 3))
@@ -138,7 +143,8 @@ class TestGram:
         for w, c in zip(W, f):
             vals[(w + N) % (2 * N + 1)] = c
         v = TorusFunction(N, 1, vals)
-        assert float(f @ P @ f) == pytest.approx(sobolev_norm(v, 1.0) ** 2, rel=1e-12)
+        norm_sq = v.h * v.n * float(np.sum(_sobolev_multiplier(N, 1, v.h) * np.abs(dft(v)) ** 2))
+        assert float(f @ P @ f) == pytest.approx(norm_sq, rel=1e-12)
 
 
 class TestDiscrepancy:
@@ -151,7 +157,7 @@ class TestDiscrepancy:
         eta = rng.standard_normal(9)
         eta *= np.linalg.norm(g0) / np.linalg.norm(eta)
         g = g0 + 1e-3 * eta
-        lam = discrepancy_lambda(A, g, P, 1e-3 * float(np.linalg.norm(g)))
+        lam = discrepancy_roots(A, g, P, 1e-3 * float(np.linalg.norm(g)))
         resid = float(np.linalg.norm(A @ recover_tikhonov(A, g, lam, P) - g))
         assert resid == pytest.approx(1e-3 * float(np.linalg.norm(g)), rel=1e-3)
 
@@ -168,7 +174,7 @@ class TestDiscrepancy:
         P = h1_gram(SETUP.N, SETUP.W)
         g = np.ones(len(SETUP.Omega))
         with pytest.raises(LambdaRangeError):
-            discrepancy_lambda(A, g, P, 1e30)
+            discrepancy_roots(A, g, P, 1e30)
 
 
 def _bisect_120_steps(A, g, P, target):
@@ -226,11 +232,11 @@ class TestStandardForm:
         eps = [1e-2, 1e-5]
         _, _, g = _sweep_data(SETUP, A, P, eps, 3)
         target = np.array(eps)[:, None] * np.linalg.norm(g, axis=-1)
-        batch = discrepancy_lambda(A, g, P, target)
+        batch = discrepancy_roots(A, g, P, target)
         assert batch.shape == (2, 3)
         for i in range(2):
             for t in range(3):
-                single = discrepancy_lambda(A, g[i, t], P, target[i, t])
+                single = discrepancy_roots(A, g[i, t], P, target[i, t])
                 assert isinstance(single, float)
                 assert batch[i, t] == pytest.approx(single, rel=1e-12)
 
@@ -247,7 +253,7 @@ class TestStandardForm:
         residual = inverse._discrepancy_residual
         monkeypatch.setattr(inverse, "_discrepancy_residual",
                             lambda *a: calls.append(1) or residual(*a))
-        lam = discrepancy_lambda(A, g, P, target)
+        lam = discrepancy_roots(A, g, P, target)
         assert type(lam) is type(ref)
         _assert_roots(A, g, P, target, lam, ref)
         assert len(calls) <= 40
@@ -266,7 +272,7 @@ class TestStandardForm:
         residual = inverse._discrepancy_residual
         monkeypatch.setattr(inverse, "_discrepancy_residual",
                             lambda *a: calls.append(1) or residual(*a))
-        lam = discrepancy_lambda(A, g, P, target)
+        lam = discrepancy_roots(A, g, P, target)
         _assert_roots(A, g, P, target, lam, _bisect_120_steps(A, g, P, target))
         assert len(calls) <= 12
 
@@ -277,7 +283,7 @@ class TestStandardForm:
         target = 1e-2 * np.linalg.norm(g, axis=-1)
         target[1, 2] = 1e30
         with pytest.raises(LambdaRangeError, match=r"entry \(1, 2\)"):
-            discrepancy_lambda(A, g, P, target)
+            discrepancy_roots(A, g, P, target)
 
     def test_mpmath_oracle_root(self):
         # the eps = 1e-6 roots of every trial, solved at 40 digits on the same
@@ -293,7 +299,7 @@ class TestStandardForm:
             AtA, Pm = Am.T * Am, mp.matrix(P.tolist())
             for gv in g[0]:
                 target = 1e-6 * float(np.linalg.norm(gv))
-                lam = discrepancy_lambda(A, gv, P, target)
+                lam = discrepancy_roots(A, gv, P, target)
                 gm = mp.matrix(gv.tolist())
                 Atg = Am.T * gm
 
@@ -372,6 +378,14 @@ class TestSweep:
             stability_sweep(SETUP, [1e-2, 1e-1], trials=2)
         with pytest.raises(ValueError):
             stability_sweep(SETUP, [2.0, 1e-2], trials=2)
+
+    def test_trials_validation(self):
+        # no trial leaves nothing to average: rejected by name, not by a
+        # shape error in the solve
+        for run in (lambda: stability_sweep(SETUP, self.EPS, trials=0),
+                    lambda: noiseless_recovery_error(SETUP, trials=0)):
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                run()
 
     def test_noiseless(self):
         assert noiseless_recovery_error(SETUP) < 1e-3

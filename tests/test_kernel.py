@@ -13,20 +13,24 @@ from fraclat.kernel import (
     FracParams,
     _kernel_1d_raw,
     _residue_remainders,
+    _tail_1d_raw,
     build_kernel_table,
-    heat_kernel,
     kernel_1d,
     kernel_lattice_mass,
     kernel_nd,
     kernel_nd_bound,
     kernel_tail_bound_ell1,
-    kernel_tail_sum_1d,
     kernel_values,
     torus_heat_kernel,
-    torus_kernel,
     torus_kernel_table,
 )
-from fraclat.specfun import bessel_i_scaled_row
+from fraclat.specfun import bessel_i_scaled_cols
+from oracles import heat_kernel
+
+
+def _tail(p, big_m):
+    # the exact one-sided tail sum_{m >= M} K(m) of the 1D kernel
+    return _tail_1d_raw(p.s, p.h, big_m)
 
 
 def _quad_oracle(s, m):
@@ -79,13 +83,13 @@ class TestKernel1D:
 class TestTailSum1D:
     def test_half_value(self):
         # s = 1/2, h = 1: total one-sided tail from 1 is 2/pi
-        assert kernel_tail_sum_1d(FracParams(0.5), 1) == pytest.approx(
+        assert _tail(FracParams(0.5), 1) == pytest.approx(
             2.0 / math.pi, rel=1e-13)
 
     def test_telescoping_consistency(self):
         p = FracParams(0.3)
         for M in range(1, 51):
-            lhs = kernel_tail_sum_1d(p, M) - kernel_tail_sum_1d(p, M + 1)
+            lhs = _tail(p, M) - _tail(p, M + 1)
             assert lhs == pytest.approx(kernel_1d(p, M), rel=1e-11)
 
     def test_brute_sum_oracle(self):
@@ -97,15 +101,15 @@ class TestTailSum1D:
                 scipy.special.gammaln(1.0 - s) - scipy.special.gammaln(2.0 + s))
             brute = float(np.sum(np.exp(
                 scipy.special.gammaln(m - s) - scipy.special.gammaln(m + 1.0 + s)))) * c1
-            closed = kernel_tail_sum_1d(p, 1)
+            closed = _tail(p, 1)
             # the brute force truncation itself contributes ~ M^{-2s}
             assert abs(brute - closed) < max(3.0 * closed * 1e6 ** (-2.0 * s) / (2.0 * s), 1e-10)
             assert brute < closed
 
     def test_tail_power_stabilizes(self):
         p = FracParams(0.5)
-        r1 = kernel_tail_sum_1d(p, 10 ** 4) * (10 ** 4) ** (2 * 0.5)
-        r2 = kernel_tail_sum_1d(p, 10 ** 5) * (10 ** 5) ** (2 * 0.5)
+        r1 = _tail(p, 10 ** 4) * (10 ** 4) ** (2 * 0.5)
+        r2 = _tail(p, 10 ** 5) * (10 ** 5) ** (2 * 0.5)
         assert abs(r1 / r2 - 1.0) < 0.01
 
 
@@ -419,9 +423,10 @@ class TestTorusKernel:
         n = 2 * N + 1
         h = 2.0 * math.pi / n
         p = FracParams(s, h, 1)
+        table = torus_kernel_table(s, N, 1)
         for j in range(1, N + 1):
-            va = torus_kernel(p, N, j)
-            assert va == pytest.approx(torus_kernel(p, N, -j), rel=1e-14)
+            va = table.value(j)
+            assert va == pytest.approx(table.value(-j), rel=1e-14)
             assert va >= kernel_1d(p, j)
 
     def test_heat_route_2d_vs_brute_periodization(self):
@@ -462,16 +467,6 @@ class TestTorusKernel:
             with pytest.raises(ValueError):
                 table.value(3)
 
-    def test_mesh_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            torus_kernel(FracParams(0.5, 1.0, 1), 8, 1)
-
-    def test_zero_offset_rejected(self):
-        n = 17
-        p = FracParams(0.5, 2.0 * math.pi / n, 1)
-        with pytest.raises(ValueError):
-            torus_kernel(p, 8, 0)
-
 
 def _wrap_reference(n, x):
     """The wrap route with one row length per call: every row runs from the
@@ -480,8 +475,7 @@ def _wrap_reference(n, x):
     import fraclat.kernel as K
 
     m = int(K._wrap_order(n, x.max()))
-    rows = np.empty((x.size, m + 1))
-    bessel_i_scaled_row(m, x[:, None], rows)
+    rows = np.ascontiguousarray(bessel_i_scaled_cols(np.arange(m + 1), x))
     k = np.arange(-m, m + 1)
     fold = np.zeros((m + 1, n))
     np.add.at(fold, (np.abs(k), k % n), 1.0)
@@ -711,8 +705,7 @@ class TestTorusHeatKernel:
         def wrap_reference(n, x):
             # the wrap sums as first written: one Bessel row, folded by bincount
             m = int(math.sqrt(90.0 * x)) + 2 * n + 2
-            row = np.empty(m + 1)
-            bessel_i_scaled_row(m, x, row)
+            row = bessel_i_scaled_cols(np.arange(m + 1), np.array([x]))[0]
             k = np.arange(-m, m + 1)
             return np.bincount(k % n, weights=row[np.abs(k)], minlength=n)
 
@@ -874,12 +867,8 @@ class TestNonFiniteCertificates:
         def cols_nan(orders, x):
             return np.full((x.size, len(orders)), math.nan)
 
-        def row_nan(nmax, t, out):
-            out[..., :nmax + 1] = math.nan
-
-        # kernel_values reads the columns of its orders, the mass the row 0..0
+        # kernel_values reads the columns of its orders, the mass the column 0
         monkeypatch.setattr(fraclat.kernel, "bessel_i_scaled_cols", cols_nan)
-        monkeypatch.setattr(fraclat.kernel, "bessel_i_scaled_row", row_nan)
         with pytest.raises(ToleranceError):
             kernel_nd(FracParams(0.4142, 1.0, 2), (1, 2))
         with pytest.raises(ToleranceError):
@@ -889,20 +878,19 @@ class TestNonFiniteCertificates:
         import fraclat.kernel
         from fraclat.kernel import ToleranceError
 
-        real_row = fraclat.kernel.bessel_i_scaled_row
+        real_cols = fraclat.kernel.bessel_i_scaled_cols
         real_sweep = fraclat.kernel._bessel_sweep
 
-        def row_nan_at_small_t(nmax, t, out):
+        def cols_nan_at_small_x(orders, x):
             # quadrature nodes only: the heat route's plateau row stays finite
-            real_row(nmax, t, out)
-            out[..., :nmax + 1] = np.where(np.asarray(t) < 1.0, math.nan, out[..., :nmax + 1])
+            return np.where(x[:, None] < 1.0, math.nan, real_cols(orders, x))
 
         def sweep_nan_at_small_x(nmax, x):
-            # the heat route's node sweep, which bypasses bessel_i_scaled_row
+            # the heat route's node sweep, which bypasses bessel_i_scaled_cols
             y, scale = real_sweep(nmax, x)
             return np.where(x < 1.0, math.nan, y), scale
 
-        monkeypatch.setattr(fraclat.kernel, "bessel_i_scaled_row", row_nan_at_small_t)
+        monkeypatch.setattr(fraclat.kernel, "bessel_i_scaled_cols", cols_nan_at_small_x)
         monkeypatch.setattr(fraclat.kernel, "_bessel_sweep", sweep_nan_at_small_x)
         for d in (1, 2):
             with pytest.raises(ToleranceError):

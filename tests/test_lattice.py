@@ -6,32 +6,29 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from fraclat.inverse import h1_gram
 from fraclat.kernel import (
     FracParams,
+    ToleranceError,
+    _tail_1d_raw,
     build_kernel_table,
     kernel_1d,
     kernel_lattice_mass,
     kernel_tail_bound_ell1,
-    kernel_tail_sum_1d,
     torus_kernel_table,
 )
 from fraclat.lattice import (
     LatticeFunction,
     StepProfile,
     TorusFunction,
-    _sobolev_multiplier,
     _torus_multiplier,
     apply_frac_lattice,
     apply_frac_torus_pointwise,
     apply_frac_torus_spectral,
-    dft,
-    idft,
     periodize,
-    repeat,
-    sobolev_norm,
-    symbol,
     transference_check,
 )
+from oracles import dft, idft
 
 
 # The index loops that the array code in fraclat.lattice replaced, kept as
@@ -61,8 +58,7 @@ def _box_loop_apply(u, j, radius, table):
 
 def _wrapped_lhs_loop(v, phi):
     params, N, d = phi.params, v.N, v.d
-    table = torus_kernel_table(params.s, N, d, tol=1e-13, need_diag=True,
-                               method="series" if d == 1 else "heat")
+    table = torus_kernel_table(params.s, N, d, tol=1e-13, need_diag=True)
     lhs = kernel_lattice_mass(params) * float(np.sum(v.values * periodize(phi, N).values))
     for m, pm in phi.support.items():
         for j in np.ndindex(*(v.n,) * d):
@@ -81,6 +77,26 @@ def _direct_lhs_loop(v, phi, L):
                 op_l -= c * kernel_1d(phi.params, l - p)
         acc += v.values[(l + v.N) % v.n] * op_l
     return acc
+
+
+def _direct_lhs(v, phi, L):
+    """The left side of the transference identity in d = 1, summed directly
+    over |l| <= L."""
+    params = phi.params
+    p = np.array([k[0] for k in phi.support])
+    c = np.array(list(phi.support.values()))
+    ls = np.arange(-L, L + 1)
+    op = kernel_lattice_mass(params) * (ls == p[:, None]) - kernel_1d(params, ls - p[:, None])
+    return float(v.values[(ls + v.N) % v.n] @ (c @ op))
+
+
+def _direct_tail(v, phi, L):
+    """The exact bound max|v| sum_i |c_i| (T(L+1-p_i) + T(L+1+p_i)) on the
+    terms that _direct_lhs omits, T the closed-form tail; |p_i| <= L."""
+    p = np.array([k[0] for k in phi.support])
+    c = np.array(list(phi.support.values()))
+    tails = _tail_1d_raw(phi.params.s, phi.params.h, np.stack((L + 1 - p, L + 1 + p)))
+    return float(np.abs(v.values).max()) * float(np.abs(c) @ tails.sum(axis=0))
 
 
 def random_torus(N, d, seed, sup_one=False):
@@ -122,23 +138,35 @@ class TestDFT:
 
 
 class TestSymbol:
+    """The operator symbol h^{-2s} (sum_k 4 sin^2(h xi_k / 2))^s on the torus
+    frequency grid, xi_k = 2 pi m_k / (n h), as the spectral route reads it."""
+
     def test_zero(self):
-        assert symbol(FracParams(0.5, 1.0, 2), [0.0, 0.0]) == 0.0
+        assert _torus_multiplier(4, 2, 1.0, 0.5)[4, 4] == 0.0
 
     def test_peak(self):
-        p = FracParams(0.5, 1.0, 3)
-        xi = [math.pi] * 3
-        assert symbol(p, xi) == pytest.approx((4.0 * 3) ** 0.5, rel=1e-13)
+        # the largest value sits at the corner frequencies m = +-N
+        N = 6
+        mult = _torus_multiplier(N, 3, 1.0, 0.5)
+        peak = (12.0 * math.sin(math.pi * N / (2 * N + 1)) ** 2) ** 0.5
+        assert mult[-1, -1, -1] == mult.max() == mult[0, 0, 0]
+        assert mult.max() == pytest.approx(peak, rel=1e-13)
 
     def test_continuum_limit(self):
-        p = FracParams(0.5, 1e-3, 2)
-        xi = [1.0, 2.0]
-        assert abs(symbol(p, xi) / (1.0 + 4.0) ** 0.5 - 1.0) < 0.01
+        # at fixed frequency m the symbol of mesh h = 2pi/n tends to |m|^{2s}
+        N = 100
+        mult = _torus_multiplier(N, 2, 2.0 * math.pi / (2 * N + 1), 0.5)
+        assert abs(mult[N + 1, N + 2] / (1.0 + 4.0) ** 0.5 - 1.0) < 0.01
 
     def test_periodicity(self):
-        p = FracParams(0.3, 0.7, 1)
-        assert symbol(p, [1.1]) == pytest.approx(
-            symbol(p, [1.1 + 2.0 * math.pi / 0.7]), rel=1e-10)
+        # the symbol has period 2pi/h in xi, period n in m: FFT order, which
+        # stores frequency k - n at slot k > N, holds the symbol at k
+        N, h, s = 5, 0.7, 0.3
+        n = 2 * N + 1
+        k = np.arange(n)
+        at_k = (4.0 / (h * h) * np.sin(math.pi * k / n) ** 2) ** s
+        got = np.fft.ifftshift(_torus_multiplier(N, 1, h, s))
+        assert np.allclose(got, at_k, rtol=1e-13, atol=0.0)
 
 
 class TestLatticeFunctionKeys:
@@ -225,7 +253,7 @@ class TestApplyLattice:
         p, p1 = FracParams(0.25, 1.0, 2), FracParams(0.25)
         k = [kernel_1d(p1, m) for m in range(8)]
         # (L_1 b)(5) = K(4) + K(5) + K(6) + 2 T(7); (L_1 b)(+-1) = -+(K(1) + K(2))
-        ref5 = k[4] + k[5] + k[6] + 2.0 * kernel_tail_sum_1d(p1, 7)
+        ref5 = k[4] + k[5] + k[6] + 2.0 * _tail_1d_raw(p1.s, p1.h, 7)
         step1 = LatticeFunction(p1, {}, StepProfile(0, 2, -1.0, 1.0))
         along = np.tile([-6, -1, 0, 1, 2, 5], 3)
         other = np.repeat([-3, 0, 11], 6)
@@ -471,19 +499,18 @@ class TestPeriodizeRepeat:
         assert v.values.sum() == pytest.approx(sum(u.support.values()), rel=1e-12)
 
     def test_repeat_periodicity(self):
+        # TorusFunction.value is the periodic extension to the whole lattice
         v = random_torus(4, 1, 9)
-        rv = repeat(v)
         rng = np.random.default_rng(1)
         for _ in range(10):
             m = int(rng.integers(-40, 40))
-            assert rv.value(m) == rv.value(m + 9) == rv.value(m - 18)
+            assert v.value(m) == v.value(m + 9) == v.value(m - 18)
         for j in range(-4, 5):
-            assert rv.value(j) == v.values[j + 4]
+            assert v.value(j) == v.values[j + 4]
 
     def test_repeat_constant(self):
         v = TorusFunction(3, 1, np.full(7, 1.7))
-        rv = repeat(v)
-        assert rv.value(123) == 1.7
+        assert v.value(123) == 1.7
 
 
 class TestTransference:
@@ -510,6 +537,10 @@ class TestTransference:
         assert transference_check(v, phi, tol=1e-8) <= 1e-10
 
     def test_direct_mode(self):
+        # the wrapped left side against the lattice sum itself, truncated at
+        # |l| <= L and widened by the exact bound on the omitted terms
+        from fraclat.lattice import _wrapped_lhs
+
         N = 6
         n = 13
         params = FracParams(0.5, 2.0 * math.pi / n, 1)
@@ -517,34 +548,17 @@ class TestTransference:
         v = TorusFunction(N, 1, rng.standard_normal(n))
         phi = LatticeFunction(params, {(k,): float(rng.standard_normal())
                                        for k in range(-3, 4)})
-        d_direct = transference_check(v, phi, tol=1.0, method="direct",
-                                      direct_radius=60000)
-        assert d_direct < 2e-3
-        assert transference_check(v, phi, tol=1e-8) < d_direct
-
-    def test_direct_mode_honours_tol(self):
-        # the returned defect, tail bound included, is held to tol as in the
-        # wrapped method
-        from fraclat.kernel import ToleranceError
-
-        N = 6
-        n = 2 * N + 1
-        params = FracParams(0.5, 2.0 * math.pi / n, 1)
-        v = TorusFunction(N, 1, np.random.default_rng(4).standard_normal(n))
-        phi = LatticeFunction(params, {(0,): 1.0, (2,): -1.0})
-        defect = transference_check(v, phi, tol=math.inf, method="direct", direct_radius=2000)
-        with pytest.raises(ToleranceError) as info:
-            transference_check(v, phi, tol=1e-17, method="direct", direct_radius=2000)
-        assert info.value.achieved == defect
-        assert 0.0 < info.value.requested < defect
-        assert transference_check(v, phi, tol=defect, method="direct",
-                                  direct_radius=2000) == defect
+        lhs, tail = _direct_lhs(v, phi, 60000), _direct_tail(v, phi, 60000)
+        assert tail < 2e-3
+        assert abs(_wrapped_lhs(v, phi) - lhs) <= tail
+        assert transference_check(v, phi, tol=1e-8) < tail
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_direct_tail_bounds_the_omitted_terms(self, s):
-        # the returned defect adds the exact bound on the terms beyond L, of
-        # which the terms between L and 16 L are a part
-        from fraclat.lattice import _transference_direct_1d
+        # the wrapped left side lies within the exact tail bound of the
+        # direct sum over |l| <= L, which the terms between L and 16 L only
+        # narrow, with support far beyond the torus
+        from fraclat.lattice import _wrapped_lhs
 
         N, L = 8, 500
         n = 2 * N + 1
@@ -553,21 +567,20 @@ class TestTransference:
         v = TorusFunction(N, 1, rng.standard_normal(n))
         phi = LatticeFunction(params, {(k,): float(rng.standard_normal())
                                        for k in (-40, -1, 0, 3, 400)})
-        rhs = float(np.sum(v.values * apply_frac_torus_spectral(periodize(phi, N), s).values))
-        lhs = _transference_direct_1d(v, phi, L)
-        tail = transference_check(v, phi, tol=math.inf, method="direct",
-                                  direct_radius=L) - abs(lhs - rhs)
-        omitted = _transference_direct_1d(v, phi, 16 * L) - lhs
-        assert abs(omitted) <= tail
-        # with v = 1 and every c_i > 0 the bound is attained: the right side
-        # is 0 and the truncated left side is minus the omitted terms
+        wrapped = _wrapped_lhs(v, phi)
+        lhs, tail = _direct_lhs(v, phi, L), _direct_tail(v, phi, L)
+        far, far_tail = _direct_lhs(v, phi, 16 * L), _direct_tail(v, phi, 16 * L)
+        assert abs(far - lhs) <= tail
+        assert abs(wrapped - lhs) <= tail
+        assert abs(wrapped - far) <= far_tail + 1e-12 * abs(wrapped)
+        # with v = 1 and every c_i > 0 the bound is attained: the whole sum
+        # vanishes, so the truncated side is minus the omitted terms
         ones = TorusFunction(N, 1, np.ones(n))
         positive = LatticeFunction(params, {k: abs(c) for k, c in phi.support.items()})
-        lhs = _transference_direct_1d(ones, positive, L)
-        assert transference_check(ones, positive, tol=math.inf, method="direct",
-                                  direct_radius=L) == pytest.approx(2.0 * lhs, rel=1e-6)
-        with pytest.raises(ValueError):
-            transference_check(v, phi, method="direct", direct_radius=399)
+        lhs, tail = _direct_lhs(ones, positive, L), _direct_tail(ones, positive, L)
+        scale = kernel_lattice_mass(params) * sum(positive.support.values()) * n
+        assert abs(_wrapped_lhs(ones, positive)) <= 1e-12 * scale
+        assert lhs == pytest.approx(tail, rel=1e-6)
 
     @pytest.mark.parametrize("d,N", [(1, 6), (2, 4)])
     def test_wrapped_lhs_loop_oracle(self, d, N):
@@ -585,8 +598,8 @@ class TestTransference:
         assert _wrapped_lhs(v, phi) == pytest.approx(ref, rel=1e-13)
 
     def test_direct_lhs_loop_oracle(self):
-        from fraclat.lattice import _transference_direct_1d
-
+        # the array sum of _direct_lhs, which the tests above read, against
+        # its loop, with support beyond L
         N = 6
         n = 2 * N + 1
         params = FracParams(0.5, 2.0 * math.pi / n, 1)
@@ -595,27 +608,7 @@ class TestTransference:
         phi = LatticeFunction(params, {(k,): float(rng.standard_normal())
                                        for k in (-3, -1, 0, 2, 5, 1999, 2004)})
         ref = _direct_lhs_loop(v, phi, 2000)
-        assert _transference_direct_1d(v, phi, 2000) == pytest.approx(ref, rel=1e-13)
-
-    def test_direct_lhs_far_support(self, monkeypatch):
-        # a support point far beyond L costs its own 2L+1 offsets, not the
-        # whole range up to it; the near points share theirs
-        import fraclat.lattice as lattice
-
-        N = 6
-        n = 2 * N + 1
-        params = FracParams(0.5, 2.0 * math.pi / n, 1)
-        rng = np.random.default_rng(5)
-        v = TorusFunction(N, 1, rng.standard_normal(n))
-        phi = LatticeFunction(params, {(k,): float(rng.standard_normal())
-                                       for k in (-3, 0, 5, 10 ** 7)})
-        calls = []
-        raw = lattice._kernel_1d_raw
-        monkeypatch.setattr(lattice, "_kernel_1d_raw",
-                            lambda s, h, m: calls.extend(np.ravel(m).tolist()) or raw(s, h, m))
-        got = lattice._transference_direct_1d(v, phi, 2000)
-        assert len(calls) == len(set(calls)) == 2006 + 4001
-        assert got == pytest.approx(_direct_lhs_loop(v, phi, 2000), rel=1e-13)
+        assert _direct_lhs(v, phi, 2000) == pytest.approx(ref, rel=1e-13)
 
     def test_mesh_mismatch_rejected(self):
         v = random_torus(4, 1, 0)
@@ -624,64 +617,57 @@ class TestTransference:
             transference_check(v, phi)
 
     def test_unreachable_tolerance(self):
-        from fraclat.kernel import ToleranceError
-
+        # the error carries the defect and the scaled tolerance it missed;
+        # a tolerance at the defect passes and returns it
         n = 9
         params = FracParams(0.5, 2.0 * math.pi / n, 1)
         rng = np.random.default_rng(6)
         v = TorusFunction(4, 1, rng.standard_normal(n))
         phi = LatticeFunction(params, {(0,): 1.0, (2,): -1.0})
-        with pytest.raises(ToleranceError):
+        defect = transference_check(v, phi, tol=math.inf)
+        with pytest.raises(ToleranceError) as info:
             transference_check(v, phi, tol=1e-17)
+        assert info.value.achieved == defect
+        assert 0.0 < info.value.requested < defect
+        assert transference_check(v, phi, tol=defect) == defect
 
 
 class TestSobolevNorm:
-    def test_r0_is_l2(self):
-        p = FracParams(0.5)
-        u = LatticeFunction(p, {(0,): 3.0, (2,): 4.0})
-        assert sobolev_norm(u, 0.0) == pytest.approx(5.0, rel=1e-12)
+    """The H^1 norm of a function on W is the Gram form f' P f of h1_gram."""
 
     def test_monotone_in_r(self):
-        p = FracParams(0.5)
-        u = LatticeFunction(p, {(0,): 1.0, (1,): -0.3})
-        assert (sobolev_norm(u, -0.8) <= sobolev_norm(u, -0.2)
-                <= sobolev_norm(u, 0.3) <= sobolev_norm(u, 0.8)
-                <= sobolev_norm(u, 1.5))
+        # the H^1 norm dominates the L^2 norm, h |f|^2: P - h I is PSD
+        N, W = 16, tuple(range(-3, 3))
+        h = 2.0 * math.pi / (2 * N + 1)
+        assert np.linalg.eigvalsh(h1_gram(N, W) - h * np.eye(len(W))).min() >= -1e-14
 
     def test_delta_quadrature_oracle(self):
-        # r = 1, h = 1, d = 1 delta: squared norm is
-        # h (h/2pi) int (1 + sin(h xi)^2/h^2) dxi over the frequency cell
-        h = 1.0
+        # a delta's squared norm is h (h/2pi) int (1 + sin(h xi)^2/h^2) dxi
+        # over the frequency cell; the torus grid sums that trigonometric
+        # polynomial exactly
+        N = 8
+        h = 2.0 * math.pi / (2 * N + 1)
         val, _ = scipy.integrate.quad(
             lambda xi: 1.0 + math.sin(h * xi) ** 2 / h ** 2,
             -math.pi / h, math.pi / h)
-        ref = math.sqrt(h * (h / (2.0 * math.pi)) * val)
-        u = LatticeFunction(FracParams(0.5, h, 1), {(0,): 1.0})
-        assert sobolev_norm(u, 1.0) == pytest.approx(ref, rel=1e-12)
-
-    def test_torus_r0(self):
-        v = random_torus(5, 1, 8)
-        assert sobolev_norm(v, 0.0) == pytest.approx(
-            math.sqrt(v.h * float(np.sum(v.values ** 2))), rel=1e-12)
-
-    @pytest.mark.parametrize("d,N", [(1, 9), (2, 5), (3, 3)])
-    @pytest.mark.parametrize("r", (-1.0, 0.5, 2.0))
-    def test_torus_matches_dft_route(self, r, d, N):
-        # Parseval through the real FFT against the weighted sum over the
-        # {-N..N} reference coefficients
-        v = random_torus(N, d, 50 + d)
-        mult = _sobolev_multiplier(N, d, v.h) ** r
-        ref = math.sqrt((v.h * v.n) ** d * float(np.sum(mult * np.abs(dft(v)) ** 2)))
-        assert sobolev_norm(v, r) == pytest.approx(ref, rel=1e-14)
+        ref = h * (h / (2.0 * math.pi)) * val
+        assert h1_gram(N, (0,))[0, 0] == pytest.approx(ref, rel=1e-12)
 
     def test_consistency_lattice_vs_periodized(self):
-        # support well inside a large torus: same multiplier, same norm
+        # support well inside a large torus: the lattice norm by quadrature
+        # over the frequency cell equals the Gram form on the torus
         n = 2 * 24 + 1
         h = 2.0 * math.pi / n
-        p = FracParams(0.5, h, 1)
-        u = LatticeFunction(p, {(0,): 1.0, (1,): 2.0, (-2,): -1.0})
-        v = periodize(u, 24)
-        assert sobolev_norm(u, 1.0) == pytest.approx(sobolev_norm(v, 1.0), rel=1e-6)
+        W, f = (0, 1, -2), np.array([1.0, 2.0, -1.0])
+
+        def integrand(xi):
+            hat = sum(c * complex(math.cos(w * h * xi), -math.sin(w * h * xi))
+                      for w, c in zip(W, f))
+            return abs(hat) ** 2 * (1.0 + math.sin(h * xi) ** 2 / h ** 2)
+
+        val, _ = scipy.integrate.quad(integrand, -math.pi / h, math.pi / h, limit=200)
+        ref = h * (h / (2.0 * math.pi)) * val
+        assert float(f @ h1_gram(24, W) @ f) == pytest.approx(ref, rel=1e-10)
 
 
 class TestSerialization:

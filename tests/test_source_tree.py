@@ -1,9 +1,15 @@
 """Checks on the package source itself."""
 
+import ast
+import inspect
 import re
 from pathlib import Path
 
+import fraclat
+from fraclat import extension
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def _hits(pattern, files="**/*.py"):
@@ -75,3 +81,54 @@ def test_one_tikhonov_solver():
     # the library solves Tikhonov problems in standard form alone; the
     # augmented least-squares solve is the tests' oracle (tests/oracles.py)
     assert _hits(r"recover_tikhonov|lstsq|method=\"normal\"") == []
+
+
+def _identifiers(path):
+    """(identifier, top-level definition it sits in, or None) for every Name,
+    Attribute, definition, parameter and keyword argument of a file; text in
+    docstrings and comments is no identifier."""
+    out = set()
+    for top in ast.parse(path.read_text()).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "arg", None)
+                    or (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None))
+            if name:
+                out.add((name, owner))
+    return out
+
+
+def test_public_surface_is_what_runs():
+    # every exported name is used by the library outside its own definition
+    # or called by the benchmark
+    init = SRC / "fraclat" / "__init__.py"
+    exported = {alias.name for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = {name for path in (SRC / "fraclat").glob("*.py") if path != init
+            for name, owner in _identifiers(path) if name != owner}
+    used |= {name for path in PERFBENCH.glob("*.py") for name, _ in _identifiers(path)}
+    waiting = {
+        "stability_bound",  # O17: the mesh sweep's joint fit calls it, or it goes
+        "continuum_regime",  # O17: the mesh sweep reports it per mesh, or it goes
+        "kernel_tail_bound_ell1",  # O5: the d <= 3 appendix-bound certificate
+    }
+    assert exported - used == waiting
+
+
+def test_removed_names_and_options_stay_out():
+    # the test-only names and the options that only one value used
+    removed = {"symbol", "sobolev_norm", "_sobolev_sq_grid", "repeat", "RepeatedTorusFunction",
+               "torus_index", "torus_kernel", "kernel_tail_sum_1d", "heat_kernel", "dft", "idft",
+               "extension_profile", "carleman_weight", "tangential_conjugates",
+               "conjugated_laplacian_defect", "_half_ball_norms", "discrepancy_lambda",
+               "bessel_i_scaled_row", "_transference_direct_1d", "direct_radius", "ktol",
+               "big_c", "t_step", "tau0", "delta0", "empty_ok"}
+    present = {name for path in SRC.glob("**/*.py") for name, _ in _identifiers(path)}
+    assert removed & present == set()
+    for fn, options in ((fraclat.apply_frac_torus_pointwise, {"method"}),
+                        (fraclat.transference_check, {"method"}),
+                        (fraclat.carleman_probe, {"details"})):
+        assert options & set(inspect.signature(fn).parameters) == set()
+    assert set(inspect.signature(fraclat.CarlemanConfig).parameters) == {"c0", "tau", "h"}
+    assert set(inspect.signature(extension._support_box).parameters) == {"v"}

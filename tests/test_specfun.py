@@ -12,7 +12,6 @@ from fraclat.specfun import (
     XGK15,
     bessel_i_scaled,
     bessel_i_scaled_cols,
-    bessel_i_scaled_row,
     bessel_k,
     gamma_ratio,
     gamma_ratio_shifted,
@@ -296,8 +295,7 @@ class TestBesselIScaled:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for t in (0.4, 18.0, 33.0, 2.0e3):
-                out = np.empty(41)
-                bessel_i_scaled_row(40, t, out)
+                out = bessel_i_scaled_cols(np.arange(41), np.array([t]))[0]
                 for n in range(41):
                     ref = bessel_i_scaled(n, t)
                     assert out[n] == pytest.approx(ref, rel=1e-12, abs=1e-280)
@@ -306,8 +304,7 @@ class TestBesselIScaled:
             # argument limit
             for nmax in (0, 1, 3, 4, 7, 8, 90, 600):
                 for t in (0.0, 1e-310, 1e-180, 20.8, 2.0e3, 1.0e6, 2.0e9):
-                    out = np.empty(nmax + 1)
-                    bessel_i_scaled_row(nmax, t, out)
+                    out = bessel_i_scaled_cols(np.arange(nmax + 1), np.array([t]))[0]
                     for n in range(nmax + 1):
                         ref = bessel_i_scaled(n, t)
                         assert out[n] == pytest.approx(ref, rel=1e-12, abs=1e-280)
@@ -326,27 +323,10 @@ class TestBesselIScaled:
                 cols = bessel_i_scaled_cols(orders, x)
                 assert cols.shape == (x.size, count)
                 top = max(int(orders[-1]), 8)
-                rows = np.empty((x.size, top + 1))
-                bessel_i_scaled_row(top, x[:, None], rows)
+                rows = bessel_i_scaled_cols(np.arange(top + 1), x)
                 assert np.allclose(cols, rows[:, orders], rtol=1e-12, atol=1e-280), orders
         with pytest.raises(ValueError):
             bessel_i_scaled_cols(np.arange(3), np.array([1.0, -1.0]))
-
-    def test_row_into_wider_out_with_2d_leading_shape(self):
-        # out[..., :nmax + 1] of a wider array is a strided view: every row
-        # lands in it, in argument order (here unsorted), and nothing past
-        # order nmax is written
-        nmax = 60
-        t = np.array([[3.0, 0.0, 250.0, 1e-3],
-                      [40.0, 7.5, 1e-250, 1200.0],
-                      [0.6, 90.0, 15.0, 2.0]])
-        out = np.full((3, 4, nmax + 9), -1.0)
-        bessel_i_scaled_row(nmax, t[..., None], out)
-        assert (out[..., nmax + 1:] == -1.0).all()
-        for idx in np.ndindex(t.shape):
-            one = np.empty(nmax + 1)
-            bessel_i_scaled_row(nmax, t[idx], one)
-            assert (out[idx][:nmax + 1] == one).all(), idx
 
     def test_row_against_mpmath(self):
         # within 32 ulps of the 40-digit values wherever they exceed 1e-250
@@ -354,13 +334,12 @@ class TestBesselIScaled:
         # of them in one batch, given in descending order
         eps = np.finfo(float).eps
         xs = sorted({x for x, _, _, _ in MPMATH_ROWS}, reverse=True)
-        batch = np.empty((len(xs), max(m for _, m, _, _ in MPMATH_ROWS) + 1))
+        top = max(m for _, m, _, _ in MPMATH_ROWS)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bessel_i_scaled_row(batch.shape[1] - 1, np.array(xs)[:, None], batch)
+            batch = bessel_i_scaled_cols(np.arange(top + 1), np.array(xs))
             for x, m, k, ref in MPMATH_ROWS:
-                out = np.empty(m + 1)
-                bessel_i_scaled_row(m, x, out)
+                out = bessel_i_scaled_cols(np.arange(m + 1), np.array([x]))[0]
                 for got in (out[k], batch[xs.index(x), k]):
                     if ref > 1e-250:
                         assert abs(got - ref) <= 32.0 * eps * ref, (x, k)
@@ -374,8 +353,7 @@ class TestBesselIScaled:
     def test_beyond_scipy_argument_limit(self):
         # scipy.special.ive is nan past t ~ 1.07e9; the expansion covers it
         t = 2.0e9
-        out = np.empty(41)
-        bessel_i_scaled_row(40, t, out)
+        out = bessel_i_scaled_cols(np.arange(41), np.array([t]))[0]
         for n in (0, 1, 5, 40):
             ref = (1.0 - (4.0 * n * n - 1.0) / (8.0 * t)) / math.sqrt(2.0 * math.pi * t)
             assert math.isfinite(bessel_i_scaled(n, t))
