@@ -9,22 +9,28 @@ The pointwise and spectral torus routes are independent implementations
 whose agreement is one of the package's core consistency checks, as is the
 transference identity tying the lattice operator to the torus one.
 
-Every torus Fourier multiplier in the package is real and even, so it
-commutes with shifts and keeps the spectrum of real data Hermitian; it is
-applied to the values in storage order by one real FFT over the grid axes,
-on the half spectrum (_apply_even).  The DFT in {-N..N} order, which the
-tests compare it against, lives in tests/oracles.py.
+The pointwise torus route uses no FFT: its kernel sum is one matrix product
+of gathered periodic windows with the circulants of the table's last-axis
+rows (_apply_pointwise).  Every torus Fourier multiplier in the package is
+real and even, so it commutes with shifts and keeps the spectrum of real
+data Hermitian; it is applied to the values in storage order by one real
+FFT over the grid axes, on the half spectrum (_apply_even).  The spectral
+route reads its symbol from a cache keyed on (N, d, s).  The DFT in
+{-N..N} order, which the tests compare it against, lives in
+tests/oracles.py.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .kernel import (
     FracParams,
     ToleranceError,
+    _CACHE_SIZE,
     _kernel_1d_raw,
     _tail_1d_raw,
     kernel_lattice_mass,
@@ -166,7 +172,7 @@ class TorusFunction:
             "d": self.d,
             "N": self.N,
             "h": self.h,
-            "values": [float(x) for x in self.values.ravel(order="C")],
+            "values": self.values.ravel().tolist(),
         }, sort_keys=True)
 
     @staticmethod
@@ -291,31 +297,51 @@ def _apply_pointwise(v, table):
     """sum_r K(r) (v_j - v_{j-r}) over all table offsets r, in any dimension.
 
     A direct kernel sum with no FFT, so it stays independent of the spectral
-    route.  Two periods of v along every axis, less their first entry, give
-    each point j a periodic window whose entry n-1-r is v_{j-r}; the window
-    differences v_j - v_{j-r} of a chunk of output points are gathered into
-    one block of about 2^18 entries and contracted with the flipped table.
-    The zero-offset slot of the table holds 0, and a constant maps to
-    exactly 0.
+    route.  With S the table's sum and w = v - v.flat[0] it is
+    S w_j - sum_r K(r) w_{j-r}, and a constant maps to exactly 0.  Along the
+    last axis the sum over r is a product with the n x n circulant of each
+    last-axis row of the table, read as a window view of that row extended
+    mod n.  Along the leading axes, two periods of w less their first entry
+    give each leading point j' a periodic window whose entry n-1-r' is the
+    row w_{j'-r'}.  The windows of a chunk of leading points are gathered
+    into one block of about 2^18 entries, and one matrix product with the
+    stacked circulants sums every offset.  In d = 1 the leading axis is a
+    dummy of length 1.
     """
-    ext = np.tile(v, (2,) * v.ndim)[(slice(1, None),) * v.ndim]
-    # windows[j][k] = ext[j + k] along each axis
-    windows = np.lib.stride_tricks.as_strided(ext, v.shape * 2, ext.strides * 2,
-                                              writeable=False)
-    kflip = np.flip(table).ravel()
-    flat = v.ravel()
-    out = np.empty(flat.size)
-    step = max(1, (1 << 18) // flat.size)
-    for lo in range(0, flat.size, step):
-        pts = np.arange(lo, min(lo + step, flat.size))
-        diff = windows[np.unravel_index(pts, v.shape)].reshape(pts.size, -1)
-        np.subtract(flat[pts, None], diff, out=diff)
-        out[pts] = diff @ kflip
+    n = v.shape[-1]
+    lead = v.shape[:-1] or (1,)
+    w = (v - v.flat[0]).reshape(lead + (n,))
+    # w reversed along the last axis, so both window views have positive
+    # strides: windows[j', k', q] = w[j' - (n-1-k'), n-1-q]
+    ext = w[..., ::-1]
+    for axis in range(len(lead)):
+        ext = np.concatenate((ext, ext), axis=axis)
+    st = ext.strides
+    windows = np.ndarray(lead * 2 + (n,), buffer=ext, offset=sum(st[:-1]),
+                         strides=st[:-1] * 2 + st[-1:])
+    # circ[k', q, j] = K(n-1-k', j+q+1 mod n): the circulant of the table row
+    # at leading offset n-1-k', acting on the reversed last axis
+    rows = table.reshape(lead + (n,))[(slice(None, None, -1),) * len(lead)]
+    x = np.concatenate((rows[..., 1:], rows), axis=-1)
+    circ = np.ndarray(lead + (n, n), buffer=x,
+                      strides=x.strides[:-1] + x.strides[-1:] * 2).reshape(-1, n)
+    total = table.sum()
+    flat = w.reshape(-1, n)
+    out = np.empty_like(flat)
+    step = max(1, (1 << 18) // len(circ))
+    for lo in range(0, len(flat), step):
+        hi = min(lo + step, len(flat))
+        block = windows[np.unravel_index(np.arange(lo, hi), lead)].reshape(hi - lo, -1)
+        np.subtract(total * flat[lo:hi], block @ circ, out=out[lo:hi])
     return out.reshape(v.shape)
 
 
 def apply_frac_torus_pointwise(v, s, tol=1e-11):
-    """Torus operator through the periodized kernel sum (lattice route)."""
+    """Torus operator through the periodized kernel sum (lattice route).
+
+    The table of the periodized kernel comes from the kernel's cache at a
+    tolerance set by tol and the sup norm of v; the sum over its offsets is
+    _apply_pointwise, one matrix product with no FFT."""
     vmax = float(np.abs(v.values).max())
     nterms = v.n ** v.d
     # rounded down to a power of two: nearby sup norms share one cached table
@@ -326,10 +352,18 @@ def apply_frac_torus_pointwise(v, s, tol=1e-11):
     return v.copy_with(_apply_pointwise(v.values, table.full))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _spectral_symbol(N, d, s):
+    """The operator symbol on the half spectrum, read-only: built once per
+    (N, d, s) and shared by every call."""
+    half = _half_spectrum(_torus_multiplier(N, d, 2.0 * math.pi / (2 * N + 1), s))
+    half.flags.writeable = False
+    return half
+
+
 def apply_frac_torus_spectral(v, s):
     """Torus operator through its exact Fourier multiplier (spectral route)."""
-    lam = _half_spectrum(_torus_multiplier(v.N, v.d, v.h, s))
-    return v.copy_with(_apply_even(v.values, lam, v.d))
+    return v.copy_with(_apply_even(v.values, _spectral_symbol(v.N, v.d, s), v.d))
 
 
 # --- periodization, transference ------------------------------------------------

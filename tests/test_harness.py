@@ -347,6 +347,19 @@ class TestExperiments:
                                output_dir=str(tmp_path), seed=3)
         assert run(cfg).all_passed
 
+    def test_transference_defect_above_tol_is_a_fail_line(self, tmp_path, capsys):
+        # the library raises ToleranceError once the defect exceeds tol; the
+        # experiment reports that defect as a FAIL check, with exit status 1
+        assert main(["transference", "--out", str(tmp_path)]) == 0
+        passed = capsys.readouterr().out.splitlines()
+        assert main(["transference", "tol=1e-20", "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fails = [line for line in lines if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL transference_defect:")
+        assert fails[0].split("measured=")[1].split()[0] == \
+            passed[0].split("measured=")[1].split()[0]
+        assert lines[-1].startswith("DONE transference ") and lines[-1].endswith(" FAILED")
+
     def test_carleman_commutator_experiment(self, tmp_path):
         cfg = ExperimentConfig(experiment="carleman-commutator",
                                params={"h": 0.1, "tau": 3.0, "d": 2},
@@ -386,6 +399,19 @@ class TestSelfTest:
         assert not report.all_passed
         failed = [c.name for c in report.checks if not c.passed]
         assert failed == ["kernel_closed_form_vs_quadrature"]
+
+    def test_transference_defect_above_tol_fails_its_check(self, monkeypatch):
+        import fraclat.harness
+        from fraclat.kernel import ToleranceError
+
+        def too_large(v, phi, tol):
+            raise ToleranceError("transference defect above tolerance",
+                                 achieved=2e-8, requested=tol)
+
+        monkeypatch.setattr(fraclat.harness, "transference_check", too_large)
+        report = self_test()
+        failed = [(c.name, c.measured) for c in report.checks if not c.passed]
+        assert failed == [("transference", 2e-8)]
 
     def test_deterministic_checks(self):
         a = self_test()

@@ -417,6 +417,26 @@ class TestApplyTorus:
         v = random_torus(N, d, 17, sup_one=True).values
         assert np.abs(_apply_pointwise(v, K) - _roll_loop_apply(v, K)).max() <= 1e-13
 
+    @pytest.mark.parametrize("s,N,d", [(0.05, 16, 1), (0.95, 16, 1), (0.05, 6, 2),
+                                       (0.95, 6, 2), (0.5, 4, 3)])
+    def test_pointwise_roll_loop_oracle_heat_tables(self, s, N, d):
+        # real heat-route tables at both ends of (0,1), and a d = 3 torus
+        from fraclat.lattice import _apply_pointwise
+
+        K = torus_kernel_table(s, N, d, tol=1e-12, method="heat").full
+        v = random_torus(N, d, 23, sup_one=True).values
+        assert np.abs(_apply_pointwise(v, K) - _roll_loop_apply(v, K)).max() <= 1e-13
+
+    @pytest.mark.parametrize("s,N,d", [(0.75, 32, 1), (0.4, 10, 2), (0.5, 4, 3)])
+    def test_pointwise_constant_maps_to_zero(self, s, N, d):
+        from fraclat.lattice import _apply_pointwise
+
+        K = torus_kernel_table(s, N, d, tol=1e-12).full
+        for c in (2.2, -1e300, 1.0 / 3.0):
+            assert np.abs(_apply_pointwise(np.full(K.shape, c), K)).max() == 0.0
+        v = TorusFunction(N, d, np.full(K.shape, 2.2))
+        assert np.abs(apply_frac_torus_pointwise(v, s).values).max() == 0.0
+
     def test_pointwise_generic_in_d(self):
         from fraclat.lattice import _apply_pointwise
 
@@ -448,6 +468,24 @@ class TestApplyTorus:
         ref = _roll_loop_apply(v, K)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    def test_pointwise_peak_memory_d2(self):
+        # one d=2 N=10 call gathers n^3 window entries and n^3 circulant
+        # entries, not the n^4 block of differences v_j - v_{j-r}
+        import tracemalloc
+
+        from fraclat.lattice import _apply_pointwise
+
+        K = torus_kernel_table(0.4, 10, 2, tol=1e-12).full
+        v = random_torus(10, 2, 4, sup_one=True).values
+        _apply_pointwise(v, K)
+        tracemalloc.start()
+        try:
+            _apply_pointwise(v, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 2 ** 10
+
     def test_pointwise_tables_keyed_by_power_of_two(self):
         # the table tolerance follows the data's sup norm; rounded down to a
         # power of two, inputs of nearby sup norms share one table
@@ -463,6 +501,35 @@ class TestApplyTorus:
             a = apply_frac_torus_pointwise(v, 0.45, tol=tol)
             assert np.abs(a.values - apply_frac_torus_spectral(v, 0.45).values).max() <= tol
         assert _torus_table_cached.cache_info().misses == len(buckets) < 8
+
+    @pytest.mark.parametrize("d,N", [(1, 9), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("s", (0.3, 0.75))
+    def test_spectral_symbol_cached_and_bit_identical(self, s, d, N):
+        # the cached symbol is the one the uncached route builds, bit for
+        # bit, and it is shared read-only
+        from fraclat.kernel import _CACHE_SIZE
+        from fraclat.lattice import _apply_even, _half_spectrum, _spectral_symbol
+
+        v = random_torus(N, d, 60 + d)
+        fresh = _half_spectrum(_torus_multiplier(N, d, v.h, s))
+        got = apply_frac_torus_spectral(v, s).values
+        assert np.array_equal(got, _apply_even(v.values, fresh, d))
+        sym = _spectral_symbol(N, d, s)
+        assert np.array_equal(sym, fresh)
+        assert not sym.flags.writeable
+        with pytest.raises(ValueError):
+            sym[(0,) * d] = 1.0
+        assert _spectral_symbol(N, d, s) is sym
+        assert _spectral_symbol.cache_info().maxsize == _CACHE_SIZE
+
+    def test_spectral_symbol_cache_is_bounded(self):
+        from fraclat.kernel import _CACHE_SIZE
+        from fraclat.lattice import _spectral_symbol
+
+        _spectral_symbol.cache_clear()
+        for k in range(_CACHE_SIZE + 5):
+            apply_frac_torus_spectral(random_torus(2, 1, k), 0.01 + 0.02 * k)
+        assert _spectral_symbol.cache_info().currsize == _CACHE_SIZE
 
     def test_self_adjoint_and_nonnegative(self):
         N = 6
@@ -676,6 +743,18 @@ class TestSerialization:
         w = TorusFunction.from_json(v.to_json())
         assert w.N == v.N and w.d == v.d
         assert np.array_equal(w.values, v.values)
+
+    @pytest.mark.parametrize("d,N", [(1, 4), (2, 3), (3, 2)])
+    def test_torus_json_text(self, d, N):
+        # the text of one float conversion per entry, byte for byte
+        import json
+
+        v = random_torus(N, d, 30 + d)
+        v.values.flat[0] = 0.1 + 0.2
+        expected = json.dumps({"d": d, "N": N, "h": v.h,
+                               "values": [float(x) for x in v.values.ravel(order="C")]},
+                              sort_keys=True)
+        assert v.to_json() == expected
 
     def test_lattice_roundtrip(self):
         p = FracParams(0.4, 0.5, 1)

@@ -132,3 +132,16 @@ def test_removed_names_and_options_stay_out():
         assert options & set(inspect.signature(fn).parameters) == set()
     assert set(inspect.signature(fraclat.CarlemanConfig).parameters) == {"c0", "tau", "h"}
     assert set(inspect.signature(extension._support_box).parameters) == {"v"}
+
+
+def test_pointwise_torus_route_has_no_fft():
+    # the pointwise route is a direct kernel sum, independent of the spectral
+    # route's FFT; docstrings may say so, the code may not call one
+    from fraclat import lattice
+
+    for fn in (lattice._apply_pointwise, lattice.apply_frac_torus_pointwise):
+        tree = ast.parse(inspect.getsource(fn))
+        names = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 for node in ast.walk(tree)}
+        assert {name for name in names if name and "fft" in name.lower()} == set()
+        assert "_apply_even" not in names and "_spectral_symbol" not in names
