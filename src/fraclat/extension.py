@@ -6,7 +6,8 @@ over Fourier modes: the mode with operator eigenvalue lam evolves as
 theta_s(sqrt(lam) t) where theta_s(x) = 2^{1-s} x^s K_s(x) / Gamma(s).
 The weighted Neumann trace -lim t^{1-2s} d_t u~ then recovers the
 fractional Laplacian of v up to the explicit constant
-Gamma(1-s) / (4^{s-1/2} Gamma(s)).
+Gamma(1-s) / (4^{s-1/2} Gamma(s)).  Every sqrt(lam) is read from the one
+cached torus symbol, lattice._spectral_symbol at s = 1/2.
 
 The Carleman block conjugates the tangential Laplacian by the quadratic
 pseudoconvex weight phi(jh, t) = -|jh|^2 + c0 (t^2/2 - t): its symmetric
@@ -27,8 +28,7 @@ from .lattice import (
     TorusFunction,
     _apply_even,
     _axis_sum,
-    _half_spectrum,
-    _torus_multiplier,
+    _spectral_symbol,
     apply_frac_torus_spectral,
 )
 from .specfun import log_abs_gamma_neg, log_gamma
@@ -110,8 +110,8 @@ def cs_extend_torus(v, s, t_grid):
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0) or t[0] <= 0:
         raise ValueError("t_grid must be strictly increasing and positive")
-    # sqrt of the Laplacian eigenvalues, on the half spectrum the real FFT reads
-    sq = np.sqrt(_half_spectrum(_torus_multiplier(v.N, v.d, v.h, 1.0)))
+    # sqrt of the Laplacian eigenvalues: the symbol at s = 1/2
+    sq = _spectral_symbol(v.N, v.d, 0.5)
     uniq, inv = np.unique(np.round(sq, 15), return_inverse=True)
     theta = _theta(s, uniq[:, None] * t)[inv].reshape(sq.shape + (t.size,))
     return ExtensionField(v, s, t, _apply_even(v.values[..., None], theta, v.d))
@@ -416,8 +416,7 @@ def boundary_bulk_probe(f, r0=0.5):
     (bulk_small, *_), (bulk_big, trace_l2, trace_h1, _) = half_ball_norms(
         field, (0.0,) * f.d, (r0, 1.0))
     # normal derivative at the boundary, exact per mode for s = 1/2
-    mu = _half_spectrum(_torus_multiplier(f.N, f.d, h, 0.5))
-    dt0 = _apply_even(f.values, -mu, f.d)
+    dt0 = _apply_even(f.values, -_spectral_symbol(f.N, f.d, 0.5), f.d)
     mask = rad < 1.0
     trace_dt = math.sqrt(h ** f.d * float(np.sum(dt0[mask] ** 2)))
 

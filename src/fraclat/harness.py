@@ -381,13 +381,9 @@ def _boundary_bulk(config, N=31, r0=0.5):
 def _inverse_sweep(config, N=16, W="-3;-2;-1;0;1;2", Omega="5;6;7;8;9;10;11;12;13",
                    trials=10, eps="1e-1;1e-2;1e-3;1e-4;1e-5;1e-6"):
     out = config.output_dir
-    eps = _split(eps, float)
-    if len(eps) < 2:
-        raise ValueError(f"invalid config: eps: the stability fit needs at least two values,"
-                         f" got {len(eps)}")
     setup = InverseSetup(N=N, W=tuple(_split(W)), Omega=tuple(_split(Omega)),
                          seed=config.seed)
-    curve = stability_sweep(setup, eps, trials=trials)
+    curve = stability_sweep(setup, _split(eps, float), trials=trials)
     ex = curve.extras
     rows = [(e, err, st, ratio, lam) for (e, err, ratio), st, lam
             in zip(curve.points, ex["err_std"], ex["lambda_geomean"])]

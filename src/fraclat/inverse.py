@@ -3,40 +3,38 @@
 The forward map restricted to index sets W, Omega of the discrete torus is
 a small dense matrix of (negatives of) periodized kernel values.  The
 problem is severely ill-posed as the sets separate; recovery uses Tikhonov
-regularization with an H^1 Gram penalty on W, the regularization strength
-chosen by the discrepancy principle.  A seeded noise sweep produces a
-stability curve whose error-versus-|log(data ratio)| slope is fitted in
-log-log coordinates.
+regularization with an H^1 Gram penalty on W (a real-space form), the
+regularization strength chosen by the discrepancy principle.  Each setup is
+prepared once, read-only, for the noise sweep and the noiseless run alike
+(_prepared).  A seeded noise sweep produces a stability curve whose
+error-versus-|log(data ratio)| slope is fitted in log-log coordinates.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
-from .kernel import torus_kernel_table
-from .lattice import TorusFunction, _sobolev_multiplier, apply_frac_torus_spectral
+from .kernel import _CACHE_SIZE, torus_kernel_table
+from .lattice import TorusFunction, apply_frac_torus_spectral
 
 
 @dataclass(frozen=True)
 class InverseSetup:
     """Torus size, support set W, measurement set Omega, and the seed.
 
-    The fractional order is pinned to 1/2 (the harmonic-extension regime
-    the stability theory covers).
+    The problem is posed for the half-Laplacian, s = 1/2.
     """
 
     N: int
     W: tuple
     Omega: tuple
-    s: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        if self.s != 0.5:
-            raise ValueError("the inverse problem is posed for s = 1/2")
         W = tuple(int(w) for w in self.W)
         Om = tuple(int(o) for o in self.Omega)
         if not W or not Om:
@@ -67,47 +65,41 @@ class StabilityCurve:
     r_squared: float
     extras: dict = field(default_factory=dict)
 
-    def to_json(self, setup=None):
-        obj = {
+    def to_json(self, setup):
+        return json.dumps({
             "points": [list(p) for p in self.points],
-            "fitted_nu": self.fitted_nu,
-            "fitted_C": self.fitted_C,
-            "r_squared": self.r_squared,
-        }
-        if setup is not None:
-            obj.update({"N": setup.N, "W": list(setup.W),
-                        "Omega": list(setup.Omega), "seed": setup.seed})
-        return json.dumps(obj, sort_keys=True)
+            "fitted_nu": self.fitted_nu, "fitted_C": self.fitted_C, "r_squared": self.r_squared,
+            "N": setup.N, "W": list(setup.W), "Omega": list(setup.Omega), "seed": setup.seed,
+        }, sort_keys=True)
 
 
 def h1_gram(N, W):
-    """H^1(W) Gram matrix of the delta basis on W, from the torus multiplier."""
+    """H^1(W) Gram matrix h (I + D'D) of the delta basis on W, with D the
+    symmetric difference (v_{j+1} - v_{j-1}) / (2h) on the torus: h + 1/(2h)
+    on the diagonal, -1/(4h) at offsets = +-2 mod n, 0 elsewhere."""
     n = 2 * N + 1
     h = 2.0 * math.pi / n
-    m = np.arange(-N, N + 1)
-    diff = np.subtract.outer(np.asarray(W, dtype=int), np.asarray(W, dtype=int))
-    cos = np.cos(2.0 * math.pi * m * diff[..., None] / n)
-    return (h / n) * np.sum(_sobolev_multiplier(N, 1, h) * cos, axis=-1)
+    off = np.subtract.outer(W, W) % n
+    return np.where(off == 0, h + 0.5 / h,
+                    np.where((off == 2) | (off == n - 2), -0.25 / h, 0.0))
 
 
-def forward_matrix(setup, check_columns=True):
+def forward_matrix(setup):
     """|Omega| x |W| map: column w holds the operator of delta_w on Omega.
 
     Entries are -K^A(omega - w) (the sets are disjoint, so the diagonal
-    never appears).  Unless check_columns is false, every column is verified
-    against the spectral application: the operator commutes with shifts, so
-    one spectral result for delta_0, read at (omega - w) mod n, holds them
-    all.
+    never appears).  Every column is verified against the spectral
+    application: the operator commutes with shifts, so one spectral result
+    for delta_0, read at (omega - w) mod n, holds them all.
     """
-    table = torus_kernel_table(setup.s, setup.N, 1, tol=1e-13)
+    N = setup.N
+    table = torus_kernel_table(0.5, N, 1, tol=1e-13)
     offsets = np.subtract.outer(setup.Omega, setup.W)
     A = -table.value(offsets[..., None])
-    if check_columns:
-        N = setup.N
-        delta = TorusFunction(N, 1, np.arange(-N, N + 1) == 0)
-        ref = apply_frac_torus_spectral(delta, setup.s).values
-        if np.abs(A - ref[(offsets + N) % (2 * N + 1)]).max() > 1e-10:
-            raise AssertionError("forward matrix column disagrees with the spectral route")
+    delta = TorusFunction(N, 1, np.arange(-N, N + 1) == 0)
+    ref = apply_frac_torus_spectral(delta, 0.5).values
+    if np.abs(A - ref[(offsets + N) % (2 * N + 1)]).max() > 1e-10:
+        raise AssertionError("forward matrix column disagrees with the spectral route")
     return A
 
 
@@ -128,6 +120,19 @@ def _standard_form(A, P):
     return scipy.linalg.solve_triangular(L, Vt[:sigma.size].T), U, sigma
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _prepared(setup):
+    """(A, P, factors, ||A||_2) of a setup, built once and read-only: the
+    forward matrix, the H^1 Gram matrix on W, the factors of
+    :func:`_standard_form` and the spectral norm of A."""
+    A = forward_matrix(setup)
+    P = h1_gram(setup.N, setup.W)
+    factors = _standard_form(A, P)
+    for arr in (A, P) + factors:
+        arr.flags.writeable = False
+    return A, P, factors, float(np.linalg.norm(A, 2))
+
+
 def _solve(factors, g, lam):
     """Minimizers f_lam for each data vector in g (..., m) and lambda in lam (...)."""
     linv_v, U, sigma = factors
@@ -144,14 +149,15 @@ def _discrepancy_residual(log_lam, beta, sigma2, perp2):
     return np.sum(r2, axis=-1) + perp2, 2.0 * np.sum(r2 * (sigma2 / (sigma2 + lam)), axis=-1)
 
 
-def _discrepancy_roots(A, factors, g, target):
+def _discrepancy_roots(norm_a, factors, g, target):
     """Lambda with ||A f_lambda - g|| = target (the residual is monotone in
     lambda), on the factors of :func:`_standard_form`.
 
     g may hold a batch of data vectors, shape (..., m), with target of shape
     (...); every root is found at once and an array of lambdas returned
-    (a float for a single g).  Raises LambdaRangeError naming the first
-    entry whose target the range [1e-16 ||A||_2^2, 1e8] does not bracket.
+    (a float for a single g).  norm_a is ||A||_2.  Raises LambdaRangeError
+    naming the first entry whose target the range [1e-16 ||A||_2^2, 1e8]
+    does not bracket.
     The floor scales with the problem, as in
     :func:`noiseless_recovery_error`; noise nearly orthogonal to the range
     of A can put the root below a fixed floor.
@@ -178,7 +184,7 @@ def _discrepancy_roots(A, factors, g, target):
     sigma2 = sigma * sigma
     target = np.broadcast_to(np.asarray(target, dtype=float), perp2.shape)
 
-    lo = np.full(perp2.shape, math.log(1e-16 * np.linalg.norm(A, 2) ** 2))
+    lo = np.full(perp2.shape, math.log(1e-16 * norm_a ** 2))
     hi = np.full(perp2.shape, math.log(1e8))
     r_lo, r_hi = (np.sqrt(_discrepancy_residual(x, beta, sigma2, perp2)[0]) for x in (lo, hi))
     bad = ~((r_lo <= target) & (target <= r_hi))
@@ -222,21 +228,19 @@ def _draw_f(rng, P):
     return f / math.sqrt(float(f @ P @ f))
 
 
-def noiseless_recovery_error(setup, trials=5):
-    """Mean L2(W) recovery error for exact data at vanishing regularization.
+def noiseless_recovery_error(setup):
+    """Mean L2(W) recovery error for exact data at vanishing regularization,
+    over five trials.
 
     The floor lam = 1e-16 ||A||^2 keeps every singular direction of this
     finite-dimensional (hence well-posed) section alive.  Every trial is
-    solved at once in the standard form (:func:`_standard_form`); trial t
-    draws its truth from the generator seeded by ``seed XOR (t + 1)``.
+    solved at once on the prepared standard form (:func:`_prepared`); trial
+    t draws its truth from the generator seeded by ``seed XOR (t + 1)``.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    A = forward_matrix(setup)
-    P = h1_gram(setup.N, setup.W)
+    A, P, factors, norm_a = _prepared(setup)
     f_true = np.array([_draw_f(np.random.default_rng(setup.seed ^ (t + 1)), P)
-                       for t in range(trials)])
-    f_hat = _solve(_standard_form(A, P), f_true @ A.T, 1e-16 * np.linalg.norm(A, 2) ** 2)
+                       for t in range(5)])
+    f_hat = _solve(factors, f_true @ A.T, 1e-16 * norm_a ** 2)
     return float(np.mean(math.sqrt(setup.h) * np.linalg.norm(f_hat - f_true, axis=-1)))
 
 
@@ -262,28 +266,29 @@ def stability_sweep(setup, eps_list, trials=10):
     """Noise sweep: seeded H^1-normalized truths, relative Gaussian noise,
     discrepancy-principle regularization, and a log-log stability fit.
 
-    Each trial owns the generator seeded by ``seed XOR trial``, so results
-    do not depend on evaluation order.  All (eps, trial) roots are found by
-    one batched Newton iteration in the standard form of the problem, whose
-    factors the roots and the solves share.  Returns a
-    StabilityCurve with points (eps, mean L2(W) recovery error, mean data
-    ratio); its extras carry the per-eps error spread, the chosen lambdas
-    (eps x trial) and the singular values of A L^{-1} (P = L'L), whose
-    staircase the recovery error follows.
+    Each trial t owns the generator seeded by ``seed XOR (t + 1)``, so
+    results do not depend on evaluation order.  The fit needs at least two
+    eps.  All (eps, trial) roots are found by one batched Newton iteration
+    on the prepared standard form of the problem (:func:`_prepared`), whose
+    factors the roots and the solves share.  Returns a StabilityCurve with
+    points (eps, mean L2(W) recovery error, mean data ratio); its extras
+    carry the per-eps error spread, the chosen lambdas (eps x trial) and the
+    singular values of A L^{-1} (P = L'L), whose staircase the recovery
+    error follows.
     """
     eps = [float(e) for e in eps_list]
+    if len(eps) < 2:
+        raise ValueError(f"eps: the stability fit needs at least two values, got {len(eps)}")
     if any(not 0.0 < e < 1.0 for e in eps):
         raise ValueError("eps values must lie in (0,1)")
     if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
         raise ValueError("eps_list must be strictly decreasing")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    A = forward_matrix(setup)
-    P = h1_gram(setup.N, setup.W)
+    A, P, factors, norm_a = _prepared(setup)
     f_true, g0, g = _sweep_data(setup, A, P, eps, trials)
     e_col = np.array(eps)[:, None]
-    factors = _standard_form(A, P)
-    lambdas = _discrepancy_roots(A, factors, g, e_col * np.linalg.norm(g, axis=-1))
+    lambdas = _discrepancy_roots(norm_a, factors, g, e_col * np.linalg.norm(g, axis=-1))
     f_hat = _solve(factors, g, lambdas)
     sigma = factors[2]
     errors = math.sqrt(setup.h) * np.linalg.norm(f_hat - f_true, axis=-1)
@@ -291,16 +296,13 @@ def stability_sweep(setup, eps_list, trials=10):
     err_mean = errors.mean(axis=1)
     err_std = errors.std(axis=1)
     ratio_mean = ratios.mean(axis=1)
-    if len(eps) >= 2:
-        x = np.log(np.abs(np.log(ratio_mean)))
-        y = np.log(err_mean)
-        slope, intercept = np.polyfit(x, y, 1)
-        pred = slope * x + intercept
-        ss_res = float(np.sum((y - pred) ** 2))
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    else:
-        slope, intercept, r2 = 0.0, math.log(float(err_mean[0])), 1.0
+    x = np.log(np.abs(np.log(ratio_mean)))
+    y = np.log(err_mean)
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     points = [(eps[i], float(err_mean[i]), float(ratio_mean[i]))
               for i in range(len(eps))]
     return StabilityCurve(

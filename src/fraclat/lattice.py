@@ -11,13 +11,13 @@ transference identity tying the lattice operator to the torus one.
 
 The pointwise torus route uses no FFT: its kernel sum is one matrix product
 of gathered periodic windows with the circulants of the table's last-axis
-rows (_apply_pointwise).  Every torus Fourier multiplier in the package is
-real and even, so it commutes with shifts and keeps the spectrum of real
-data Hermitian; it is applied to the values in storage order by one real
-FFT over the grid axes, on the half spectrum (_apply_even).  The spectral
-route reads its symbol from a cache keyed on (N, d, s).  The DFT in
-{-N..N} order, which the tests compare it against, lives in
-tests/oracles.py.
+rows (_apply_pointwise).  Every torus Fourier multiplier in the package
+reads one symbol, cached per (N, d, s) on the half spectrum
+(_spectral_symbol).  It is real and even, so it commutes with shifts and
+keeps the spectrum of real data Hermitian; it is applied in storage order
+by one real FFT over the grid axes (_apply_even), the package's only FFT.
+The DFT and the symbol on the full {-N..N} grid, which the tests compare
+against, live in tests/oracles.py.
 """
 
 import json
@@ -193,27 +193,6 @@ def _axis_sum(vecs):
     return acc
 
 
-def _torus_multiplier(N, d, h, s):
-    """The operator symbol on the torus frequency grid {-N..N}^d."""
-    m = np.arange(-N, N + 1)
-    sin2 = (4.0 / (h * h)) * np.sin(math.pi * m / (2 * N + 1)) ** 2
-    return _axis_sum([sin2] * d) ** s
-
-
-def _sobolev_multiplier(N, d, h):
-    """Base multiplier 1 + h^{-2} sum_k sin^2(h xi_k) on the frequency grid."""
-    m = np.arange(-N, N + 1)
-    sin2 = np.sin(2.0 * math.pi * m / (2 * N + 1)) ** 2 / (h * h)
-    return 1.0 + _axis_sum([sin2] * d)
-
-
-def _half_spectrum(mult):
-    """An even symbol on the {-N..N}^d frequency grid on the half spectrum
-    that rfftn yields: FFT order on the first d-1 axes, frequencies 0..N on
-    the last."""
-    return np.fft.ifftshift(mult)[..., :(mult.shape[-1] + 1) // 2]
-
-
 def _apply_even(values, half, d):
     """idft(mult * dft(values)) in storage order, by one real FFT, for a
     real symbol mult_m = mult_{-m} given by its half spectrum.
@@ -303,10 +282,12 @@ def _apply_pointwise(v, table):
     last-axis row of the table, read as a window view of that row extended
     mod n.  Along the leading axes, two periods of w less their first entry
     give each leading point j' a periodic window whose entry n-1-r' is the
-    row w_{j'-r'}.  The windows of a chunk of leading points are gathered
-    into one block of about 2^18 entries, and one matrix product with the
-    stacked circulants sums every offset.  In d = 1 the leading axis is a
-    dummy of length 1.
+    row w_{j'-r'}.  The leading offsets are taken in groups whose stacked
+    circulants hold at most 2^18 entries (one offset if n^2 alone is more),
+    and for each group the windows of a chunk of leading points are
+    gathered into one block of about 2^18 entries: one matrix product per
+    block sums the group's offsets.  In d = 1 the leading axis is a dummy of
+    length 1.
     """
     n = v.shape[-1]
     lead = v.shape[:-1] or (1,)
@@ -322,17 +303,21 @@ def _apply_pointwise(v, table):
     # circ[k', q, j] = K(n-1-k', j+q+1 mod n): the circulant of the table row
     # at leading offset n-1-k', acting on the reversed last axis
     rows = table.reshape(lead + (n,))[(slice(None, None, -1),) * len(lead)]
-    x = np.concatenate((rows[..., 1:], rows), axis=-1)
-    circ = np.ndarray(lead + (n, n), buffer=x,
-                      strides=x.strides[:-1] + x.strides[-1:] * 2).reshape(-1, n)
-    total = table.sum()
+    x = np.concatenate((rows[..., 1:], rows), axis=-1).reshape(-1, 2 * n - 1)
+    circ = np.ndarray((len(x), n, n), buffer=x, strides=x.strides[:1] + x.strides[-1:] * 2)
     flat = w.reshape(-1, n)
-    out = np.empty_like(flat)
-    step = max(1, (1 << 18) // len(circ))
-    for lo in range(0, len(flat), step):
-        hi = min(lo + step, len(flat))
-        block = windows[np.unravel_index(np.arange(lo, hi), lead)].reshape(hi - lo, -1)
-        np.subtract(total * flat[lo:hi], block @ circ, out=out[lo:hi])
+    out = table.sum() * flat
+    group = max(1, (1 << 18) // (n * n))
+    for g0 in range(0, len(circ), group):
+        g1 = min(g0 + group, len(circ))
+        stacked = circ[g0:g1].reshape(-1, n)
+        offsets = np.unravel_index(np.arange(g0, g1)[None], lead)
+        step = max(1, (1 << 18) // len(stacked))
+        for lo in range(0, len(flat), step):
+            hi = min(lo + step, len(flat))
+            points = np.unravel_index(np.arange(lo, hi)[:, None], lead)
+            block = windows[points + offsets].reshape(hi - lo, -1)
+            out[lo:hi] -= block @ stacked
     return out.reshape(v.shape)
 
 
@@ -354,9 +339,16 @@ def apply_frac_torus_pointwise(v, s, tol=1e-11):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _spectral_symbol(N, d, s):
-    """The operator symbol on the half spectrum, read-only: built once per
+    """The symbol (sum_k (4/h^2) sin^2(pi m_k/n))^s, n = 2N+1, h = 2pi/n, on
+    the half spectrum that rfftn yields: FFT order on the first d-1 axes,
+    frequencies 0..N on the last.  Slot k holds frequency k or k - n, read
+    at min(k, n - k) since sin^2 is even.  Read-only: built once per
     (N, d, s) and shared by every call."""
-    half = _half_spectrum(_torus_multiplier(N, d, 2.0 * math.pi / (2 * N + 1), s))
+    n = 2 * N + 1
+    h = 2.0 * math.pi / n
+    k = np.arange(n)
+    sin2 = (4.0 / (h * h)) * np.sin(math.pi * np.minimum(k, n - k) / n) ** 2
+    half = _axis_sum([sin2] * (d - 1) + [sin2[:N + 1]]) ** s
     half.flags.writeable = False
     return half
 

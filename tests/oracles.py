@@ -45,6 +45,27 @@ def idft(coeffs, N, d):
     return np.roll(vals, N, axis=axes)
 
 
+def torus_symbol(N, d, h, s):
+    """The operator symbol (sum_k (4/h^2) sin^2(pi m_k/(2N+1)))^s on the full
+    frequency grid {-N..N}^d, in that order, the order of :func:`dft`."""
+    m = np.arange(-N, N + 1)
+    sin2 = (4.0 / (h * h)) * np.sin(math.pi * m / (2 * N + 1)) ** 2
+    return _axis_sum([sin2] * d) ** s
+
+
+def h1_gram_dft(N, W):
+    """H^1(W) Gram matrix of the delta basis on W by Parseval: the Sobolev
+    multiplier 1 + h^{-2} sin^2(h m) summed against cos(2 pi m (a - b)/n)
+    over the frequencies m in {-N..N}."""
+    n = 2 * N + 1
+    h = 2.0 * math.pi / n
+    m = np.arange(-N, N + 1)
+    diff = np.subtract.outer(np.asarray(W), np.asarray(W))
+    cos = np.cos(2.0 * math.pi * m * diff[..., None] / n)
+    sobolev = 1.0 + np.sin(2.0 * math.pi * m / n) ** 2 / (h * h)
+    return (h / n) * np.sum(sobolev * cos, axis=-1)
+
+
 def heat_kernel(m, t):
     """Semidiscrete heat kernel G(m, t) = e^{-2dt} prod_i I_{m_i}(2t), in [0,1]."""
     if t < 0.0:

@@ -22,9 +22,9 @@ from fraclat.extension import (
     neumann_trace,
     tangential_commutator_check,
 )
-from fraclat.lattice import TorusFunction, _torus_multiplier, apply_frac_torus_spectral
+from fraclat.lattice import TorusFunction, apply_frac_torus_spectral
 from fraclat.specfun import bessel_k, log_abs_gamma_neg, log_gamma
-from oracles import conjugated_laplacian, dft, idft
+from oracles import conjugated_laplacian, dft, idft, torus_symbol
 
 
 def random_torus(N, d, seed):
@@ -142,7 +142,7 @@ class TestArrayProfile:
         # the {-N..N} reference dft at every t level
         t = make_t_grid(1e-6, 3.0, 1.3)
         field = cs_extend_torus(v, s, t)
-        lam = _torus_multiplier(v.N, v.d, v.h, 1.0)
+        lam = torus_symbol(v.N, v.d, v.h, 1.0)
         expect = dft(v)[..., None] * profile(np.sqrt(lam)[..., None] * t)
         got = np.stack([dft(v.copy_with(field.values[..., j])) for j in range(t.size)],
                        axis=-1)
@@ -174,7 +174,7 @@ class TestExtensionField:
         v = random_torus(5, 1, 9)
         t_grid = make_t_grid(1e-4, 2.0, 1.5)
         field = cs_extend_torus(v, 0.5, t_grid)
-        lam = _torus_multiplier(5, 1, v.h, 1.0)
+        lam = torus_symbol(5, 1, v.h, 1.0)
         hat = dft(v)
         for it, t in enumerate(t_grid):
             ref = np.real(idft(hat * np.exp(-np.sqrt(lam) * t), 5, 1))

@@ -1,5 +1,6 @@
 """Config handling, experiment dispatch, artifacts, CLI."""
 
+import dataclasses
 import json
 import hashlib
 import math
@@ -386,6 +387,44 @@ class TestExperiments:
                                output_dir=str(tmp_path))
         assert run(cfg).all_passed
         assert seen == [{d}]
+
+
+def _fail_lines(out):
+    return {line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")}
+
+
+class TestChecksCanFail:
+    """Each check is seen to fail: the library call it reads is patched in
+    fraclat.harness, not the check, to return a value about 10x past the
+    threshold (a sign flip or a false flag where the threshold is 0 or a
+    flag)."""
+
+    FAULTS = [
+        ("inverse-sweep", "noiseless_recovery_error", lambda err: 1e-2, "noiseless_error"),
+        ("inverse-sweep", "stability_sweep",
+         lambda c: dataclasses.replace(c, fitted_nu=-c.fitted_nu), "fitted_nu_positive"),
+        ("boundary-bulk", "boundary_bulk_probe",
+         lambda r: dataclasses.replace(r, holds=False), "inequality_holds"),
+        ("boundary-bulk", "boundary_bulk_probe",
+         lambda r: dataclasses.replace(r, fitted_alpha=10.0), "alpha_in_unit_interval"),
+        ("extension-trace", "neumann_trace",
+         lambda tr: tr.copy_with(tr.values * (1.0 + 1e-3)), "neumann_vs_spectral"),
+    ]
+
+    @pytest.mark.parametrize("name, fn_name, fault, check", FAULTS,
+                             ids=[fault[-1] for fault in FAULTS])
+    def test_fault_fails_its_check(self, name, fn_name, fault, check, tmp_path, monkeypatch,
+                                   capsys):
+        import fraclat.harness
+
+        main([name, "--out", str(tmp_path / "clean")])
+        before = _fail_lines(capsys.readouterr().out)
+        assert f"FAIL {check}" not in before
+        real = getattr(fraclat.harness, fn_name)
+        monkeypatch.setattr(fraclat.harness, fn_name, lambda *a, **k: fault(real(*a, **k)))
+        rc = main([name, "--out", str(tmp_path / "fault")])
+        assert _fail_lines(capsys.readouterr().out) == before | {f"FAIL {check}"}
+        assert rc == 1
 
 
 class TestSelfTest:

@@ -17,7 +17,7 @@ from fraclat.inverse import (
     stability_bound,
     stability_sweep,
 )
-from oracles import dft, recover_tikhonov
+from oracles import dft, h1_gram_dft, recover_tikhonov
 
 SETUP = InverseSetup(N=16, W=tuple(range(-3, 3)), Omega=tuple(range(5, 14)),
                      seed=2024)
@@ -25,17 +25,14 @@ SETUP = InverseSetup(N=16, W=tuple(range(-3, 3)), Omega=tuple(range(5, 14)),
 
 def discrepancy_roots(A, g, P, target):
     # the discrepancy-principle lambdas on the standard form of (A, P)
-    return inverse._discrepancy_roots(A, inverse._standard_form(A, P), g, target)
+    return inverse._discrepancy_roots(np.linalg.norm(A, 2), inverse._standard_form(A, P),
+                                      g, target)
 
 
 class TestSetup:
     def test_disjointness(self):
         with pytest.raises(ValueError):
             InverseSetup(N=8, W=(0, 1), Omega=(1, 5))
-
-    def test_order_pinned(self):
-        with pytest.raises(ValueError):
-            InverseSetup(N=8, W=(0,), Omega=(5,), s=0.3)
 
 
 class TestForwardMatrix:
@@ -46,12 +43,12 @@ class TestForwardMatrix:
     def test_kernel_symmetry_in_entries(self):
         # equal offsets give equal entries
         setup = InverseSetup(N=8, W=(-1, 1), Omega=(5, -5), seed=0)
-        A = forward_matrix(setup, check_columns=0)
+        A = forward_matrix(setup)
         # offset(5, -1) = 6 and offset(-5, 1) = -6: even kernel
         assert A[0, 0] == pytest.approx(A[1, 1], rel=1e-14)
 
     def test_spectral_column_check_runs(self):
-        forward_matrix(SETUP, check_columns=5)
+        forward_matrix(SETUP)
 
     def test_one_corrupted_entry_raises(self, monkeypatch):
         # every column is checked: an entry that a single column reads is caught
@@ -67,15 +64,15 @@ class TestForwardMatrix:
             full[20] += 1e-8  # offset 20 = 12 - (-8), read by the column of w = -8 alone
             return _TorusKernelData(t.N, t.d, t.s, t.h, full, t.diag, t.err)
 
+        forward_matrix(setup)
         monkeypatch.setattr(fraclat.inverse, "torus_kernel_table", corrupted)
-        forward_matrix(setup, check_columns=0)
         with pytest.raises(AssertionError):
             forward_matrix(setup)
 
     def test_columns_match_spectral(self):
         from fraclat.lattice import TorusFunction, apply_frac_torus_spectral
 
-        A = forward_matrix(SETUP, check_columns=0)
+        A = forward_matrix(SETUP)
         n = 2 * SETUP.N + 1
         j = 2
         delta = np.zeros(n)
@@ -132,7 +129,7 @@ class TestGram:
     def test_h1_norm_consistency(self):
         # f' P f equals the squared H^1 norm of the embedded torus function,
         # by Parseval over its {-N..N} Fourier coefficients
-        from fraclat.lattice import TorusFunction, _sobolev_multiplier
+        from fraclat.lattice import TorusFunction
 
         N = 16
         W = tuple(range(-3, 3))
@@ -143,8 +140,23 @@ class TestGram:
         for w, c in zip(W, f):
             vals[(w + N) % (2 * N + 1)] = c
         v = TorusFunction(N, 1, vals)
-        norm_sq = v.h * v.n * float(np.sum(_sobolev_multiplier(N, 1, v.h) * np.abs(dft(v)) ** 2))
+        sobolev = 1.0 + np.sin(v.h * np.arange(-N, N + 1)) ** 2 / (v.h * v.h)
+        norm_sq = v.h * v.n * float(np.sum(sobolev * np.abs(dft(v)) ** 2))
         assert float(f @ P @ f) == pytest.approx(norm_sq, rel=1e-12)
+
+    @pytest.mark.parametrize("N", (1, 2, 16))
+    def test_matches_parseval_form(self, N):
+        # h (I + D'D) against the Sobolev multiplier summed over the
+        # frequencies; at N = 1 the offsets +-2 wrap to -+1, at N = 2 they
+        # sit next to them
+        W = tuple(range(-N, N + 1))
+        P = h1_gram(N, W)
+        ref = h1_gram_dft(N, W)
+        assert np.array_equal(P, P.T)
+        assert np.abs(P - ref).max() <= 1e-14 * np.abs(ref).max()
+        h = 2.0 * math.pi / (2 * N + 1)
+        assert np.count_nonzero(P) == (2 * N + 1) * (3 if N > 1 else 2 * N + 1)
+        assert np.all(np.diag(P) == h + 0.5 / h)
 
 
 class TestDiscrepancy:
@@ -166,8 +178,8 @@ class TestDiscrepancy:
         # the root (lambda ~ 8.4e-17) lies below 1e-16, but above 1e-16 ||A||^2
         setup = InverseSetup(N=16, W=tuple(range(-3, 3)), Omega=tuple(range(6, 15)),
                              seed=498100233)
-        curve = stability_sweep(setup, [1e-6], trials=8)
-        assert math.isfinite(curve.points[0][1])
+        curve = stability_sweep(setup, [1e-5, 1e-6], trials=8)
+        assert math.isfinite(curve.points[1][1])
 
     def test_non_bracketing_raises(self):
         A = forward_matrix(SETUP)
@@ -332,7 +344,9 @@ class TestNoiseless:
     def test_mpmath_oracle_error(self):
         # the trials of noiseless_recovery_error, each (A'A + lam P) f = A'g
         # solved at 50 digits on the same double data.  Measured deviation
-        # 4.1e-8 relative; the augmented least-squares route gives 2.4e-9.
+        # 6.5e-8 relative (4.1e-8 with the Fourier-form Gram matrix, whose
+        # entries differ in their last ulp); the augmented least-squares
+        # route gives 2.4e-9.
         # Both are far inside the rounding bound eps * cond(A L^{-1}) ~ 5e-10
         # on f, which is 3e-6 relative to this mean error.
         import mpmath as mp
@@ -378,14 +392,15 @@ class TestSweep:
             stability_sweep(SETUP, [1e-2, 1e-1], trials=2)
         with pytest.raises(ValueError):
             stability_sweep(SETUP, [2.0, 1e-2], trials=2)
+        # one eps fits no line
+        with pytest.raises(ValueError, match="at least two values, got 1"):
+            stability_sweep(SETUP, [1e-2], trials=2)
 
     def test_trials_validation(self):
         # no trial leaves nothing to average: rejected by name, not by a
         # shape error in the solve
-        for run in (lambda: stability_sweep(SETUP, self.EPS, trials=0),
-                    lambda: noiseless_recovery_error(SETUP, trials=0)):
-            with pytest.raises(ValueError, match="trials must be at least 1"):
-                run()
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            stability_sweep(SETUP, self.EPS, trials=0)
 
     def test_noiseless(self):
         assert noiseless_recovery_error(SETUP) < 1e-3
@@ -396,10 +411,48 @@ class TestSweep:
         for start in (2, 4, 6):
             setup = InverseSetup(N=16, W=tuple(range(-6, 0)),
                                  Omega=tuple(range(start, start + 9)), seed=9)
-            curve = stability_sweep(setup, [1e-3], trials=10)
-            errs.append((curve.points[0][1], np.array(curve.extras["err_std"])[0]))
+            curve = stability_sweep(setup, [1e-2, 1e-3], trials=10)
+            errs.append((curve.points[1][1], np.array(curve.extras["err_std"])[1]))
         for (e1, s1), (e2, s2) in zip(errs, errs[1:]):
             assert e2 >= e1 - 2.0 * (s1 + s2) / math.sqrt(10.0)
+
+
+class TestPrepared:
+    def test_one_build_per_setup(self, monkeypatch):
+        # a sweep and a noiseless run on one setup build A, P, the standard
+        # form and ||A||_2 once between them
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("forward_matrix", "h1_gram", "_standard_form"):
+            monkeypatch.setattr(inverse, name, counted(name, getattr(inverse, name)))
+        real_norm = np.linalg.norm
+
+        def norm(x, ord=None, **kwargs):
+            if ord == 2:
+                calls.append("norm2")
+            return real_norm(x, ord, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        inverse._prepared.cache_clear()
+        setup = InverseSetup(N=16, W=tuple(range(-3, 3)), Omega=tuple(range(5, 14)), seed=5)
+        stability_sweep(setup, [1e-2, 1e-4], trials=3)
+        noiseless_recovery_error(setup)
+        assert sorted(calls) == ["_standard_form", "forward_matrix", "h1_gram", "norm2"]
+
+    def test_arrays_read_only(self):
+        A, P, factors, norm_a = inverse._prepared(SETUP)
+        for arr in (A, P) + factors:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0
+        assert isinstance(norm_a, float)
+        assert inverse._prepared(SETUP)[0] is A
 
 
 class TestBoundAndRegime:

@@ -21,14 +21,13 @@ from fraclat.lattice import (
     LatticeFunction,
     StepProfile,
     TorusFunction,
-    _torus_multiplier,
     apply_frac_lattice,
     apply_frac_torus_pointwise,
     apply_frac_torus_spectral,
     periodize,
     transference_check,
 )
-from oracles import dft, idft
+from oracles import dft, idft, torus_symbol
 
 
 # The index loops that the array code in fraclat.lattice replaced, kept as
@@ -142,12 +141,12 @@ class TestSymbol:
     frequency grid, xi_k = 2 pi m_k / (n h), as the spectral route reads it."""
 
     def test_zero(self):
-        assert _torus_multiplier(4, 2, 1.0, 0.5)[4, 4] == 0.0
+        assert torus_symbol(4, 2, 1.0, 0.5)[4, 4] == 0.0
 
     def test_peak(self):
         # the largest value sits at the corner frequencies m = +-N
         N = 6
-        mult = _torus_multiplier(N, 3, 1.0, 0.5)
+        mult = torus_symbol(N, 3, 1.0, 0.5)
         peak = (12.0 * math.sin(math.pi * N / (2 * N + 1)) ** 2) ** 0.5
         assert mult[-1, -1, -1] == mult.max() == mult[0, 0, 0]
         assert mult.max() == pytest.approx(peak, rel=1e-13)
@@ -155,7 +154,7 @@ class TestSymbol:
     def test_continuum_limit(self):
         # at fixed frequency m the symbol of mesh h = 2pi/n tends to |m|^{2s}
         N = 100
-        mult = _torus_multiplier(N, 2, 2.0 * math.pi / (2 * N + 1), 0.5)
+        mult = torus_symbol(N, 2, 2.0 * math.pi / (2 * N + 1), 0.5)
         assert abs(mult[N + 1, N + 2] / (1.0 + 4.0) ** 0.5 - 1.0) < 0.01
 
     def test_periodicity(self):
@@ -165,7 +164,7 @@ class TestSymbol:
         n = 2 * N + 1
         k = np.arange(n)
         at_k = (4.0 / (h * h) * np.sin(math.pi * k / n) ** 2) ** s
-        got = np.fft.ifftshift(_torus_multiplier(N, 1, h, s))
+        got = np.fft.ifftshift(torus_symbol(N, 1, h, s))
         assert np.allclose(got, at_k, rtol=1e-13, atol=0.0)
 
 
@@ -374,7 +373,7 @@ class TestApplyTorus:
     def test_spectral_matches_dft_route(self, s, d, N):
         # the real FFT in storage order against the {-N..N} reference route
         v = random_torus(N, d, 40 + d)
-        ref = np.real(idft(_torus_multiplier(N, d, v.h, s) * dft(v), N, d))
+        ref = np.real(idft(torus_symbol(N, d, v.h, s) * dft(v), N, d))
         got = apply_frac_torus_spectral(v, s).values
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -468,6 +467,30 @@ class TestApplyTorus:
         ref = _roll_loop_apply(v, K)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    def test_pointwise_groups_the_circulants(self):
+        # the stacked circulants of all n leading offsets would take n^3
+        # doubles at d=2 N=100 (65 MB); each group holds at most 2^18
+        import tracemalloc
+
+        from fraclat.lattice import _apply_pointwise
+
+        rng = np.random.default_rng(100)
+        K = rng.random((201, 201))
+        K[0, 0] = 0.0
+        v = rng.standard_normal((201, 201))
+        tracemalloc.start()
+        try:
+            out = _apply_pointwise(v, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        w = v - v[0, 0]
+        for j in ((0, 0), (3, 150), (200, 7)):
+            wrapped = K[np.ix_((j[0] - np.arange(201)) % 201, (j[1] - np.arange(201)) % 201)]
+            ref = K.sum() * w[j] - float(np.sum(wrapped * w))
+            assert abs(out[j] - ref) <= 1e-13 * np.abs(out).max()
+
     def test_pointwise_peak_memory_d2(self):
         # one d=2 N=10 call gathers n^3 window entries and n^3 circulant
         # entries, not the n^4 block of differences v_j - v_{j-r}
@@ -505,13 +528,13 @@ class TestApplyTorus:
     @pytest.mark.parametrize("d,N", [(1, 9), (2, 5), (3, 3)])
     @pytest.mark.parametrize("s", (0.3, 0.75))
     def test_spectral_symbol_cached_and_bit_identical(self, s, d, N):
-        # the cached symbol is the one the uncached route builds, bit for
-        # bit, and it is shared read-only
+        # the cached symbol is the half spectrum of the full-grid oracle, bit
+        # for bit, and it is shared read-only
         from fraclat.kernel import _CACHE_SIZE
-        from fraclat.lattice import _apply_even, _half_spectrum, _spectral_symbol
+        from fraclat.lattice import _apply_even, _spectral_symbol
 
         v = random_torus(N, d, 60 + d)
-        fresh = _half_spectrum(_torus_multiplier(N, d, v.h, s))
+        fresh = np.fft.ifftshift(torus_symbol(N, d, v.h, s))[..., :N + 1]
         got = apply_frac_torus_spectral(v, s).values
         assert np.array_equal(got, _apply_even(v.values, fresh, d))
         sym = _spectral_symbol(N, d, s)
@@ -521,6 +544,17 @@ class TestApplyTorus:
             sym[(0,) * d] = 1.0
         assert _spectral_symbol(N, d, s) is sym
         assert _spectral_symbol.cache_info().maxsize == _CACHE_SIZE
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    @pytest.mark.parametrize("s", (1e-14, 0.05, 0.5, 0.95))
+    def test_spectral_symbol_is_the_full_grid_symbol(self, s, d):
+        # sin^2 at min(k, n - k) in FFT order is the {-N..N} symbol shifted
+        # to FFT order, bit for bit, small and odd N included
+        from fraclat.lattice import _spectral_symbol
+
+        for N in (1, 2, 4) if d == 3 else (1, 2, 7, 16):
+            ref = np.fft.ifftshift(torus_symbol(N, d, 2.0 * math.pi / (2 * N + 1), s))
+            assert np.array_equal(_spectral_symbol(N, d, s), ref[..., :N + 1])
 
     def test_spectral_symbol_cache_is_bounded(self):
         from fraclat.kernel import _CACHE_SIZE

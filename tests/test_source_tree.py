@@ -123,7 +123,8 @@ def test_removed_names_and_options_stay_out():
                "extension_profile", "carleman_weight", "tangential_conjugates",
                "conjugated_laplacian_defect", "_half_ball_norms", "discrepancy_lambda",
                "bessel_i_scaled_row", "_transference_direct_1d", "direct_radius", "ktol",
-               "big_c", "t_step", "tau0", "delta0", "empty_ok"}
+               "big_c", "t_step", "tau0", "delta0", "empty_ok", "_torus_multiplier",
+               "_half_spectrum", "_sobolev_multiplier", "check_columns"}
     present = {name for path in SRC.glob("**/*.py") for name, _ in _identifiers(path)}
     assert removed & present == set()
     for fn, options in ((fraclat.apply_frac_torus_pointwise, {"method"}),
@@ -132,6 +133,40 @@ def test_removed_names_and_options_stay_out():
         assert options & set(inspect.signature(fn).parameters) == set()
     assert set(inspect.signature(fraclat.CarlemanConfig).parameters) == {"c0", "tau", "h"}
     assert set(inspect.signature(extension._support_box).parameters) == {"v"}
+    assert set(inspect.signature(fraclat.InverseSetup).parameters) == {"N", "W", "Omega", "seed"}
+    assert set(inspect.signature(fraclat.noiseless_recovery_error).parameters) == {"setup"}
+    assert set(inspect.signature(fraclat.forward_matrix).parameters) == {"setup"}
+    setup = inspect.signature(fraclat.StabilityCurve.to_json).parameters["setup"]
+    assert setup.default is inspect.Parameter.empty
+
+
+def _squared_sines_by_function():
+    """{path:function} of each function in src that squares a sine,
+    np.sin(...) ** 2 or math.sin(...) ** 2."""
+    found = set()
+    for path in sorted(SRC.glob("**/*.py")):
+        for top in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(top, ast.FunctionDef):
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                        and isinstance(node.right, ast.Constant) and node.right.value == 2
+                        and isinstance(node.left, ast.Call)
+                        and isinstance(node.left.func, ast.Attribute)
+                        and node.left.func.attr == "sin"):
+                    found.add(f"{path.relative_to(SRC)}:{top.name}")
+    return found
+
+
+def test_one_torus_symbol():
+    # the spectral route's FFT lives in lattice.py alone, and the torus
+    # eigenvalue sin^2(pi m/n) is built by the cached symbol every Fourier
+    # multiplier reads and by the heat route, which stays independent of it:
+    # its Fourier wrap sums and the plateau bound at m = 1
+    assert [h for h in _hits(r"\bfft\b") if not h.startswith("fraclat/lattice.py:")] == []
+    assert _squared_sines_by_function() == {"fraclat/lattice.py:_spectral_symbol",
+                                            "fraclat/kernel.py:_fourier_wraps",
+                                            "fraclat/kernel.py:_torus_table_heat"}
 
 
 def test_pointwise_torus_route_has_no_fft():
